@@ -78,23 +78,17 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def _execute(cfg: RunConfig):
-    echo = config_to_flat(cfg)
     started = time.perf_counter()
+    options = {}
     if cfg.mode == "walk":
-        trajectory = run(
+        result = run(
             build_initial_state(cfg),
             build_schedule(cfg),
             cfg.steps,
             record_full=cfg.record_full,
         )
-        bundle = emit_trajectory(
-            trajectory,
-            cfg.out_dir,
-            config_echo=echo,
-            runtime_seconds=time.perf_counter() - started,
-        )
-        tail = trajectory.expectation[-1]
-        print(f"walk: {cfg.steps} steps, final <X> = {tail:.6g}")
+        emit = emit_trajectory
+        summary = f"walk: {cfg.steps} steps, final <X> = {result.expectation[-1]:.6g}"
     elif cfg.mode == "ensemble":
         result = ensemble_expectation(
             build_initial_state(cfg),
@@ -104,13 +98,8 @@ def _execute(cfg: RunConfig):
             master_seed=cfg.seed,
             workers=cfg.workers,
         )
-        bundle = emit_ensemble(
-            result,
-            cfg.out_dir,
-            config_echo=echo,
-            runtime_seconds=time.perf_counter() - started,
-        )
-        print(
+        emit = emit_ensemble
+        summary = (
             f"ensemble: {cfg.iterations} iterations, final mean <X> = "
             f"{result.mean_expectation[-1]:.6g} "
             f"(std error {result.std_error[-1]:.3g})"
@@ -119,30 +108,25 @@ def _execute(cfg: RunConfig):
         grid = build_grid_spec(cfg)
         sweep_fn = sweep_coin_params if cfg.mode == "sweep-coin" else sweep_initial_state
         result = sweep_fn(grid, workers=cfg.workers)
-        bundle = emit_sweep(
-            result,
-            cfg.out_dir,
-            config_echo=echo,
-            runtime_seconds=time.perf_counter() - started,
-        )
+        emit = emit_sweep
         wins = int((result.classification == "winning").sum())
         losses = int((result.classification == "losing").sum())
-        print(
+        summary = (
             f"{cfg.mode}: {result.expectation.size} points, "
             f"{wins} winning / {losses} losing"
         )
     else:
         result = classical_walk(cfg.steps, cfg.p_right)
-        bundle = emit_classical(
-            result,
-            cfg.out_dir,
-            record_full=cfg.record_full,
-            config_echo=echo,
-            runtime_seconds=time.perf_counter() - started,
-        )
-        print(
-            f"classical: {cfg.steps} steps, final variance = {result.variance[-1]:.6g}"
-        )
+        emit, options = emit_classical, {"record_full": cfg.record_full}
+        summary = f"classical: {cfg.steps} steps, final variance = {result.variance[-1]:.6g}"
+    bundle = emit(
+        result,
+        cfg.out_dir,
+        config_echo=config_to_flat(cfg),
+        runtime_seconds=time.perf_counter() - started,
+        **options,
+    )
+    print(summary)
     print(f"wrote {bundle.data_path}")
     return bundle
 

@@ -92,6 +92,13 @@ class SiteTanhRotation:
     theta_minus: float
     theta_plus: float
 
+    def __post_init__(self):
+        if not (np.isfinite(self.theta_minus) and np.isfinite(self.theta_plus)):
+            raise ValueError(
+                f"theta_minus and theta_plus must be finite, got "
+                f"{self.theta_minus}, {self.theta_plus}"
+            )
+
 
 @dataclass(frozen=True)
 class GeneralCoin:

@@ -3,16 +3,27 @@
 Config sources are flat ``key = value`` text with dotted keys for nesting
 (``schedule.a.theta = pi/2``) plus command-line overrides, which win. Angle
 values accept plain radians or symbolic fractions of pi ("pi/8", "-pi/8",
-"3pi/4"). A parsed ``RunConfig`` can be dumped back to the same flat text;
-parsing that dump reproduces an equal config, which is what makes output
-sidecars replayable.
+"3pi/4").
+
+Each section parses straight into the domain class it describes:
+``schedule.*`` into a schedule, ``schedule.a.*`` and ``schedule.b.*`` into
+coin specs, ``initial.*`` into a ``BlochCoinState``, ``grid.axisN.*`` into a
+``GridAxis`` and ``sweep.*`` into a ``ScheduleTemplate``. A section's ``kind``
+key picks the class from its family's table; every other key names a field
+of that class and is parsed by the field's annotation. Keys the chosen class
+does not have are rejected. Dumping walks the same fields, so a parsed
+``RunConfig`` dumps to flat text that parses back to an equal config, which
+is what makes output sidecars replayable.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import re
-from dataclasses import dataclass, field, fields as dc_fields
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -23,6 +34,7 @@ from .coins import (
     RandomPhaseBeta,
     SiteTanhRotation,
     UniformRotation,
+    is_stochastic_spec,
 )
 from .errors import ConfigError
 from .evolution import (
@@ -31,22 +43,46 @@ from .evolution import (
     ProbabilisticChoice,
     Single,
     StrategySchedule,
-    is_stochastic_schedule,
+    coin_specs,
+    reach,
     with_derived_seeds,
 )
-from .state import BlochCoinState, LatticeGeometry, WalkerState
-from .sweep import (
-    BLOCH_PARAMETERS,
-    COIN_PARAMETERS,
-    GridAxis,
-    GridSpec,
-    ScheduleTemplate,
-)
+from .state import SPIN_DOWN, BlochCoinState, LatticeGeometry, WalkerState
+from .sweep import GridAxis, GridSpec, ScheduleTemplate, check_grid
 
 MODES = ("walk", "ensemble", "sweep-coin", "sweep-initial", "classical")
 
-COIN_KINDS = ("uniform", "tanh", "general", "random-alpha", "random-beta")
-SCHEDULE_KINDS = ("single", "composite", "alternating", "probabilistic")
+COIN_KINDS = {
+    "uniform": UniformRotation,
+    "tanh": SiteTanhRotation,
+    "general": GeneralCoin,
+    "random-alpha": RandomPhaseAlpha,
+    "random-beta": RandomPhaseBeta,
+}
+SCHEDULE_KINDS = {
+    "single": Single,
+    "composite": Composite,
+    "alternating": AlternatingEvenOdd,
+    "probabilistic": ProbabilisticChoice,
+}
+_KIND_NAMES = {
+    cls: name for table in (COIN_KINDS, SCHEDULE_KINDS) for name, cls in table.items()
+}
+
+# Field name -> config key, where the two differ.
+_KEYS = {
+    "spec": "a",
+    "lower": "min",
+    "upper": "max",
+    "kind": "family",
+    "out_dir": "out",
+    "x0": "initial.x0",
+    "axis1": "grid.axis1",
+    "axis2": "grid.axis2",
+    "grid_fixed": "grid.fixed",
+}
+# String fields whose values name a choice; matched case-insensitively.
+_CHOICE_FIELDS = ("mode", "kind")
 
 _PI_FORM = re.compile(
     r"^(?P<sign>[+-]?)\s*(?P<coef>\d+(?:\.\d+)?)?\s*pi(?:\s*/\s*(?P<den>\d+(?:\.\d+)?))?$",
@@ -55,19 +91,27 @@ _PI_FORM = re.compile(
 
 
 def parse_angle(text: str, key: str = "angle") -> float:
-    """Radians from a plain number or a pi-fraction string like '-pi/8' or '3pi/4'."""
+    """Radians from a plain number or a pi-fraction string like '-pi/8' or '3pi/4'.
+
+    Non-finite values are rejected.
+    """
     text = str(text).strip()
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    m = _PI_FORM.match(text)
-    if not m:
-        raise ConfigError(f"{key}={text!r} is neither a number nor a pi fraction")
-    value = math.pi * float(m.group("coef") or 1.0)
-    if m.group("den"):
-        value /= float(m.group("den"))
-    return -value if m.group("sign") == "-" else value
+        m = _PI_FORM.match(text)
+        if not m:
+            raise ConfigError(
+                f"{key}={text!r} is neither a number nor a pi fraction"
+            ) from None
+        value = math.pi * float(m.group("coef") or 1.0)
+        den = float(m.group("den") or 1.0)
+        if den == 0.0:
+            raise ConfigError(f"{key}={text!r} divides by zero") from None
+        value = -value / den if m.group("sign") == "-" else value / den
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}={text!r} is not a finite number")
+    return value
 
 
 def _parse_bool(text: str, key: str) -> bool:
@@ -86,54 +130,12 @@ def _parse_int(text: str, key: str) -> int:
         raise ConfigError(f"{key}={text!r} is not an integer") from None
 
 
-def _parse_float(text: str, key: str) -> float:
-    return parse_angle(text, key)
-
-
-@dataclass
-class InitialConfig:
-    theta: float = math.pi  # spin-down by default
-    phi: float = 0.0
-    x0: int = 0
-
-
-@dataclass
-class CoinConfig:
-    kind: str
-    theta: float | None = None
-    theta_minus: float | None = None
-    theta_plus: float | None = None
-    q: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    seed: int | None = None
-
-
-@dataclass
-class ScheduleConfig:
-    kind: str
-    a: CoinConfig | None = None
-    b: CoinConfig | None = None
-    m: int = 0
-    n: int = 0
-    q: float | None = None
-    seed: int | None = None
-    interleaved: bool = False
-
-
-@dataclass
-class AxisConfig:
-    name: str
-    lower: float
-    upper: float
-    count: int
-
-
-@dataclass
-class SweepConfig:
-    family: str | None = None
-    m: int = 0
-    n: int = 0
+_SCALARS = {
+    float: parse_angle,
+    int: _parse_int,
+    bool: _parse_bool,
+    str: lambda text, key: str(text).strip(),
+}
 
 
 @dataclass
@@ -141,12 +143,6 @@ class RunConfig:
     mode: str
     sites: int | None = None
     steps: int = 0
-    initial: InitialConfig = field(default_factory=InitialConfig)
-    schedule: ScheduleConfig | None = None
-    sweep: SweepConfig | None = None
-    axis1: AxisConfig | None = None
-    axis2: AxisConfig | None = None
-    grid_fixed: dict = field(default_factory=dict)
     seed: int | None = None
     iterations: int = 5000
     workers: int = 1
@@ -154,10 +150,17 @@ class RunConfig:
     tie_tolerance: float = 1e-9
     p_right: float = 0.5
     out_dir: str = "out"
+    initial: BlochCoinState = SPIN_DOWN
+    x0: int = 0
+    schedule: StrategySchedule | None = None
+    sweep: ScheduleTemplate | None = None
+    axis1: GridAxis | None = None
+    axis2: GridAxis | None = None
+    grid_fixed: dict[str, float] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
-# flat text <-> key/value mapping
+# flat text <-> domain objects
 # ---------------------------------------------------------------------------
 
 
@@ -178,175 +181,130 @@ def read_flat_text(text: str) -> dict[str, str]:
     return values
 
 
-_COIN_ANGLE_FIELDS = ("theta", "theta_minus", "theta_plus", "alpha", "beta")
+def _join(prefix: str, name: str) -> str:
+    return f"{prefix}.{name}" if prefix else name
 
 
-def _build_coin_config(flat: Mapping[str, str], prefix: str) -> CoinConfig | None:
-    kind_key = f"{prefix}.kind"
+@functools.cache
+def _fields(cls) -> tuple:
+    """(name, key suffix, type, default) per dataclass field; the default is
+    MISSING for a required field. ``X | None`` types are reduced to X."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in dataclasses.fields(cls):
+        tp = hints[f.name]
+        if type(None) in typing.get_args(tp):
+            tp = typing.Union[tuple(a for a in typing.get_args(tp) if a is not type(None))]
+        default = f.default
+        if f.default_factory is not dataclasses.MISSING:
+            default = f.default_factory()
+        out.append((f.name, _KEYS.get(f.name, f.name), tp, default))
+    return tuple(out)
+
+
+def _parse_field(tp, flat: dict[str, str], key: str, default):
+    """Value of one field from the ``key`` entries of ``flat``, which are
+    removed; None when there are none."""
+    if tp == CoinSpec:
+        return build_coin(flat, key)
+    if tp == StrategySchedule:
+        return _parse_kind(SCHEDULE_KINDS, flat, key)
+    if dataclasses.is_dataclass(tp) or typing.get_origin(tp) is dict:
+        prefix = f"{key}."
+        section = [k for k in flat if k.startswith(prefix)]
+        if not section:
+            return None
+        if typing.get_origin(tp) is dict:
+            parse = _SCALARS[typing.get_args(tp)[1]]
+            return {k[len(prefix):]: parse(flat.pop(k), k) for k in section}
+        base = default if isinstance(default, tp) else None
+        return _parse_section(tp, flat, key, base=base)
+    if key not in flat:
+        return None
+    return _SCALARS[tp](flat.pop(key), key)
+
+
+def _parse_section(cls, flat: dict[str, str], prefix: str, context: str = "", base=None):
+    """Instance of ``cls`` from the ``prefix.*`` entries of ``flat``, which
+    are removed. Fields without an entry keep their default, or ``base``'s
+    value when ``base`` is given."""
+    values = {}
+    for name, suffix, tp, default in _fields(cls):
+        key = _join(prefix, suffix)
+        value = _parse_field(tp, flat, key, default)
+        if value is None:
+            if base is None and default is dataclasses.MISSING:
+                raise ConfigError(f"{key} is required{context}")
+            continue
+        values[name] = value.lower() if name in _CHOICE_FIELDS else value
+    try:
+        if base is not None:
+            return dataclasses.replace(base, **values)
+        return cls(**values)
+    except ValueError as exc:
+        # Domain errors start with the field they reject; name its key instead.
+        head, _, tail = str(exc).partition(" ")
+        if head in (f.name for f in dataclasses.fields(cls)):
+            raise ConfigError(f"{_join(prefix, _KEYS.get(head, head))} {tail}") from exc
+        raise ConfigError(f"{prefix}: {exc}") from exc
+
+
+def _parse_kind(table: dict, flat: dict[str, str], key: str):
+    """Instance of the class ``flat[key + '.kind']`` names in ``table``, from
+    the ``key.*`` entries, which are removed; None when there are none."""
+    kind_key = f"{key}.kind"
     if kind_key not in flat:
+        if any(k.startswith(f"{key}.") for k in flat):
+            raise ConfigError(f"{kind_key} is required; expected one of {tuple(table)}")
         return None
-    kind = flat[kind_key].strip().lower()
-    if kind not in COIN_KINDS:
-        raise ConfigError(f"{kind_key}={kind!r}; expected one of {COIN_KINDS}")
-    cc = CoinConfig(kind=kind)
-    for name in _COIN_ANGLE_FIELDS:
-        key = f"{prefix}.{name}"
-        if key in flat:
-            setattr(cc, name, parse_angle(flat[key], key))
-    if f"{prefix}.q" in flat:
-        cc.q = _parse_float(flat[f"{prefix}.q"], f"{prefix}.q")
-    if f"{prefix}.seed" in flat:
-        cc.seed = _parse_int(flat[f"{prefix}.seed"], f"{prefix}.seed")
-    return cc
+    kind = flat.pop(kind_key).strip().lower()
+    if kind not in table:
+        raise ConfigError(f"{kind_key}={kind!r}; expected one of {tuple(table)}")
+    return _parse_section(table[kind], flat, key, f" for {kind_key}={kind}")
 
 
-def _build_axis(flat: Mapping[str, str], prefix: str) -> AxisConfig | None:
-    if f"{prefix}.name" not in flat:
-        return None
-    missing = [k for k in ("min", "max", "count") if f"{prefix}.{k}" not in flat]
-    if missing:
-        raise ConfigError(f"{prefix} is missing {', '.join(missing)}")
-    return AxisConfig(
-        name=flat[f"{prefix}.name"].strip(),
-        lower=parse_angle(flat[f"{prefix}.min"], f"{prefix}.min"),
-        upper=parse_angle(flat[f"{prefix}.max"], f"{prefix}.max"),
-        count=_parse_int(flat[f"{prefix}.count"], f"{prefix}.count"),
-    )
+def build_coin(flat: dict[str, str], key: str) -> CoinSpec | None:
+    """Coin spec from the ``key.*`` entries of ``flat`` (e.g. key='schedule.a'),
+    which are removed; None when there are none."""
+    return _parse_kind(COIN_KINDS, flat, key)
 
 
 def config_from_flat(flat: Mapping[str, str]) -> RunConfig:
-    """Assemble a RunConfig from a flat key/value mapping (no validation yet)."""
-    known_scalar = {
-        "mode", "sites", "steps", "seed", "iterations", "workers",
-        "record_full", "tie_tolerance", "p_right", "out",
-    }
-    prefixes = ("initial.", "schedule.", "sweep.", "grid.")
-    for key in flat:
-        if key not in known_scalar and not key.startswith(prefixes):
-            raise ConfigError(f"unknown config key {key!r}")
+    """Parse a flat key/value mapping into a RunConfig of domain objects.
 
-    mode = flat.get("mode", "").strip().lower()
-    cfg = RunConfig(mode=mode)
-    if "sites" in flat:
-        cfg.sites = _parse_int(flat["sites"], "sites")
-    if "steps" in flat:
-        cfg.steps = _parse_int(flat["steps"], "steps")
-    if "seed" in flat:
-        cfg.seed = _parse_int(flat["seed"], "seed")
-    if "iterations" in flat:
-        cfg.iterations = _parse_int(flat["iterations"], "iterations")
-    if "workers" in flat:
-        cfg.workers = _parse_int(flat["workers"], "workers")
-    if "record_full" in flat:
-        cfg.record_full = _parse_bool(flat["record_full"], "record_full")
-    if "tie_tolerance" in flat:
-        cfg.tie_tolerance = _parse_float(flat["tie_tolerance"], "tie_tolerance")
-    if "p_right" in flat:
-        cfg.p_right = _parse_float(flat["p_right"], "p_right")
-    if "out" in flat:
-        cfg.out_dir = flat["out"]
-
-    if "initial.theta" in flat:
-        cfg.initial.theta = parse_angle(flat["initial.theta"], "initial.theta")
-    if "initial.phi" in flat:
-        cfg.initial.phi = parse_angle(flat["initial.phi"], "initial.phi")
-    if "initial.x0" in flat:
-        cfg.initial.x0 = _parse_int(flat["initial.x0"], "initial.x0")
-
-    if "schedule.kind" in flat:
-        kind = flat["schedule.kind"].strip().lower()
-        if kind not in SCHEDULE_KINDS:
-            raise ConfigError(
-                f"schedule.kind={kind!r}; expected one of {SCHEDULE_KINDS}"
-            )
-        sc = ScheduleConfig(kind=kind)
-        sc.a = _build_coin_config(flat, "schedule.a")
-        sc.b = _build_coin_config(flat, "schedule.b")
-        if "schedule.m" in flat:
-            sc.m = _parse_int(flat["schedule.m"], "schedule.m")
-        if "schedule.n" in flat:
-            sc.n = _parse_int(flat["schedule.n"], "schedule.n")
-        if "schedule.q" in flat:
-            sc.q = _parse_float(flat["schedule.q"], "schedule.q")
-        if "schedule.seed" in flat:
-            sc.seed = _parse_int(flat["schedule.seed"], "schedule.seed")
-        if "schedule.interleaved" in flat:
-            sc.interleaved = _parse_bool(
-                flat["schedule.interleaved"], "schedule.interleaved"
-            )
-        cfg.schedule = sc
-
-    if "sweep.family" in flat:
-        sw = SweepConfig(family=flat["sweep.family"].strip().lower())
-        if "sweep.m" in flat:
-            sw.m = _parse_int(flat["sweep.m"], "sweep.m")
-        if "sweep.n" in flat:
-            sw.n = _parse_int(flat["sweep.n"], "sweep.n")
-        cfg.sweep = sw
-
-    cfg.axis1 = _build_axis(flat, "grid.axis1")
-    cfg.axis2 = _build_axis(flat, "grid.axis2")
-    for key, value in flat.items():
-        if key.startswith("grid.fixed."):
-            cfg.grid_fixed[key[len("grid.fixed."):]] = parse_angle(flat[key], key)
+    The domain constructors check their own ranges; the rules that depend
+    on the mode are left to ``validate``.
+    """
+    rest = dict(flat)
+    cfg = _parse_section(RunConfig, rest, "")
+    if rest:
+        raise ConfigError(f"unknown config key {next(iter(rest))!r}")
     return cfg
+
+
+def _dump(value, key: str, out: dict[str, str]):
+    if value is None:
+        return
+    if dataclasses.is_dataclass(value):
+        if type(value) in _KIND_NAMES:
+            out[f"{key}.kind"] = _KIND_NAMES[type(value)]
+        for name, suffix, _, _ in _fields(type(value)):
+            _dump(getattr(value, name), _join(key, suffix), out)
+    elif isinstance(value, dict):
+        for name, item in sorted(value.items()):
+            _dump(item, f"{key}.{name}", out)
+    elif isinstance(value, bool):
+        out[key] = "true" if value else "false"
+    elif isinstance(value, float):
+        out[key] = repr(float(value))
+    else:
+        out[key] = str(value)
 
 
 def config_to_flat(cfg: RunConfig) -> dict[str, str]:
     """Flat key/value echo of a RunConfig; parsing it back gives an equal config."""
-    out: dict[str, str] = {"mode": cfg.mode}
-
-    def put(key, value):
-        if value is None:
-            return
-        if isinstance(value, bool):
-            out[key] = "true" if value else "false"
-        elif isinstance(value, float):
-            out[key] = repr(value)
-        else:
-            out[key] = str(value)
-
-    put("sites", cfg.sites)
-    put("steps", cfg.steps)
-    put("seed", cfg.seed)
-    put("iterations", cfg.iterations)
-    put("workers", cfg.workers)
-    put("record_full", cfg.record_full)
-    put("tie_tolerance", cfg.tie_tolerance)
-    put("p_right", cfg.p_right)
-    put("out", cfg.out_dir)
-    put("initial.theta", cfg.initial.theta)
-    put("initial.phi", cfg.initial.phi)
-    put("initial.x0", cfg.initial.x0)
-    if cfg.schedule is not None:
-        sc = cfg.schedule
-        put("schedule.kind", sc.kind)
-        put("schedule.m", sc.m)
-        put("schedule.n", sc.n)
-        put("schedule.q", sc.q)
-        put("schedule.seed", sc.seed)
-        put("schedule.interleaved", sc.interleaved)
-        for label, cc in (("a", sc.a), ("b", sc.b)):
-            if cc is None:
-                continue
-            put(f"schedule.{label}.kind", cc.kind)
-            for f in dc_fields(cc):
-                if f.name == "kind":
-                    continue
-                put(f"schedule.{label}.{f.name}", getattr(cc, f.name))
-    if cfg.sweep is not None:
-        put("sweep.family", cfg.sweep.family)
-        put("sweep.m", cfg.sweep.m)
-        put("sweep.n", cfg.sweep.n)
-    for label, axis in (("axis1", cfg.axis1), ("axis2", cfg.axis2)):
-        if axis is None:
-            continue
-        put(f"grid.{label}.name", axis.name)
-        put(f"grid.{label}.min", axis.lower)
-        put(f"grid.{label}.max", axis.upper)
-        put(f"grid.{label}.count", axis.count)
-    for name, value in sorted(cfg.grid_fixed.items()):
-        put(f"grid.fixed.{name}", value)
+    out: dict[str, str] = {}
+    _dump(cfg, "", out)
     return out
 
 
@@ -373,102 +331,39 @@ def _validate_quantum_geometry(cfg: RunConfig):
         cfg.sites >= 2 * cfg.steps + 1,
         f"sites={cfg.sites} < 2*steps+1={2 * cfg.steps + 1} for steps={cfg.steps}",
     )
-
-
-def _validate_initial(cfg: RunConfig):
-    ini = cfg.initial
-    _require(0.0 <= ini.theta <= math.pi, f"initial.theta={ini.theta} outside [0, pi]")
+    schedule = cfg.sweep if cfg.mode == "sweep-coin" else cfg.schedule
+    furthest = reach(abs(cfg.x0), schedule, cfg.steps)
     _require(
-        0.0 <= ini.phi < 2.0 * math.pi, f"initial.phi={ini.phi} outside [0, 2*pi)"
+        furthest <= (cfg.sites - 1) // 2,
+        f"sites={cfg.sites} is too small: from initial.x0={cfg.x0} the walker can "
+        f"reach |x|={furthest} in steps={cfg.steps}"
+        + (" of m+n sites each (schedule.interleaved)" if furthest > abs(cfg.x0) + cfg.steps
+           else ""),
     )
-    if cfg.sites is not None:
-        half = (cfg.sites - 1) // 2
-        _require(
-            abs(ini.x0) <= half,
-            f"initial.x0={ini.x0} outside the lattice [-{half}, {half}]",
-        )
 
 
-def build_coin(cc: CoinConfig, key: str) -> CoinSpec:
-    try:
-        if cc.kind == "uniform":
-            _require(cc.theta is not None, f"{key}.theta is required for a uniform coin")
-            return UniformRotation(cc.theta)
-        if cc.kind == "tanh":
-            _require(
-                cc.theta_minus is not None and cc.theta_plus is not None,
-                f"{key}.theta_minus and {key}.theta_plus are required for a tanh coin",
-            )
-            return SiteTanhRotation(cc.theta_minus, cc.theta_plus)
-        if cc.kind == "general":
-            _require(
-                cc.q is not None and cc.alpha is not None and cc.beta is not None,
-                f"{key}.q, {key}.alpha and {key}.beta are required for a general coin",
-            )
-            return GeneralCoin(cc.q, cc.alpha, cc.beta)
-        if cc.kind == "random-alpha":
-            return RandomPhaseAlpha(seed=cc.seed)
-        if cc.kind == "random-beta":
-            return RandomPhaseBeta(seed=cc.seed)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-    raise ConfigError(f"{key}.kind={cc.kind!r} is not a coin kind")
+def _unseeded(schedule: StrategySchedule) -> str | None:
+    """Key of the first random source in the schedule that has no seed."""
+    if isinstance(schedule, ProbabilisticChoice) and schedule.seed is None:
+        return "schedule.seed"
+    for name, spec in zip("ab", coin_specs(schedule)):
+        if is_stochastic_spec(spec) and spec.seed is None:
+            return f"schedule.{name}.seed"
+    return None
 
 
 def build_schedule(cfg: RunConfig) -> StrategySchedule:
-    """Concrete schedule from the config, deriving missing stochastic seeds
-    from the top-level seed when one is given."""
-    sc = cfg.schedule
-    _require(sc is not None, f"mode={cfg.mode} requires a schedule section")
-    _require(sc.a is not None, "schedule.a is required")
-    a = build_coin(sc.a, "schedule.a")
-    b = build_coin(sc.b, "schedule.b") if sc.b is not None else None
-
-    try:
-        if sc.kind == "single":
-            schedule: StrategySchedule = Single(a)
-        elif sc.kind == "composite":
-            _require(b is not None, "schedule.b is required for a composite schedule")
-            schedule = Composite(a, b, sc.m, sc.n, interleaved=sc.interleaved)
-        elif sc.kind == "alternating":
-            _require(b is not None, "schedule.b is required for an alternating schedule")
-            schedule = AlternatingEvenOdd(a, b)
-        else:
-            _require(b is not None, "schedule.b is required for a probabilistic schedule")
-            _require(sc.q is not None, "schedule.q is required for a probabilistic schedule")
-            schedule = ProbabilisticChoice(a, b, sc.q, seed=sc.seed)
-    except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
-
-    if cfg.seed is not None and is_stochastic_schedule(schedule):
-        needs_seed = (
-            isinstance(schedule, ProbabilisticChoice) and schedule.seed is None
-        ) or any(
-            isinstance(spec, (RandomPhaseAlpha, RandomPhaseBeta)) and spec.seed is None
-            for spec in _specs_of(schedule)
-        )
-        if needs_seed:
-            schedule = with_derived_seeds(schedule, cfg.seed, 0)
-    return schedule
-
-
-def _specs_of(schedule: StrategySchedule):
-    if isinstance(schedule, Single):
-        return (schedule.spec,)
-    return (schedule.a, schedule.b)
-
-
-def _check_runnable(schedule: StrategySchedule, cfg: RunConfig):
-    if isinstance(schedule, ProbabilisticChoice) and schedule.seed is None:
-        raise ConfigError(
-            "probabilistic schedule needs schedule.seed or a top-level seed"
-        )
-    for name, spec in zip(("a", "b"), _specs_of(schedule) + (None,)):
-        if isinstance(spec, (RandomPhaseAlpha, RandomPhaseBeta)) and spec.seed is None:
-            raise ConfigError(
-                f"schedule.{name} is a random-phase coin and needs "
-                f"schedule.{name}.seed or a top-level seed"
-            )
+    """The configured schedule, ready to run: with a top-level seed, every
+    stochastic seed slot is derived from it unless all are set explicitly."""
+    _require(cfg.schedule is not None, f"mode={cfg.mode} requires a schedule section")
+    missing = _unseeded(cfg.schedule)
+    if missing and cfg.seed is not None:
+        return with_derived_seeds(cfg.schedule, cfg.seed, 0)
+    _require(
+        missing is None,
+        f"the schedule draws random numbers and needs {missing} or a top-level seed",
+    )
+    return cfg.schedule
 
 
 def build_geometry(cfg: RunConfig) -> LatticeGeometry:
@@ -476,62 +371,31 @@ def build_geometry(cfg: RunConfig) -> LatticeGeometry:
 
 
 def build_initial_state(cfg: RunConfig) -> WalkerState:
-    bloch = BlochCoinState(theta=cfg.initial.theta, phi=cfg.initial.phi)
-    return WalkerState.localized(build_geometry(cfg), bloch, cfg.initial.x0)
-
-
-def _build_grid_axes(cfg: RunConfig, allowed: tuple[str, ...]):
-    _require(cfg.axis1 is not None and cfg.axis2 is not None,
-             f"mode={cfg.mode} requires grid.axis1 and grid.axis2")
-    axes = []
-    for label, ac in (("grid.axis1", cfg.axis1), ("grid.axis2", cfg.axis2)):
-        _require(
-            ac.name in allowed,
-            f"{label}.name={ac.name!r}; expected one of {allowed}",
-        )
-        try:
-            axes.append(GridAxis(ac.name, ac.lower, ac.upper, ac.count))
-        except ValueError as exc:
-            raise ConfigError(f"{label}: {exc}") from exc
-    return axes
+    return WalkerState.localized(build_geometry(cfg), cfg.initial, cfg.x0)
 
 
 def build_grid_spec(cfg: RunConfig) -> GridSpec:
+    _require(cfg.axis1 is not None and cfg.axis2 is not None,
+             f"mode={cfg.mode} requires grid.axis1 and grid.axis2")
     if cfg.mode == "sweep-coin":
-        axis1, axis2 = _build_grid_axes(cfg, COIN_PARAMETERS)
-        _require(cfg.sweep is not None and cfg.sweep.family is not None,
-                 "mode=sweep-coin requires sweep.family")
-        try:
-            template = ScheduleTemplate(cfg.sweep.family, m=cfg.sweep.m, n=cfg.sweep.n)
-        except ValueError as exc:
-            raise ConfigError(f"sweep.family: {exc}") from exc
-        bound = set(cfg.grid_fixed) | {axis1.name, axis2.name}
-        missing = [p for p in template.required_parameters() if p not in bound]
-        _require(
-            not missing,
-            f"sweep.family={cfg.sweep.family} needs parameter(s) "
-            f"{', '.join(missing)} bound by an axis or grid.fixed.*",
-        )
-        schedule = template
-    else:
-        axis1, axis2 = _build_grid_axes(cfg, BLOCH_PARAMETERS)
-        schedule = build_schedule(cfg)
-        if cfg.seed is None:
-            _check_runnable(schedule, cfg)
-
-    bloch = BlochCoinState(theta=cfg.initial.theta, phi=cfg.initial.phi)
-    return GridSpec(
-        axis1=axis1,
-        axis2=axis2,
-        schedule=schedule,
+        _require(cfg.sweep is not None, "mode=sweep-coin requires sweep.family")
+    grid = GridSpec(
+        axis1=cfg.axis1,
+        axis2=cfg.axis2,
+        schedule=cfg.sweep if cfg.mode == "sweep-coin" else build_schedule(cfg),
         steps=cfg.steps,
         geometry=build_geometry(cfg),
-        initial=bloch,
-        x0=cfg.initial.x0,
+        initial=cfg.initial,
+        x0=cfg.x0,
         fixed=dict(cfg.grid_fixed),
         master_seed=cfg.seed,
         tie_tolerance=cfg.tie_tolerance,
     )
+    try:
+        check_grid(grid)
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"grid.{exc}") from exc
+    return grid
 
 
 def validate(cfg: RunConfig) -> RunConfig:
@@ -550,11 +414,8 @@ def validate(cfg: RunConfig) -> RunConfig:
         return cfg
 
     _validate_quantum_geometry(cfg)
-    _validate_initial(cfg)
-
     if cfg.mode in ("walk", "ensemble"):
-        schedule = build_schedule(cfg)
-        _check_runnable(schedule, cfg)
+        build_schedule(cfg)
         if cfg.mode == "ensemble":
             _require(cfg.iterations >= 1, f"iterations={cfg.iterations} must be >= 1")
             _require(cfg.seed is not None, "mode=ensemble requires a master seed")

@@ -25,8 +25,6 @@ import numpy as np
 
 from .coins import (
     CoinSpec,
-    RandomPhaseAlpha,
-    RandomPhaseBeta,
     SiteTanhRotation,
     is_stochastic_spec,
     realize,
@@ -258,15 +256,19 @@ def run(
 ) -> Trajectory:
     """Run ``steps`` full steps, recording position mean and variance at every t.
 
-    Requires n_sites >= 2*steps + 1 so a walker started at the origin can
-    never touch the boundary; raised before any evolution happens.
+    Requires every site the walker can reach (see ``reach``) to lie on the
+    lattice, so amplitude never touches the boundary; raised before any
+    evolution happens.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     n = initial.geometry.n_sites
-    if n < 2 * steps + 1:
+    occupied = initial.geometry.positions[(initial.amp_up != 0) | (initial.amp_down != 0)]
+    furthest = reach(int(np.abs(occupied).max(initial=0)), schedule, steps)
+    if furthest > initial.geometry.half_span:
         raise GeometryTooSmallError(
-            f"n_sites={n} < 2*steps+1={2 * steps + 1}; the walker could reach the edge"
+            f"the walker can reach |x|={furthest} in {steps} steps, beyond the "
+            f"edge of n_sites={n} at |x|={initial.geometry.half_span}"
         )
 
     choice = (
@@ -328,21 +330,29 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-def _coin_pair(schedule: StrategySchedule):
+def coin_specs(schedule: StrategySchedule) -> tuple[CoinSpec, ...]:
+    """The schedule's coins: ``(spec,)`` for Single, ``(a, b)`` otherwise."""
     if isinstance(schedule, Single):
-        return schedule.spec, None
-    return schedule.a, schedule.b
+        return (schedule.spec,)
+    return (schedule.a, schedule.b)
+
+
+def reach(extent: int, schedule, steps: int) -> int:
+    """Largest |x| a walker can occupy after ``steps`` steps of ``schedule``
+    when it starts within |x| <= ``extent`` (|x0| for a localized start).
+    An interleaved composite shifts m+n times per step, any other schedule once."""
+    interleaved = isinstance(schedule, Composite) and schedule.interleaved
+    return extent + steps * (schedule.m + schedule.n if interleaved else 1)
 
 
 def is_stochastic_schedule(schedule: StrategySchedule) -> bool:
     """True if any randomness enters the dynamics (choice or phase draws)."""
     if isinstance(schedule, ProbabilisticChoice) and 0.0 < schedule.q < 1.0:
         return True
-    a, b = _coin_pair(schedule)
-    specs = [a] if b is None else [a, b]
+    specs = coin_specs(schedule)
     if isinstance(schedule, ProbabilisticChoice):
         # q pinned at 0 or 1 leaves only the surviving coin's randomness.
-        specs = [b] if schedule.q == 0.0 else [a] if schedule.q == 1.0 else specs
+        specs = specs[1:] if schedule.q == 0.0 else specs[:1]
     return any(is_stochastic_spec(s) for s in specs)
 
 
@@ -351,15 +361,14 @@ def collect_seeds(schedule: StrategySchedule) -> dict:
     seeds = {}
     if isinstance(schedule, ProbabilisticChoice) and schedule.seed is not None:
         seeds["choice"] = schedule.seed
-    a, b = _coin_pair(schedule)
-    for name, spec in (("coin_a", a), ("coin_b", b)):
-        if isinstance(spec, (RandomPhaseAlpha, RandomPhaseBeta)) and spec.seed is not None:
+    for name, spec in zip(("coin_a", "coin_b"), coin_specs(schedule)):
+        if is_stochastic_spec(spec) and spec.seed is not None:
             seeds[name] = spec.seed
     return seeds
 
 
 def _reseed_spec(spec: CoinSpec, seed: int) -> CoinSpec:
-    if isinstance(spec, (RandomPhaseAlpha, RandomPhaseBeta)):
+    if is_stochastic_spec(spec):
         return dataclasses.replace(spec, seed=seed)
     return spec
 

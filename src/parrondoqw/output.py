@@ -34,44 +34,46 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_csv(path: Path, header, rows):
+def _table(corner: str, columns, row_labels, matrix, cell=_fmt):
+    """Header ``[corner, *columns]``, then one row per label: the label and
+    its formatted matrix row."""
+    rows = ([label] + [cell(v) for v in row] for label, row in zip(row_labels, matrix))
+    return [corner] + list(columns), rows
+
+
+def _int_labels(values):
+    return [str(int(v)) for v in values]
+
+
+def _emit(kind, out_dir, basename, tables: dict, config_echo, extra: dict) -> OutputBundle:
+    """Write ``{basename}{suffix}.csv`` for each ``suffix: (header, rows)``
+    (the first is the primary data file), then the JSON sidecar."""
+    if out_dir is None or str(out_dir) == "":
+        raise OutputError("output directory path is empty")
+    out = Path(out_dir)
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(str(h) for h in header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_sidecar(path: Path, metadata: dict):
+        raise OutputError(f"cannot create output directory {out}: {exc}") from exc
+    paths = {suffix: out / f"{basename}{suffix}.csv" for suffix in tables}
+    sidecar = out / f"{basename}.json"
+    metadata = {"kind": kind, "version": __version__,
+                "config": dict(config_echo) if config_echo else None, **extra}
     try:
-        with open(path, "w") as fh:
+        for suffix, (header, rows) in tables.items():
+            path = paths[suffix]
+            with open(path, "w", newline="") as fh:
+                fh.write(",".join(header) + "\n")
+                for row in rows:
+                    fh.write(",".join(row) + "\n")
+        path = sidecar
+        with open(sidecar, "w") as fh:
             json.dump(metadata, fh, indent=2, sort_keys=True, default=str)
             fh.write("\n")
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
-
-
-def _prepare_dir(out_dir) -> Path:
-    if out_dir is None or str(out_dir) == "":
-        raise OutputError("output directory path is empty")
-    path = Path(out_dir)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OutputError(f"cannot create output directory {path}: {exc}") from exc
-    return path
-
-
-def _sidecar_metadata(kind: str, config_echo, extra: dict) -> dict:
-    meta = {
-        "kind": kind,
-        "version": __version__,
-        "config": dict(config_echo) if config_echo else None,
-    }
-    meta.update(extra)
-    return meta
+    (_, data_path), *extras = paths.items()
+    return OutputBundle(data_path, sidecar, {s[1:]: p for s, p in extras}, metadata)
 
 
 def emit_trajectory(
@@ -83,35 +85,14 @@ def emit_trajectory(
 ) -> OutputBundle:
     """Write t/expectation/variance columns, the optional P(x, t) matrix, and
     the sidecar."""
-    out = _prepare_dir(out_dir)
-    data_path = out / f"{basename}.csv"
-    rows = (
-        [str(int(t)), _fmt(e), _fmt(v)]
-        for t, e, v in zip(
-            trajectory.times, trajectory.expectation, trajectory.variance
-        )
-    )
-    _write_csv(data_path, ["t", "expectation", "variance"], rows)
-
-    extra_paths = {}
+    times = _int_labels(trajectory.times)
+    tables = {"": _table("t", ["expectation", "variance"], times,
+                         zip(trajectory.expectation, trajectory.variance))}
     if trajectory.distributions is not None:
-        dist_path = out / f"{basename}_distribution.csv"
-        positions = trajectory.final_state.geometry.positions
-        dist_rows = (
-            [str(int(t))] + [_fmt(p) for p in row]
-            for t, row in zip(trajectory.times, trajectory.distributions)
-        )
-        _write_csv(dist_path, ["t"] + [str(int(x)) for x in positions], dist_rows)
-        extra_paths["distribution"] = dist_path
-
-    metadata = _sidecar_metadata(
-        "trajectory",
-        config_echo,
-        {"trajectory": trajectory.metadata, "runtime_seconds": runtime_seconds},
-    )
-    sidecar = out / f"{basename}.json"
-    _write_sidecar(sidecar, metadata)
-    return OutputBundle(data_path, sidecar, extra_paths, metadata)
+        positions = _int_labels(trajectory.final_state.geometry.positions)
+        tables["_distribution"] = _table("t", positions, times, trajectory.distributions)
+    extra = {"trajectory": trajectory.metadata, "runtime_seconds": runtime_seconds}
+    return _emit("trajectory", out_dir, basename, tables, config_echo, extra)
 
 
 def emit_ensemble(
@@ -121,21 +102,11 @@ def emit_ensemble(
     config_echo=None,
     runtime_seconds: float | None = None,
 ) -> OutputBundle:
-    out = _prepare_dir(out_dir)
-    data_path = out / f"{basename}.csv"
-    rows = (
-        [str(int(t)), _fmt(m), _fmt(se)]
-        for t, m, se in zip(result.times, result.mean_expectation, result.std_error)
-    )
-    _write_csv(data_path, ["t", "mean_expectation", "std_error"], rows)
-    metadata = _sidecar_metadata(
-        "ensemble",
-        config_echo,
-        {"ensemble": result.metadata, "runtime_seconds": runtime_seconds},
-    )
-    sidecar = out / f"{basename}.json"
-    _write_sidecar(sidecar, metadata)
-    return OutputBundle(data_path, sidecar, {}, metadata)
+    times = _int_labels(result.times)
+    tables = {"": _table("t", ["mean_expectation", "std_error"], times,
+                         zip(result.mean_expectation, result.std_error))}
+    extra = {"ensemble": result.metadata, "runtime_seconds": runtime_seconds}
+    return _emit("ensemble", out_dir, basename, tables, config_echo, extra)
 
 
 def emit_classical(
@@ -146,30 +117,15 @@ def emit_classical(
     config_echo=None,
     runtime_seconds: float | None = None,
 ) -> OutputBundle:
-    out = _prepare_dir(out_dir)
-    data_path = out / f"{basename}.csv"
-    rows = (
-        [str(int(t)), _fmt(e), _fmt(v)]
-        for t, e, v in zip(result.times, result.expectation, result.variance)
-    )
-    _write_csv(data_path, ["t", "expectation", "variance"], rows)
-    extra_paths = {}
+    times = _int_labels(result.times)
+    tables = {"": _table("t", ["expectation", "variance"], times,
+                         zip(result.expectation, result.variance))}
     if record_full:
-        dist_path = out / f"{basename}_distribution.csv"
-        dist_rows = (
-            [str(int(t))] + [_fmt(p) for p in row]
-            for t, row in zip(result.times, result.distributions)
+        tables["_distribution"] = _table(
+            "t", _int_labels(result.positions), times, result.distributions
         )
-        _write_csv(
-            dist_path, ["t"] + [str(int(x)) for x in result.positions], dist_rows
-        )
-        extra_paths["distribution"] = dist_path
-    metadata = _sidecar_metadata(
-        "classical", config_echo, {"runtime_seconds": runtime_seconds}
-    )
-    sidecar = out / f"{basename}.json"
-    _write_sidecar(sidecar, metadata)
-    return OutputBundle(data_path, sidecar, extra_paths, metadata)
+    extra = {"runtime_seconds": runtime_seconds}
+    return _emit("classical", out_dir, basename, tables, config_echo, extra)
 
 
 def emit_sweep(
@@ -181,35 +137,18 @@ def emit_sweep(
 ) -> OutputBundle:
     """Write the expectation matrix (one row per axis1 value, axis value
     headers), the parallel classification matrix, and the sidecar."""
-    out = _prepare_dir(out_dir)
     corner = f"{result.grid.axis1.name}\\{result.grid.axis2.name}"
-    header = [corner] + [_fmt(v) for v in result.axis2_values]
-
-    data_path = out / f"{basename}_expectation.csv"
-    rows = (
-        [_fmt(v1)] + [_fmt(e) for e in row]
-        for v1, row in zip(result.axis1_values, result.expectation)
-    )
-    _write_csv(data_path, header, rows)
-
-    class_path = out / f"{basename}_classification.csv"
-    class_rows = (
-        [_fmt(v1)] + list(row)
-        for v1, row in zip(result.axis1_values, result.classification)
-    )
-    _write_csv(class_path, header, class_rows)
-
-    metadata = _sidecar_metadata(
-        "sweep",
-        config_echo,
-        {
-            "sweep": result.metadata,
-            "tie_tolerance": result.grid.tie_tolerance,
-            "steps": result.grid.steps,
-            "n_sites": result.grid.geometry.n_sites,
-            "runtime_seconds": runtime_seconds,
-        },
-    )
-    sidecar = out / f"{basename}.json"
-    _write_sidecar(sidecar, metadata)
-    return OutputBundle(data_path, sidecar, {"classification": class_path}, metadata)
+    columns = [_fmt(v) for v in result.axis2_values]
+    rows = [_fmt(v) for v in result.axis1_values]
+    tables = {
+        "_expectation": _table(corner, columns, rows, result.expectation),
+        "_classification": _table(corner, columns, rows, result.classification, str),
+    }
+    extra = {
+        "sweep": result.metadata,
+        "tie_tolerance": result.grid.tie_tolerance,
+        "steps": result.grid.steps,
+        "n_sites": result.grid.geometry.n_sites,
+        "runtime_seconds": runtime_seconds,
+    }
+    return _emit("sweep", out_dir, basename, tables, config_echo, extra)

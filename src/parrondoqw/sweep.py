@@ -23,6 +23,7 @@ from .evolution import (
     Single,
     StrategySchedule,
     is_stochastic_schedule,
+    reach,
     run,
     with_derived_seeds,
 )
@@ -83,7 +84,6 @@ class ScheduleTemplate:
     kind: str
     m: int = 0
     n: int = 0
-    interleaved: bool = False
 
     _KINDS = ("single_a", "single_b", "composite")
 
@@ -110,13 +110,7 @@ class ScheduleTemplate:
         coin_b = SiteTanhRotation(params["theta_b_minus"], params["theta_b_plus"])
         if self.kind == "single_b":
             return Single(coin_b)
-        return Composite(
-            UniformRotation(params["theta_a"]),
-            coin_b,
-            self.m,
-            self.n,
-            interleaved=self.interleaved,
-        )
+        return Composite(UniformRotation(params["theta_a"]), coin_b, self.m, self.n)
 
 
 @dataclass
@@ -150,42 +144,67 @@ class SweepResult:
     metadata: dict
 
 
-def _point_schedule(grid: GridSpec, params: Mapping[str, float], index: int):
-    schedule = grid.schedule
-    if callable(schedule):  # a template/factory; fixed schedules are not callable
-        schedule = schedule(params)
-    if grid.master_seed is not None and is_stochastic_schedule(schedule):
-        schedule = with_derived_seeds(schedule, grid.master_seed, index)
-    return schedule
+def _point_inputs(grid: GridSpec, v1: float, v2: float, index: int):
+    """Schedule and initial spin at one grid point.
 
-
-def _coin_point(args):
-    grid, i, j, v1, v2 = args
+    A template schedule makes this a coin-parameter point; a fixed schedule
+    makes it an initial-state point.
+    """
     params = dict(grid.fixed)
     params[grid.axis1.name] = v1
     params[grid.axis2.name] = v2
-    schedule = _point_schedule(grid, params, i * grid.axis2.count + j)
-    initial = WalkerState.localized(grid.geometry, grid.initial, grid.x0)
-    traj = run(initial, schedule, grid.steps)
-    return i, j, float(traj.expectation[-1])
+    schedule, bloch = grid.schedule, grid.initial
+    if callable(schedule):  # a template/factory; fixed schedules are not callable
+        schedule = schedule(params)
+    else:
+        # 2*pi is the same physical phase as 0; wrap so closed grids are allowed.
+        phi = float(params["phi"]) % _TWO_PI
+        bloch = BlochCoinState(theta=float(params["theta"]), phi=phi)
+    if grid.master_seed is not None and is_stochastic_schedule(schedule):
+        schedule = with_derived_seeds(schedule, grid.master_seed, index)
+    return schedule, bloch
 
 
-def _initial_point(args):
+def _point(args):
     grid, i, j, v1, v2 = args
-    params = {grid.axis1.name: v1, grid.axis2.name: v2}
-    # 2*pi is the same physical phase as 0; wrap so closed grids are allowed.
-    phi = float(params["phi"]) % _TWO_PI
-    bloch = BlochCoinState(theta=float(params["theta"]), phi=phi)
-    schedule = _point_schedule(grid, params, i * grid.axis2.count + j)
+    schedule, bloch = _point_inputs(grid, v1, v2, i * grid.axis2.count + j)
     initial = WalkerState.localized(grid.geometry, bloch, grid.x0)
     traj = run(initial, schedule, grid.steps)
     return i, j, float(traj.expectation[-1])
 
 
-def _execute(grid: GridSpec, point_fn, workers: int) -> SweepResult:
-    if grid.geometry.n_sites < 2 * grid.steps + 1:
+def check_grid(grid: GridSpec) -> None:
+    """Reject, before any point runs, a grid that does not fit its schedule.
+
+    A template schedule sweeps two coin parameters and may fix the third; a
+    fixed schedule sweeps the Bloch angles (theta, phi) and fixes nothing.
+    The four corner points are then built, so an axis range the schedule or
+    the initial state rejects fails here too: axis values lie between the
+    corners and every parameter's valid range is an interval. Raises
+    ConfigError for names and unbound parameters, ValueError for ranges.
+    """
+    names = (grid.axis1.name, grid.axis2.name)
+    allowed = COIN_PARAMETERS if callable(grid.schedule) else BLOCH_PARAMETERS
+    if names[0] == names[1] or not set(names) <= set(allowed):
+        raise ConfigError(f"axis1.name and axis2.name must be two of {allowed}, got {names}")
+    for name in grid.fixed:
+        if name not in set(allowed) - set(names):
+            raise ConfigError(f"fixed.{name} is not a coin parameter left free by the axes")
+    for v1 in (grid.axis1.lower, grid.axis1.upper):
+        for v2 in (grid.axis2.lower, grid.axis2.upper):
+            try:
+                _point_inputs(grid, v1, v2, 0)
+            except (ConfigError, ValueError) as exc:
+                corner = f"{names[0]}={v1}, {names[1]}={v2}"
+                raise type(exc)(f"axis1/axis2 corner ({corner}): {exc}") from exc
+
+
+def _execute(grid: GridSpec, workers: int) -> SweepResult:
+    furthest = reach(abs(grid.x0), grid.schedule, grid.steps)
+    if furthest > grid.geometry.half_span:
         raise GeometryTooSmallError(
-            f"n_sites={grid.geometry.n_sites} < 2*steps+1={2 * grid.steps + 1}"
+            f"the walker can reach |x|={furthest} in {grid.steps} steps, beyond "
+            f"the edge of n_sites={grid.geometry.n_sites}"
         )
     v1 = grid.axis1.values()
     v2 = grid.axis2.values()
@@ -197,9 +216,9 @@ def _execute(grid: GridSpec, point_fn, workers: int) -> SweepResult:
     started = time.perf_counter()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point_fn, jobs, chunksize=16))
+            results = list(pool.map(_point, jobs, chunksize=16))
     else:
-        results = [point_fn(job) for job in jobs]
+        results = [_point(job) for job in jobs]
 
     expectation = np.empty((grid.axis1.count, grid.axis2.count))
     for i, j, value in results:
@@ -241,18 +260,8 @@ def sweep_coin_params(grid: GridSpec, workers: int = 1) -> SweepResult:
             "coin-parameter sweeps need a schedule template (callable), "
             "not a fixed schedule"
         )
-    for axis in (grid.axis1, grid.axis2):
-        if axis.name not in COIN_PARAMETERS:
-            raise ConfigError(
-                f"axis '{axis.name}' is not a coin parameter; "
-                f"expected one of {COIN_PARAMETERS}"
-            )
-    # Catch unbound template parameters before running anything.
-    trial = dict(grid.fixed)
-    trial[grid.axis1.name] = grid.axis1.lower
-    trial[grid.axis2.name] = grid.axis2.lower
-    grid.schedule(trial)
-    return _execute(grid, _coin_point, workers)
+    check_grid(grid)
+    return _execute(grid, workers)
 
 
 def sweep_initial_state(grid: GridSpec, workers: int = 1) -> SweepResult:
@@ -264,9 +273,5 @@ def sweep_initial_state(grid: GridSpec, workers: int = 1) -> SweepResult:
     """
     if callable(grid.schedule):
         raise ConfigError("initial-state sweeps need a fully fixed schedule")
-    names = {grid.axis1.name, grid.axis2.name}
-    if names != set(BLOCH_PARAMETERS):
-        raise ConfigError(
-            f"initial-state sweep axes must be {BLOCH_PARAMETERS}, got {sorted(names)}"
-        )
-    return _execute(grid, _initial_point, workers)
+    check_grid(grid)
+    return _execute(grid, workers)

@@ -132,13 +132,13 @@ def test_cli_validation_error_exit_1(tmp_path, capsys):
 
 
 def test_cli_runtime_error_exit_2(tmp_path, capsys):
-    # passes static validation but the off-center walker hits the boundary
-    cfg = write_cfg(
-        tmp_path, "walk.cfg", dict(WALK_CFG, sites="41", steps="10", **{"initial.x0": "15"})
-    )
-    code = main(["walk", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    # passes validation, then the output directory cannot be created
+    cfg = write_cfg(tmp_path, "walk.cfg", WALK_CFG)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["walk", "--config", str(cfg), "--out", str(blocker / "o")])
     assert code == 2
-    assert "lattice edge" in capsys.readouterr().err
+    assert "cannot create output directory" in capsys.readouterr().err
 
 
 def test_cli_flag_overrides_file(tmp_path):

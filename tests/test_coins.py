@@ -151,3 +151,9 @@ def test_uniform_rotation_range_check():
     with pytest.raises(ValueError):
         UniformRotation(2 * np.pi)
     UniformRotation(-2 * np.pi)  # closed lower endpoint
+
+
+@pytest.mark.parametrize("angles", [(np.nan, 0.5), (0.5, np.inf)])
+def test_site_tanh_rejects_non_finite(angles):
+    with pytest.raises(ValueError, match="finite"):
+        SiteTanhRotation(*angles)

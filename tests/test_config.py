@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -10,10 +11,12 @@ from parrondoqw import (
     Single,
     UniformRotation,
     build_schedule,
+    config_to_flat,
     dumps_config,
     parse_and_validate,
     parse_angle,
 )
+from parrondoqw.cli import main
 from parrondoqw.config import config_from_flat, read_flat_text, validate
 
 
@@ -136,7 +139,8 @@ def test_probabilistic_schedule_built():
 
 
 def test_composite_schedule_built_with_interleaved_flag():
-    flat = walk_flat(**{
+    # an interleaved (2,1) composite moves 3 sites per step: 30 steps fit in 201 sites
+    flat = walk_flat(steps="30", **{
         "schedule.kind": "composite",
         "schedule.m": "2",
         "schedule.n": "1",
@@ -242,3 +246,97 @@ def test_overrides_beat_file(tmp_path):
 def test_missing_config_file():
     with pytest.raises(ConfigError, match="not found"):
         parse_and_validate("no/such/file.cfg")
+
+
+def interleaved_flat():
+    return walk_flat(sites="21", steps="10", **{
+        "schedule.kind": "composite",
+        "schedule.m": "2",
+        "schedule.n": "1",
+        "schedule.interleaved": "true",
+        "schedule.b.kind": "tanh",
+        "schedule.b.theta_minus": "-pi/8",
+        "schedule.b.theta_plus": "pi/4",
+    })
+
+
+def single_random_flat(**extra):
+    flat = walk_flat(seed="1", **{"schedule.a.kind": "random-alpha"})
+    del flat["schedule.a.theta"]
+    return dict(flat, **extra)
+
+
+def bloch_flat(**extra):
+    return walk_flat(mode="sweep-initial", sites="41", steps="10", **{
+        "grid.axis1.name": "theta",
+        "grid.axis1.min": "0",
+        "grid.axis1.max": "pi",
+        "grid.axis1.count": "3",
+        "grid.axis2.name": "phi",
+        "grid.axis2.min": "0",
+        "grid.axis2.max": "2pi",
+        "grid.axis2.count": "3",
+        **extra,
+    })
+
+
+def without(flat, *keys):
+    return {k: v for k, v in flat.items() if k not in keys}
+
+
+INVALID = {
+    # the walker would leak off the lattice mid-run
+    "x0_off_center": (walk_flat(sites="21", steps="10", **{"initial.x0": "8"}),
+                      "initial.x0"),
+    "interleaved_composite": (interleaved_flat(), "schedule.interleaved"),
+    # non-finite and undefined angles
+    "tanh_nan": (walk_flat(**{"schedule.a.kind": "tanh", "schedule.a.theta_minus": "nan",
+                              "schedule.a.theta_plus": "pi/4"}), "schedule.a.theta_minus"),
+    "uniform_inf": (walk_flat(**{"schedule.a.theta": "-inf"}), "schedule.a.theta"),
+    "divide_by_zero": (walk_flat(**{"schedule.a.theta": "pi/0"}), "schedule.a.theta"),
+    # axis ranges valid at the lower corner only
+    "sweep_coin_axis": (without(sweep_coin_flat(**{
+        "grid.axis1.name": "theta_a", "grid.axis1.min": "0", "grid.axis1.max": "7",
+        "grid.fixed.theta_b_minus": "pi/2"}), "grid.fixed.theta_a"), "grid.axis1"),
+    "sweep_initial_axis": (bloch_flat(**{"grid.axis1.max": "4"}), "grid.axis1"),
+    "repeated_axis": (bloch_flat(**{"grid.axis2.name": "theta"}), "grid.axis1"),
+    # fixed values that no point reads
+    "fixed_bogus": (sweep_coin_flat(**{"grid.fixed.bogus": "1"}), "grid.fixed.bogus"),
+    "fixed_and_swept": (sweep_coin_flat(**{"grid.fixed.theta_b_plus": "1"}),
+                        "grid.fixed.theta_b_plus"),
+    "fixed_in_initial_sweep": (bloch_flat(**{"grid.fixed.theta_a": "1"}),
+                               "grid.fixed.theta_a"),
+    # keys the chosen kind does not have
+    "coin_bogus_key": (walk_flat(**{"schedule.a.bogus": "1"}), "schedule.a.bogus"),
+    "single_with_m": (walk_flat(**{"schedule.m": "2"}), "schedule.m"),
+    "single_with_b": (walk_flat(**{"schedule.b.kind": "uniform", "schedule.b.theta": "1"}),
+                      "schedule.b"),
+    "random_phase_with_theta": (single_random_flat(**{"schedule.a.theta": "1"}),
+                                "schedule.a.theta"),
+    "sweep_interleaved": (sweep_coin_flat(**{"sweep.interleaved": "true"}),
+                          "sweep.interleaved"),
+    # sections without their kind or required fields
+    "coin_without_kind": (without(walk_flat(), "schedule.a.kind"), "schedule.a.kind"),
+    "axis_without_max": (without(sweep_coin_flat(), "grid.axis2.max"), "grid.axis2.max"),
+}
+
+
+@pytest.mark.parametrize("flat,key", INVALID.values(), ids=INVALID.keys())
+def test_invalid_input_names_key_and_exits_1(flat, key, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        validate(config_from_flat(flat))
+    path = tmp_path / "bad.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in flat.items()))
+    code = main([flat["mode"], "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_echo_lists_only_the_chosen_kinds_fields():
+    echo = config_to_flat(validate(config_from_flat(walk_flat())))
+    assert not [k for k in echo if k in ("schedule.m", "schedule.n", "schedule.interleaved")]
+    assert echo["schedule.a.kind"] == "uniform"
+    assert [k for k in echo if k.startswith("schedule.a.")] == [
+        "schedule.a.kind", "schedule.a.theta"
+    ]

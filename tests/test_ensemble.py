@@ -4,10 +4,13 @@ import pytest
 from parrondoqw import (
     SPIN_DOWN,
     DegenerateEnsembleWarning,
+    GridAxis,
+    GridSpec,
     InsufficientDataError,
     LatticeGeometry,
     ProbabilisticChoice,
     RandomPhaseAlpha,
+    ScheduleTemplate,
     Single,
     SiteTanhRotation,
     UniformRotation,
@@ -15,6 +18,7 @@ from parrondoqw import (
     classical_walk,
     ensemble_expectation,
     run,
+    sweep_coin_params,
     variance_scaling_exponent,
 )
 
@@ -159,3 +163,26 @@ def test_exponent_rejects_nonpositive_window():
     series = np.zeros(30)
     with pytest.raises(ValueError):
         variance_scaling_exponent(series, 5, 20)
+
+
+def test_worker_count_does_not_change_results():
+    # several pool chunks per run: 64 iterations and 16 points per chunk
+    schedule = ProbabilisticChoice(COIN_A, RandomPhaseAlpha(), 0.5)
+    ensembles = [
+        ensemble_expectation(down(21), schedule, 10, 150, master_seed=4, workers=w)
+        for w in (1, 2)
+    ]
+    assert np.array_equal(ensembles[0].mean_expectation, ensembles[1].mean_expectation)
+    assert np.array_equal(ensembles[0].std_error, ensembles[1].std_error)
+
+    grid = GridSpec(
+        axis1=GridAxis("theta_b_minus", -np.pi, np.pi, 6),
+        axis2=GridAxis("theta_b_plus", -np.pi, np.pi, 6),
+        schedule=ScheduleTemplate("composite", m=2, n=1),
+        steps=10,
+        geometry=LatticeGeometry(21),
+        fixed={"theta_a": np.pi / 2},
+    )
+    sweeps = [sweep_coin_params(grid, workers=w) for w in (1, 2)]
+    assert np.array_equal(sweeps[0].expectation, sweeps[1].expectation)
+    assert np.array_equal(sweeps[0].classification, sweeps[1].classification)

@@ -361,3 +361,17 @@ def test_composite_requires_at_least_one_application():
 
 def test_collect_seeds_empty_for_deterministic():
     assert collect_seeds(Single(UniformRotation(1.0))) == {}
+
+
+@pytest.mark.parametrize(
+    "x0,schedule,steps",
+    [
+        (8, Single(UniformRotation(1.0)), 3),  # off-center start, 8 + 3 > 10
+        (0, Composite(UniformRotation(1.0), UniformRotation(0.5), 2, 1, interleaved=True), 4),
+    ],
+)
+def test_run_checks_reach_before_evolving(x0, schedule, steps):
+    init = WalkerState.localized(LatticeGeometry(21), SPIN_DOWN, x0)
+    with pytest.raises(GeometryTooSmallError, match="reach"):
+        run(init, schedule, steps)
+    run(init, schedule, steps - 1)  # one step less stays on the lattice

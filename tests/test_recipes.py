@@ -3,16 +3,19 @@ from pathlib import Path
 
 import pytest
 
-from parrondoqw import parse_and_validate
+from parrondoqw import dumps_config, parse_and_validate
 from parrondoqw.cli import main
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
 
 @pytest.mark.parametrize("path", sorted(RECIPES.glob("*.cfg")), ids=lambda p: p.stem)
-def test_recipe_validates(path):
+def test_recipe_validates(path, tmp_path):
     cfg = parse_and_validate(path)
     assert cfg.mode in ("walk", "ensemble", "sweep-coin", "sweep-initial", "classical")
+    echo = tmp_path / "echo.cfg"
+    echo.write_text(dumps_config(cfg))
+    assert parse_and_validate(echo) == cfg
 
 
 def final_column(path, column):

@@ -172,3 +172,21 @@ def test_mirror_property_on_coarse_coin_grid():
     # (tm, tp) -> (-tp, -tm) maps grid cell (i, j) to (count-1-j, count-1-i)
     want = -res.expectation[::-1, ::-1].T
     assert np.allclose(res_m.expectation, want, atol=1e-10)
+
+
+def test_bad_axis_range_fails_before_any_point_runs(monkeypatch):
+    # theta_a = 7 is outside [-2*pi, 2*pi); only the upper corner shows it
+    grid = coin_grid(ScheduleTemplate("composite", m=2, n=1))
+    grid.axis1 = GridAxis("theta_a", 0.0, 7.0, 3)
+    grid.fixed = {"theta_b_minus": 0.5}
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr("parrondoqw.sweep.run", no_run)
+    with pytest.raises(ValueError, match="theta_a=7.0"):
+        sweep_coin_params(grid)
+    bloch = bloch_grid(Single(UniformRotation(np.pi / 2)))
+    bloch.axis1 = GridAxis("theta", 0.0, 4.0, 3)
+    with pytest.raises(ValueError, match="theta=4.0"):
+        sweep_initial_state(bloch)
