@@ -63,15 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    flags = {
-        "mode": args.mode,
-        "out": args.out,
-        "seed": args.seed,
-        "steps": args.steps,
-        "sites": args.sites,
-        "iterations": args.iterations,
-        "workers": args.workers,
-    }
+    names = ("mode", "out", "seed", "steps", "sites", "iterations", "workers")
+    flags = {name: getattr(args, name) for name in names}
     if args.record_full:
         flags["record_full"] = "true"
     return {k: v for k, v in flags.items() if v is not None}
@@ -81,23 +74,14 @@ def _execute(cfg: RunConfig):
     started = time.perf_counter()
     options = {}
     if cfg.mode == "walk":
-        result = run(
-            build_initial_state(cfg),
-            build_schedule(cfg),
-            cfg.steps,
-            record_full=cfg.record_full,
-        )
+        initial, schedule = build_initial_state(cfg), build_schedule(cfg)
+        result = run(initial, schedule, cfg.steps, record_full=cfg.record_full)
         emit = emit_trajectory
         summary = f"walk: {cfg.steps} steps, final <X> = {result.expectation[-1]:.6g}"
     elif cfg.mode == "ensemble":
-        result = ensemble_expectation(
-            build_initial_state(cfg),
-            build_schedule(cfg),
-            cfg.steps,
-            cfg.iterations,
-            master_seed=cfg.seed,
-            workers=cfg.workers,
-        )
+        initial, schedule = build_initial_state(cfg), build_schedule(cfg)
+        result = ensemble_expectation(initial, schedule, cfg.steps, cfg.iterations,
+                                      master_seed=cfg.seed, workers=cfg.workers)
         emit = emit_ensemble
         summary = (
             f"ensemble: {cfg.iterations} iterations, final mean <X> = "
@@ -119,13 +103,8 @@ def _execute(cfg: RunConfig):
         result = classical_walk(cfg.steps, cfg.p_right)
         emit, options = emit_classical, {"record_full": cfg.record_full}
         summary = f"classical: {cfg.steps} steps, final variance = {result.variance[-1]:.6g}"
-    bundle = emit(
-        result,
-        cfg.out_dir,
-        config_echo=config_to_flat(cfg),
-        runtime_seconds=time.perf_counter() - started,
-        **options,
-    )
+    bundle = emit(result, cfg.out_dir, config_echo=config_to_flat(cfg),
+                  runtime_seconds=time.perf_counter() - started, **options)
     print(summary)
     print(f"wrote {bundle.data_path}")
     return bundle

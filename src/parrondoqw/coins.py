@@ -52,26 +52,24 @@ def site_theta(theta_minus: float, theta_plus: float, x) -> float | np.ndarray:
     return 0.5 * (theta_plus * (1.0 + w) + theta_minus * (1.0 - w))
 
 
-def general_coin_matrix(q: float, alpha: float, beta: float) -> LocalCoin:
+def general_coin_matrix(q: float, alpha, beta) -> LocalCoin:
     """Three-parameter coin, unitary for every q in [0, 1].
 
     [[sqrt(q),                sqrt(1-q) e^{i alpha}       ],
      [sqrt(1-q) e^{i beta},  -sqrt(q)   e^{i (alpha+beta)}]]
 
     q = 1/2 with zero phases gives the Hadamard coin; alpha = beta = pi/2
-    gives the Fourier coin.
+    gives the Fourier coin. Array phases give an array of coins, of shape
+    (2, 2) + their broadcast shape.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
     a = np.sqrt(q)
     b = np.sqrt(1.0 - q)
-    return np.array(
-        [
-            [a, b * np.exp(1j * alpha)],
-            [b * np.exp(1j * beta), -a * np.exp(1j * (alpha + beta))],
-        ],
-        dtype=np.complex128,
+    entries = np.broadcast_arrays(
+        a, b * np.exp(1j * alpha), b * np.exp(1j * beta), -a * np.exp(1j * (alpha + beta))
     )
+    return np.array(entries, dtype=np.complex128).reshape((2, 2) + entries[0].shape)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ coin specs, ``initial.*`` into a ``BlochCoinState``, ``grid.axisN.*`` into a
 ``GridAxis`` and ``sweep.*`` into a ``ScheduleTemplate``. A section's ``kind``
 key picks the class from its family's table; every other key names a field
 of that class and is parsed by the field's annotation. Keys the chosen class
-does not have are rejected. Dumping walks the same fields, so a parsed
-``RunConfig`` dumps to flat text that parses back to an equal config, which
-is what makes output sidecars replayable.
+does not have are rejected, and so are keys the mode does not read (a
+``schedule.*`` section in a classical run, say). Dumping walks the same
+fields and leaves out what the mode does not read, so a parsed ``RunConfig``
+dumps to flat text that parses back to an equal config, which is what makes
+output sidecars replayable.
 """
 
 from __future__ import annotations
@@ -157,6 +159,26 @@ class RunConfig:
     axis1: GridAxis | None = None
     axis2: GridAxis | None = None
     grid_fixed: dict[str, float] = field(default_factory=dict)
+    # The flat keys the config was parsed from, in order; not a config key.
+    given: tuple = field(default=(), init=False, compare=False, repr=False)
+
+
+# For the keys only some modes read (a name covers the keys below it), each mode's.
+_MODE_READS = {
+    "walk": ("schedule", "initial"),
+    "ensemble": ("schedule", "initial", "iterations"),
+    "sweep-coin": ("sweep", "grid", "initial"),
+    "sweep-initial": ("schedule", "grid", "initial.x0"),
+    "classical": ("p_right",),
+}
+_MODE_KEYS = ("schedule", "sweep", "grid", "initial", "iterations", "p_right")
+
+
+def _unread(mode: str, keys) -> list[str]:
+    """The keys in ``keys`` that ``mode`` does not read."""
+    reads = _MODE_READS.get(mode, _MODE_KEYS)
+    return [k for k in keys if k.split(".")[0] in _MODE_KEYS
+            and not any(k == r or k.startswith(r + ".") for r in reads)]
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +214,8 @@ def _fields(cls) -> tuple:
     hints = typing.get_type_hints(cls)
     out = []
     for f in dataclasses.fields(cls):
+        if not f.init:
+            continue
         tp = hints[f.name]
         if type(None) in typing.get_args(tp):
             tp = typing.Union[tuple(a for a in typing.get_args(tp) if a is not type(None))]
@@ -279,6 +303,7 @@ def config_from_flat(flat: Mapping[str, str]) -> RunConfig:
     cfg = _parse_section(RunConfig, rest, "")
     if rest:
         raise ConfigError(f"unknown config key {next(iter(rest))!r}")
+    cfg.given = tuple(flat)
     return cfg
 
 
@@ -302,9 +327,12 @@ def _dump(value, key: str, out: dict[str, str]):
 
 
 def config_to_flat(cfg: RunConfig) -> dict[str, str]:
-    """Flat key/value echo of a RunConfig; parsing it back gives an equal config."""
+    """Flat key/value echo of a RunConfig, without the keys its mode does not
+    read; parsing it back gives an equal config."""
     out: dict[str, str] = {}
     _dump(cfg, "", out)
+    for key in _unread(cfg.mode, list(out)):
+        del out[key]
     return out
 
 
@@ -411,16 +439,18 @@ def validate(cfg: RunConfig) -> RunConfig:
         _require(
             0.0 <= cfg.p_right <= 1.0, f"p_right={cfg.p_right} outside [0, 1]"
         )
-        return cfg
-
-    _validate_quantum_geometry(cfg)
-    if cfg.mode in ("walk", "ensemble"):
-        build_schedule(cfg)
-        if cfg.mode == "ensemble":
-            _require(cfg.iterations >= 1, f"iterations={cfg.iterations} must be >= 1")
-            _require(cfg.seed is not None, "mode=ensemble requires a master seed")
     else:
-        build_grid_spec(cfg)
+        _validate_quantum_geometry(cfg)
+        if cfg.mode in ("walk", "ensemble"):
+            build_schedule(cfg)
+            if cfg.mode == "ensemble":
+                _require(cfg.iterations >= 1, f"iterations={cfg.iterations} must be >= 1")
+                _require(cfg.seed is not None, "mode=ensemble requires a master seed")
+        else:
+            build_grid_spec(cfg)
+    unread = _unread(cfg.mode, cfg.given)
+    if unread:
+        raise ConfigError(f"{unread[0]} is not read in mode={cfg.mode}; remove it")
     return cfg
 
 

@@ -1,15 +1,15 @@
 """Ensemble averaging of stochastic schedules and the classical baseline.
 
-Ensembles run R independent trajectories whose seeds are derived from a
-master seed and the iteration index, then average the position expectation
-series. The classical random walk is evolved as an exact probability vector
-(no sampling), so its variance is noise-free for baseline comparisons.
+Ensembles run independent trajectories whose seeds are derived from a
+master seed and the iteration index, evolved as rows of the batched kernel
+in fixed chunks, then average the position expectation series. The
+classical random walk is evolved as an exact probability vector (no
+sampling), so its variance is noise-free for baseline comparisons.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +17,9 @@ import numpy as np
 from .errors import DegenerateEnsembleWarning, InsufficientDataError
 from .evolution import (
     StrategySchedule,
+    evolve_rows,
     is_stochastic_schedule,
-    run,
+    map_batches,
     with_derived_seeds,
 )
 from .rng import RNG_ALGORITHM
@@ -37,10 +38,11 @@ class EnsembleResult:
     metadata: dict
 
 
-def _one_iteration(args):
-    initial, schedule, steps, master_seed, index = args
-    reseeded = with_derived_seeds(schedule, master_seed, index)
-    return run(initial, reseeded, steps).expectation
+def _chunk(args):
+    initial, schedule, steps, master_seed, start, stop = args
+    rows = [with_derived_seeds(schedule, master_seed, i) for i in range(start, stop)]
+    up, down = initial.amp_up[None], initial.amp_down[None]
+    return evolve_rows(initial.geometry, up, down, rows, steps, t0=initial.time_step)
 
 
 def ensemble_expectation(
@@ -53,10 +55,11 @@ def ensemble_expectation(
 ) -> EnsembleResult:
     """Average <X>(t) over ``iterations`` independently seeded trajectories.
 
-    Iteration i uses seeds derived from (master_seed, i), so results are
-    reproducible bit-for-bit for a given master seed regardless of worker
-    count. A schedule with no randomness is allowed but warns: all iterations
-    are then identical.
+    Iteration i uses seeds derived from (master_seed, i), and its series is
+    bit-for-bit that of its own ``run`` whichever batch of iterations it is
+    evolved in, and whichever of ``workers`` processes evolves the batch. A
+    schedule with no randomness is allowed but warns: all iterations are
+    then identical.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -67,15 +70,8 @@ def ensemble_expectation(
             stacklevel=2,
         )
 
-    jobs = [(initial, schedule, steps, master_seed, i) for i in range(iterations)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            series = list(pool.map(_one_iteration, jobs, chunksize=64))
-    else:
-        series = [_one_iteration(job) for job in jobs]
-
     # Stacked in iteration order; the reduction order is therefore fixed.
-    stacked = np.vstack(series)
+    stacked = map_batches(_chunk, (initial, schedule, steps, master_seed), iterations, workers)
     mean = stacked.mean(axis=0)
     if iterations > 1:
         std_error = stacked.std(axis=0, ddof=1) / np.sqrt(iterations)

@@ -1,22 +1,24 @@
-"""One-step dynamics and full trajectories.
+"""Schedules, and the one batched light-cone kernel every walk goes through.
 
 A time step applies a schedule-determined composition of coins to the spin
-degree of freedom, then exactly one spin-conditioned shift (spin-up amplitude
-moves one site right, spin-down one site left). Four schedules are supported:
+degree of freedom, then one spin-conditioned shift (spin-up amplitude moves
+one site right, spin-down one site left). Four schedules are supported:
 
 - ``Single``: one coin per step.
-- ``Composite``: coin A applied m times, then coin B n times, within one step
-  (one shift). ``interleaved=True`` is a deliberately non-standard variant
-  that shifts after every coin application instead.
-- ``AlternatingEvenOdd``: A twice on even step indices, B twice on odd ones;
-  step 0 counts as even.
-- ``ProbabilisticChoice``: per step, coin A with probability q else coin B,
-  applied once.
+- ``Composite``: coin A m times, then coin B n times, then one shift; with
+  ``interleaved=True``, a non-standard variant, a shift follows every coin.
+- ``AlternatingEvenOdd``: A twice on even step indices (0 is even), B on odd.
+- ``ProbabilisticChoice``: per step, coin A with probability q, else coin B.
+
+``_evolve`` advances R walks of one shape as the rows of (R, n) arrays, on
+their light cone only: ``run`` and ``step`` are its one-row calls, ensembles
+and sweeps feed it batches of rows through ``evolve_rows``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -25,8 +27,11 @@ import numpy as np
 
 from .coins import (
     CoinSpec,
+    RandomPhaseAlpha,
     SiteTanhRotation,
+    general_coin_matrix,
     is_stochastic_spec,
+    phase_stream,
     realize,
     site_theta,
 )
@@ -35,7 +40,7 @@ from .errors import (
     GeometryTooSmallError,
     MissingRandomnessError,
 )
-from .rng import RNG_ALGORITHM, TAG_CHOICE, StepStream, child_seed
+from .rng import _BLOCK, RNG_ALGORITHM, TAG_CHOICE, StepStream, _uniform_block, child_seed
 from .state import LatticeGeometry, WalkerState
 
 _LEAK_TOL = 1e-14
@@ -113,76 +118,220 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# internal array kernels (step() and run() share these)
+# the batched light-cone kernel: run, step, ensembles and sweeps share it
 # ---------------------------------------------------------------------------
 
+_BATCH_ROWS = 64  # rows per kernel call when ensembles and sweeps batch walks
 
-@lru_cache(maxsize=128)
+
+@lru_cache(maxsize=32)  # as many bytes as 128 real cosine/sine pairs
 def _tanh_field(spec: SiteTanhRotation, n_sites: int):
-    """Half-angle cosine/sine arrays for a site-dependent rotation; cached,
-    treat as read-only."""
+    """Coin entries (u00, u01, u10, u11) at every site, a complex (4, n) array;
+    cached, treat as read-only."""
     geometry = LatticeGeometry(n_sites)
     half = 0.5 * site_theta(spec.theta_minus, spec.theta_plus, geometry.positions)
-    return np.cos(half), np.sin(half)
+    c, s = np.cos(half), np.sin(half)
+    return np.array([c, -s, s, c], dtype=np.complex128)
 
 
 @lru_cache(maxsize=256)
 def _fixed_matrix(spec: CoinSpec):
     """Site- and time-independent 2x2, unpacked to scalars; cached."""
-    u = realize(spec, 0, 0)
-    return u[0, 0], u[0, 1], u[1, 0], u[1, 1]
+    return tuple(realize(spec, 0, 0).ravel())
 
 
-def _coin_arrays(up, down, spec: CoinSpec, t: int, n_sites: int, rng=None):
-    if isinstance(spec, SiteTanhRotation):
-        c, s = _tanh_field(spec, n_sites)
-        return c * up - s * down, s * up + c * down
-    # Remaining families are site-independent: one 2x2 for the whole lattice.
-    if is_stochastic_spec(spec) or rng is not None:
-        u = realize(spec, 0, t, rng)
-        a, b, c, d = u[0, 0], u[0, 1], u[1, 0], u[1, 1]
+def _mix(up, down, coin, out, work):
+    """(a up + b down, c up + d down) for coin entries (a, b, c, d) into the pair
+    ``out``, which may overlap the input, through the products at the start of
+    the flat buffer ``work``: reused buffers spare large batches fresh pages."""
+    products = work[: 4 * up.size].reshape((4,) + up.shape)
+    for entry, amplitudes, product in zip(coin, (up, down, up, down), products):
+        np.multiply(entry, amplitudes, product)
+    np.add(products[0], products[1], out[0])
+    np.add(products[2], products[3], out[1])
+    return out
+
+
+def _pair(work, like):
+    """Room for two arrays shaped like ``like`` after ``_mix``'s products in ``work``."""
+    return work[4 * like.size : 6 * like.size].reshape((2,) + like.shape)
+
+
+def _shift(up, down, u, d, a0: int, a1: int, coin=None, work=None) -> tuple[int, int]:
+    """Write ``u``, ``d``, the amplitudes of columns [a0, a1) after ``coin`` if
+    given, into ``up`` one column right and ``down`` one column left; returns
+    the columns occupied after. Amplitude >1e-14 pushed off the lattice raises."""
+    n = up.shape[1]
+    if coin is not None and 0 < a0 and a1 < n:  # no column leaves the lattice
+        _mix(u, d, coin, (up[:, a0 + 1 : a1 + 1], down[:, a0 - 1 : a1 - 1]), work)
     else:
-        a, b, c, d = _fixed_matrix(spec)
-    return a * up + b * down, c * up + d * down
+        u, d = (u, d) if coin is None else _mix(u, d, coin, _pair(work, u), work)
+        leak_up = abs(u[:, -1]).max() if a1 == n else 0.0
+        leak_down = abs(d[:, 0]).max() if a0 == 0 else 0.0
+        if max(leak_up, leak_down) > _LEAK_TOL:
+            raise BoundaryLeakageError(f"amplitude {max(leak_up, leak_down):.3e} "
+                                       "reached the lattice edge; enlarge the lattice")
+        up[:, a0 + 1 : a1 + 1] = u[:, : n - a0 - 1]
+        down[:, max(a0 - 1, 0) : a1 - 1] = d[:, 1 if a0 == 0 else 0 :]
+    up[:, a0] = down[:, a1 - 1] = 0.0
+    return max(a0 - 1, 0), min(a1 + 1, n)
 
 
-def _shift_arrays(up, down):
-    if abs(up[-1]) > _LEAK_TOL or abs(down[0]) > _LEAK_TOL:
-        raise BoundaryLeakageError(
-            "amplitude reached the lattice edge; enlarge the lattice "
-            f"(|up[max]|={abs(up[-1]):.3e}, |down[min]|={abs(down[0]):.3e})"
-        )
-    new_up = np.empty_like(up)
-    new_up[0] = 0.0
-    new_up[1:] = up[:-1]
-    new_down = np.empty_like(down)
-    new_down[-1] = 0.0
-    new_down[:-1] = down[1:]
-    return new_up, new_down
+class _Coin:
+    """One coin of a schedule for the R rows of a batch. ``at(t, cols)`` gives
+    its entries at step ``t`` over columns ``cols``: scalars for one fixed
+    coin, else a (4, R or 1, w) array, w = 1 for a site-independent coin.
+    Phases are drawn for the rest of a block of steps, to ``t_end``, at once."""
+
+    def __init__(self, specs, n_sites: int, t_end: int, streams=None):
+        specs = specs[:1] if all(spec == specs[0] for spec in specs) else specs
+        self.site_dependent = isinstance(specs[0], SiteTanhRotation)
+        self.streams = self.block = None
+        if is_stochastic_spec(specs[0]):  # ``streams`` replace the specs' seeds
+            self.streams = streams or [phase_stream(spec) for spec in specs]
+            self.alpha, self.t_end = isinstance(specs[0], RandomPhaseAlpha), t_end
+        elif self.site_dependent:
+            fields = [_tanh_field(spec, n_sites) for spec in specs]
+            self.entries = fields[0][:, None] if len(fields) == 1 else np.stack(fields, 1)
+        elif len(specs) > 1:
+            self.entries = np.array([_fixed_matrix(spec) for spec in specs]).T[:, :, None]
+        else:
+            self.entries = _fixed_matrix(specs[0])
+
+    def at(self, t: int, cols: slice):
+        if self.streams is None:
+            return self.entries[:, :, cols] if self.site_dependent else self.entries
+        index, j = divmod(t, _BLOCK)
+        if self.block is None or self.block[0] != index:
+            if None in self.streams:
+                raise MissingRandomnessError("a random-phase coin needs a seed or a stream")
+            stop = min(_BLOCK, self.t_end - index * _BLOCK)
+            draws = [_uniform_block(s.seed, s.tag, index)[j:stop] for s in self.streams]
+            phase = 2.0 * np.pi * np.array(draws)
+            u = general_coin_matrix(0.5, *((phase, 0.0) if self.alpha else (0.0, phase)))
+            self.block = (index, j, u.reshape(4, *phase.shape))
+        return self.block[2][:, :, j - self.block[1] : j - self.block[1] + 1]
 
 
-def _choice_stream(schedule: ProbabilisticChoice, rng: StepStream | None) -> StepStream:
-    if rng is not None:
-        return rng
-    if schedule.seed is None:
-        raise MissingRandomnessError(
-            "ProbabilisticChoice needs a seed or an explicit random stream"
-        )
-    return StepStream(schedule.seed, TAG_CHOICE)
+class _Choice:
+    """Per row and step, coin ``a`` where the row's draw is below q, else ``b``."""
+
+    def __init__(self, a: _Coin, b: _Coin, streams: list, q: list):
+        self.a, self.b, self.streams = a, b, streams
+        self.q, self.block = np.array(q)[:, None], None
+
+    def at(self, t: int, cols: slice):
+        index, j = divmod(t, _BLOCK)
+        if self.block is None or self.block[0] != index:
+            draws = [_uniform_block(s.seed, s.tag, index) for s in self.streams]
+            pick = np.array(draws) < self.q
+            self.block = (index, pick, pick.all(axis=0), ~pick.any(axis=0))
+        _, pick, all_a, all_b = self.block
+        if all_a[j] or all_b[j]:
+            return (self.a if all_a[j] else self.b).at(t, cols)
+        a, b = self.a.at(t, cols), self.b.at(t, cols)
+        return [np.where(pick[:, j : j + 1], x, y) for x, y in zip(a, b)]
 
 
-def _coin_plan(schedule: StrategySchedule, t: int, choice: StepStream | None):
-    """Coin specs to apply, in order, for the step with time index ``t``."""
-    if isinstance(schedule, Single):
-        return (schedule.spec,)
-    if isinstance(schedule, Composite):
-        return (schedule.a,) * schedule.m + (schedule.b,) * schedule.n
-    if isinstance(schedule, AlternatingEvenOdd):
-        return (schedule.a, schedule.a) if t % 2 == 0 else (schedule.b, schedule.b)
-    if isinstance(schedule, ProbabilisticChoice):
-        pick_a = choice.uniform(t) < schedule.q
-        return (schedule.a,) if pick_a else (schedule.b,)
-    raise TypeError(f"unknown schedule {schedule!r}")
+def _plan(rows, n_sites: int, rng: StepStream | None, t_end: int):
+    """The coins that steps of even and of odd time index apply, in order."""
+    first = rows[0]
+    a, *b = [_Coin(list(specs), n_sites, t_end) for specs in zip(*map(coin_specs, rows))]
+    if isinstance(first, Composite):
+        return [a] * first.m + b * first.n, [a] * first.m + b * first.n
+    if isinstance(first, AlternatingEvenOdd):
+        return [a, a], b * 2
+    if isinstance(first, ProbabilisticChoice):
+        if rng is None and any(row.seed is None for row in rows):
+            raise MissingRandomnessError("ProbabilisticChoice needs a seed or a stream")
+        streams = [rng or StepStream(row.seed, TAG_CHOICE) for row in rows]
+        choice = [_Choice(a, *b, streams, [row.q for row in rows])]
+        return choice, choice
+    return [a], [a]  # Single
+
+
+def _evolve(
+    up, down, rows, t0: int, steps: int, geometry: LatticeGeometry,
+    observe="series", variance=False, dists=None, rng=None, clip=False,
+):
+    """Advance the walks in the rows of the (R, n) arrays ``up`` and ``down`` in
+    place, row i under schedule ``rows[i]`` (all of one shape), computing on
+    the light cone only: the columns occupied at the start, grown by one on
+    each side per shift. A cone leaving the lattice raises first, unless
+    ``clip``. Returns <X> and (if ``variance``) Var(X) per row: (R, steps + 1)
+    over t for ``observe`` "series", (R, 1) at the end for "final". ``dists``
+    gets row 0's P(x, t). Reductions are per row: a row's bits ignore its batch."""
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
+    occupied = np.flatnonzero(((up != 0) | (down != 0)).any(axis=0))
+    half = geometry.half_span
+    a0, a1 = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (half, half + 1)
+    furthest = reach(max(half - a0, a1 - 1 - half), rows[0], steps)
+    if furthest > half and not clip:
+        raise GeometryTooSmallError(
+            f"the walker can reach |x|={furthest} in {steps} steps, beyond the "
+            f"edge of n_sites={geometry.n_sites} at |x|={half}")
+    even, odd = _plan(rows, geometry.n_sites, rng, t0 + steps)
+    interleaved = isinstance(rows[0], Composite) and rows[0].interleaved
+    work = np.empty(6 * len(rows) * geometry.n_sites, dtype=np.complex128)  # see _mix
+    if observe:  # x and x^2 at each float of the (re, im) pairs, and buffers
+        x = np.repeat(geometry.positions.astype(float), 2)
+        xs = np.array([x, x * x])[: 2 if variance else 1, None]
+        shape = (2 + len(xs), len(rows), len(x))  # fits in ``work``, idle between steps
+        squares = work.view(np.float64)[: np.prod(shape)].reshape(shape)
+    moments = np.zeros((steps + 1 if observe == "series" else 1, len(rows), 1 + variance))
+    for k in range(steps + 1):
+        if observe == "series" or (observe and k == steps):
+            u, d = up[:, a0:a1], down[:, a0:a1]
+            if dists is not None:  # summed in this order, P(x, t) keeps its old bytes
+                dists[k, a0:a1] = (u.real**2 + u.imag**2 + d.real**2 + d.imag**2)[0]
+            w = 2 * (a1 - a0)
+            p = np.square(u.view(np.float64), out=squares[0, :, :w])
+            p += np.square(d.view(np.float64), out=squares[1, :, :w])
+            terms = np.multiply(p, xs[:, :, 2 * a0 : 2 * a1], out=squares[2:, :, :w])
+            np.add.reduce(terms, axis=-1, out=moments[k if observe == "series" else 0].T)
+        if k == steps:
+            break
+        t = t0 + k
+        coins = odd if t % 2 else even
+        u, d = up[:, a0:a1], down[:, a0:a1]
+        for j, coin in enumerate(coins):
+            if interleaved or j == len(coins) - 1:
+                a0, a1 = _shift(up, down, u, d, a0, a1, coin.at(t, slice(a0, a1)), work)
+                u, d = up[:, a0:a1], down[:, a0:a1]
+            else:
+                u, d = _mix(u, d, coin.at(t, slice(a0, a1)), _pair(work, u), work)
+    if steps:  # + 0.0 turns -0.0 into 0.0: zeros match whichever columns were computed
+        up += 0.0
+        down += 0.0
+    mean = moments[:, :, 0].T.copy()
+    return mean, np.maximum(moments[:, :, 1].T - mean * mean, 0.0) if variance else None
+
+
+def map_batches(fn, args: tuple, count: int, workers: int = 1) -> np.ndarray:
+    """``fn((*args, start, stop))`` over consecutive batches of at most 64 of
+    range(count), on ``workers`` processes if more than one; concatenated."""
+    jobs = [(*args, i, min(i + _BATCH_ROWS, count)) for i in range(0, count, _BATCH_ROWS)]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return np.concatenate(list(pool.map(fn, jobs)))
+    return np.concatenate([fn(job) for job in jobs])
+
+
+def evolve_rows(geometry, up, down, rows, steps: int, t0: int = 0, observe="series"):
+    """<X> of walks that start on the same sites, as ``_evolve`` returns it:
+    row i from ``up[i]``, ``down[i]`` ((R, n) arrays, or (1, n) for all
+    rows) under schedule ``rows[i]``, bit-for-bit what its own ``run`` gives."""
+    mean = np.empty((len(rows), steps + 1 if observe == "series" else 1))
+    up, down = (np.broadcast_to(a, (len(rows), geometry.n_sites)) for a in (up, down))
+    shapes: dict[tuple, list] = {}  # rows of one schedule shape share a call
+    for i, s in enumerate(rows):
+        counts = (s.m, s.n, s.interleaved) if isinstance(s, Composite) else None
+        shapes.setdefault((type(s), counts, *map(type, coin_specs(s))), []).append(i)
+    for index in shapes.values():
+        rows_i = [rows[i] for i in index]
+        mean[index] = _evolve(up[index], down[index], rows_i, t0, steps, geometry, observe)[0]
+    return mean
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +350,12 @@ def apply_coin(
     ``t`` defaults to the state's own time index and selects the per-step
     phase draw for random-phase specs.
     """
-    if t is None:
-        t = state.time_step
-    up, down = _coin_arrays(
-        state.amp_up, state.amp_down, spec, t, state.geometry.n_sites, rng
-    )
-    return WalkerState(state.geometry, up, down, state.time_step)
+    n, t = state.geometry.n_sites, state.time_step if t is None else t
+    coin = _Coin([spec], n, t + 1, None if rng is None else [rng])
+    up, down = out = np.empty((2, 1, n), dtype=np.complex128)
+    work = np.empty(4 * n, dtype=np.complex128)
+    _mix(state.amp_up[None], state.amp_down[None], coin.at(t, slice(None)), out, work)
+    return WalkerState(state.geometry, up[0], down[0], state.time_step)
 
 
 def shift(state: WalkerState) -> WalkerState:
@@ -215,8 +364,10 @@ def shift(state: WalkerState) -> WalkerState:
     Raises ``BoundaryLeakageError`` if amplitude beyond 1e-14 sits on the edge
     sites it would push off the lattice; the shift never wraps or reflects.
     """
-    up, down = _shift_arrays(state.amp_up, state.amp_down)
-    return WalkerState(state.geometry, up, down, state.time_step)
+    n = state.geometry.n_sites
+    up, down = np.empty((2, 1, n), dtype=np.complex128)
+    _shift(up, down, state.amp_up[None], state.amp_down[None], 0, n)
+    return WalkerState(state.geometry, up[0], down[0], state.time_step)
 
 
 def step(
@@ -229,22 +380,10 @@ def step(
     ``rng`` overrides the per-step choice stream of a ``ProbabilisticChoice``
     schedule; all other randomness comes from seeds embedded in the specs.
     """
-    t = state.time_step
-    choice = (
-        _choice_stream(schedule, rng)
-        if isinstance(schedule, ProbabilisticChoice)
-        else rng
-    )
-    interleaved = isinstance(schedule, Composite) and schedule.interleaved
-    up, down = state.amp_up, state.amp_down
-    n = state.geometry.n_sites
-    for spec in _coin_plan(schedule, t, choice):
-        up, down = _coin_arrays(up, down, spec, t, n)
-        if interleaved:
-            up, down = _shift_arrays(up, down)
-    if not interleaved:
-        up, down = _shift_arrays(up, down)
-    return WalkerState(state.geometry, up, down, t + 1)
+    up, down = state.amp_up[None].copy(), state.amp_down[None].copy()
+    _evolve(up, down, [schedule], state.time_step, 1, state.geometry,
+            observe=None, rng=rng, clip=True)
+    return WalkerState(state.geometry, up[0], down[0], state.time_step + 1)
 
 
 def run(
@@ -258,71 +397,17 @@ def run(
 
     Requires every site the walker can reach (see ``reach``) to lie on the
     lattice, so amplitude never touches the boundary; raised before any
-    evolution happens.
+    evolution happens. This is the one-row call of the batched kernel.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
     n = initial.geometry.n_sites
-    occupied = initial.geometry.positions[(initial.amp_up != 0) | (initial.amp_down != 0)]
-    furthest = reach(int(np.abs(occupied).max(initial=0)), schedule, steps)
-    if furthest > initial.geometry.half_span:
-        raise GeometryTooSmallError(
-            f"the walker can reach |x|={furthest} in {steps} steps, beyond the "
-            f"edge of n_sites={n} at |x|={initial.geometry.half_span}"
-        )
-
-    choice = (
-        _choice_stream(schedule, rng)
-        if isinstance(schedule, ProbabilisticChoice)
-        else rng
-    )
-    interleaved = isinstance(schedule, Composite) and schedule.interleaved
-
-    x = initial.geometry.positions.astype(float)
-    x2 = initial.geometry.positions_squared
-    expectation = np.empty(steps + 1)
-    variance = np.empty(steps + 1)
-    dists = np.empty((steps + 1, n)) if record_full else None
-
-    up = initial.amp_up.copy()
-    down = initial.amp_down.copy()
-
-    def record(k, u, d):
-        p = u.real**2 + u.imag**2 + d.real**2 + d.imag**2
-        mean = float(x @ p)
-        expectation[k] = mean
-        variance[k] = max(float(x2 @ p) - mean * mean, 0.0)
-        if dists is not None:
-            dists[k] = p
-
-    record(0, up, down)
-    t0 = initial.time_step
-    for k in range(steps):
-        t = t0 + k
-        for spec in _coin_plan(schedule, t, choice):
-            up, down = _coin_arrays(up, down, spec, t, n)
-            if interleaved:
-                up, down = _shift_arrays(up, down)
-        if not interleaved:
-            up, down = _shift_arrays(up, down)
-        record(k + 1, up, down)
-
-    final = WalkerState(initial.geometry, up, down, t0 + steps)
-    metadata = {
-        "schedule": repr(schedule),
-        "seeds": collect_seeds(schedule),
-        "n_sites": n,
-        "steps": steps,
-        "rng_algorithm": RNG_ALGORITHM,
-    }
-    return Trajectory(
-        times=np.arange(steps + 1),
-        expectation=expectation,
-        variance=variance,
-        distributions=dists,
-        final_state=final,
-        metadata=metadata,
-    )
+    up, down = initial.amp_up[None].copy(), initial.amp_down[None].copy()
+    dists = np.zeros((steps + 1, n)) if record_full else None
+    mean, var = _evolve(up, down, [schedule], initial.time_step, steps, initial.geometry,
+                        variance=True, dists=dists, rng=rng)
+    final = WalkerState(initial.geometry, up[0], down[0], initial.time_step + steps)
+    metadata = {"schedule": repr(schedule), "seeds": collect_seeds(schedule), "n_sites": n,
+                "steps": steps, "rng_algorithm": RNG_ALGORITHM}
+    return Trajectory(np.arange(steps + 1), mean[0], var[0], dists, final, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +452,9 @@ def collect_seeds(schedule: StrategySchedule) -> dict:
     return seeds
 
 
-def _reseed_spec(spec: CoinSpec, seed: int) -> CoinSpec:
+def _reseed_spec(spec: CoinSpec, master_seed: int, index: int, slot: int) -> CoinSpec:
     if is_stochastic_spec(spec):
-        return dataclasses.replace(spec, seed=seed)
+        return dataclasses.replace(spec, seed=child_seed(master_seed, index, slot))
     return spec
 
 
@@ -380,12 +465,13 @@ def with_derived_seeds(
 
     Slot k of job ``index`` receives child_seed(master_seed, index, k), so
     ensembles and sweeps can be sharded across workers and still reproduce
-    bit-identically. Deterministic specs pass through unchanged.
+    bit-identically. Deterministic specs pass through unchanged, and no seed
+    is derived for them.
     """
     if isinstance(schedule, Single):
-        return Single(_reseed_spec(schedule.spec, child_seed(master_seed, index, 1)))
-    a = _reseed_spec(schedule.a, child_seed(master_seed, index, 1))
-    b = _reseed_spec(schedule.b, child_seed(master_seed, index, 2))
+        return Single(_reseed_spec(schedule.spec, master_seed, index, 1))
+    a = _reseed_spec(schedule.a, master_seed, index, 1)
+    b = _reseed_spec(schedule.b, master_seed, index, 2)
     if isinstance(schedule, Composite):
         return dataclasses.replace(schedule, a=a, b=b)
     if isinstance(schedule, AlternatingEvenOdd):

@@ -119,19 +119,12 @@ class WalkerState:
 
     def norm(self) -> float:
         """Total probability weight, sum over sites and both spin components."""
-        return float(
-            np.sum(self.amp_up.real**2 + self.amp_up.imag**2)
-            + np.sum(self.amp_down.real**2 + self.amp_down.imag**2)
-        )
+        return float(self.probability_distribution().sum())
 
     def probability_distribution(self) -> np.ndarray:
         """P(x) = |amp_up(x)|^2 + |amp_down(x)|^2, indexed like geometry.positions."""
-        return (
-            self.amp_up.real**2
-            + self.amp_up.imag**2
-            + self.amp_down.real**2
-            + self.amp_down.imag**2
-        )
+        up, down = self.amp_up, self.amp_down
+        return up.real**2 + up.imag**2 + down.real**2 + down.imag**2
 
     def position_expectation(self) -> float:
         """Mean position sum_x x P(x)."""
@@ -144,8 +137,3 @@ class WalkerState:
         mean = float(self.geometry.positions @ p)
         second = float(self.geometry.positions_squared @ p)
         return max(second - mean * mean, 0.0)
-
-    def copy(self) -> "WalkerState":
-        return WalkerState(
-            self.geometry, self.amp_up.copy(), self.amp_down.copy(), self.time_step
-        )

@@ -1,34 +1,35 @@
 """2D parameter sweeps over coin parameters or initial spin states.
 
-Each grid point runs one full walk and records the final position
-expectation; points are classified winning/losing/neutral by its sign. Grid
-points are independent jobs: with ``workers > 1`` they are distributed over a
-process pool, and because results are written by point index and all seeds
-are derived per point, the output never depends on scheduling order.
+Each grid point is one walk, of which only the final position expectation
+is computed; points are classified winning/losing/neutral by its sign. Points
+are rows of the batched kernel, evolved together in fixed chunks of
+consecutive points; with ``workers > 1`` a process pool evolves the chunks.
+A point's value is bit-for-bit that of its own ``run``, and all seeds are
+derived per point, so the output depends neither on chunking nor on the
+worker count.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Union
 
 import numpy as np
 
 from .coins import SiteTanhRotation, UniformRotation
-from .errors import ConfigError, GeometryTooSmallError
+from .errors import ConfigError
 from .evolution import (
     Composite,
     Single,
     StrategySchedule,
+    evolve_rows,
     is_stochastic_schedule,
-    reach,
-    run,
+    map_batches,
     with_derived_seeds,
 )
 from .rng import RNG_ALGORITHM
-from .state import SPIN_DOWN, BlochCoinState, LatticeGeometry, WalkerState
+from .state import SPIN_DOWN, BlochCoinState, LatticeGeometry
 
 WINNING = "winning"
 LOSING = "losing"
@@ -165,12 +166,16 @@ def _point_inputs(grid: GridSpec, v1: float, v2: float, index: int):
     return schedule, bloch
 
 
-def _point(args):
-    grid, i, j, v1, v2 = args
-    schedule, bloch = _point_inputs(grid, v1, v2, i * grid.axis2.count + j)
-    initial = WalkerState.localized(grid.geometry, bloch, grid.x0)
-    traj = run(initial, schedule, grid.steps)
-    return i, j, float(traj.expectation[-1])
+def _chunk(args):
+    """Final <X> at flat point indices [start, stop), in order."""
+    grid, start, stop = args
+    v1, v2, count = grid.axis1.values(), grid.axis2.values(), grid.axis2.count
+    points = [_point_inputs(grid, float(v1[i // count]), float(v2[i % count]), i)
+              for i in range(start, stop)]
+    psi = np.zeros((2, len(points), grid.geometry.n_sites), dtype=np.complex128)
+    psi[:, :, grid.geometry.index_of(grid.x0)] = np.array([b.spinor() for _, b in points]).T
+    rows = [schedule for schedule, _ in points]
+    return evolve_rows(grid.geometry, *psi, rows, grid.steps, observe="final")[:, 0]
 
 
 def check_grid(grid: GridSpec) -> None:
@@ -200,40 +205,15 @@ def check_grid(grid: GridSpec) -> None:
 
 
 def _execute(grid: GridSpec, workers: int) -> SweepResult:
-    furthest = reach(abs(grid.x0), grid.schedule, grid.steps)
-    if furthest > grid.geometry.half_span:
-        raise GeometryTooSmallError(
-            f"the walker can reach |x|={furthest} in {grid.steps} steps, beyond "
-            f"the edge of n_sites={grid.geometry.n_sites}"
-        )
-    v1 = grid.axis1.values()
-    v2 = grid.axis2.values()
-    jobs = [
-        (grid, i, j, float(a), float(b))
-        for i, a in enumerate(v1)
-        for j, b in enumerate(v2)
-    ]
+    v1, v2 = grid.axis1.values(), grid.axis2.values()
+    shape = (grid.axis1.count, grid.axis2.count)
     started = time.perf_counter()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_point, jobs, chunksize=16))
-    else:
-        results = [_point(job) for job in jobs]
-
-    expectation = np.empty((grid.axis1.count, grid.axis2.count))
-    for i, j, value in results:
-        expectation[i, j] = value
-    labels = np.array(
-        [
-            [classify(expectation[i, j], grid.tie_tolerance) for j in range(grid.axis2.count)]
-            for i in range(grid.axis1.count)
-        ],
-        dtype=object,
-    )
+    expectation = map_batches(_chunk, (grid,), shape[0] * shape[1], workers).reshape(shape)
+    classes = np.vectorize(lambda v: classify(v, grid.tie_tolerance), otypes=[object])
     metadata = {
         "runtime_seconds": time.perf_counter() - started,
         "workers": workers,
-        "points": len(jobs),
+        "points": expectation.size,
         "master_seed": grid.master_seed,
         "point_seed_rule": "child_seed(master_seed, flat_point_index, slot)",
         "rng_algorithm": RNG_ALGORITHM,
@@ -242,7 +222,7 @@ def _execute(grid: GridSpec, workers: int) -> SweepResult:
         axis1_values=v1,
         axis2_values=v2,
         expectation=expectation,
-        classification=labels,
+        classification=classes(expectation),
         grid=grid,
         metadata=metadata,
     )

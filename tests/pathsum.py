@@ -85,15 +85,15 @@ def _step_specs(schedule, t: int):
     raise TypeError(f"oracle does not know schedule {schedule!r}")
 
 
-def _stages(schedule, steps: int):
-    """Flatten the schedule into (matrix_at(x), shift) stages.
+def _stages(schedule, steps: int, t0: int = 0):
+    """Flatten the schedule's steps t0 .. t0 + steps - 1 into stages.
 
     Default schedules compose all of a step's coins into one matrix followed
     by one shift; an interleaved composite shifts after every coin.
     """
     interleaved = isinstance(schedule, Composite) and schedule.interleaved
     stages = []
-    for t in range(steps):
+    for t in range(t0, t0 + steps):
         specs = _step_specs(schedule, t)
         if interleaved:
             for spec in specs:
@@ -103,13 +103,14 @@ def _stages(schedule, steps: int):
     return stages, interleaved
 
 
-def path_sum_amplitudes(initial_components, schedule, steps: int):
+def path_sum_amplitudes(initial_components, schedule, steps: int, t0: int = 0):
     """Final amplitudes {(spin, x): amp} by explicit path enumeration.
 
     ``initial_components`` is an iterable of (spin, x, amplitude) with
-    spin 0 = up, 1 = down. Spin-up moves +1 per shift, spin-down -1.
+    spin 0 = up, 1 = down. Spin-up moves +1 per shift, spin-down -1. The
+    walk starts at time index ``t0``.
     """
-    stages, interleaved = _stages(schedule, steps)
+    stages, interleaved = _stages(schedule, steps, t0)
 
     # Precompute each stage's composed matrix as a function of position.
     def stage_matrix(stage, x: int) -> Matrix:
@@ -143,13 +144,13 @@ def path_sum_amplitudes(initial_components, schedule, steps: int):
     return amps
 
 
-def path_sum_arrays(initial_components, schedule, steps: int, n_sites: int):
+def path_sum_arrays(initial_components, schedule, steps: int, n_sites: int, t0: int = 0):
     """Same as path_sum_amplitudes but as (amp_up, amp_down) lists over the lattice."""
     half = (n_sites - 1) // 2
     up = [0.0 + 0.0j] * n_sites
     down = [0.0 + 0.0j] * n_sites
     for (spin, x), amp in path_sum_amplitudes(
-        initial_components, schedule, steps
+        initial_components, schedule, steps, t0
     ).items():
         if abs(x) > half:
             raise AssertionError(f"oracle path left the lattice: x={x}")

@@ -284,6 +284,10 @@ def without(flat, *keys):
     return {k: v for k, v in flat.items() if k not in keys}
 
 
+CLASSICAL = {"mode": "classical", "steps": "20"}
+SINGLE_SCHEDULE = {"schedule.kind": "single", "schedule.a.kind": "uniform",
+                   "schedule.a.theta": "pi/2"}
+
 INVALID = {
     # the walker would leak off the lattice mid-run
     "x0_off_center": (walk_flat(sites="21", steps="10", **{"initial.x0": "8"}),
@@ -318,6 +322,15 @@ INVALID = {
     # sections without their kind or required fields
     "coin_without_kind": (without(walk_flat(), "schedule.a.kind"), "schedule.a.kind"),
     "axis_without_max": (without(sweep_coin_flat(), "grid.axis2.max"), "grid.axis2.max"),
+    # sections and keys the mode never reads
+    "classical_with_schedule": (CLASSICAL | SINGLE_SCHEDULE, "schedule.kind"),
+    "classical_with_sweep": (CLASSICAL | {"sweep.family": "single_b"}, "sweep.family"),
+    "classical_with_iterations": (CLASSICAL | {"iterations": "10"}, "iterations"),
+    "walk_with_sweep": (walk_flat(**{"sweep.family": "composite", "sweep.m": "2"}),
+                        "sweep.family"),
+    "sweep_coin_with_schedule": (sweep_coin_flat(**SINGLE_SCHEDULE), "schedule.kind"),
+    "sweep_initial_with_spin": (without(bloch_flat(**{"initial.phi": "1"}), "initial.theta"),
+                                "initial.phi"),
 }
 
 
@@ -340,3 +353,21 @@ def test_echo_lists_only_the_chosen_kinds_fields():
     assert [k for k in echo if k.startswith("schedule.a.")] == [
         "schedule.a.kind", "schedule.a.theta"
     ]
+
+
+def test_unread_key_given_by_flag_exits_1(tmp_path, capsys):
+    path = tmp_path / "walk.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in walk_flat().items()))
+    assert main(["walk", "--config", str(path), "--iterations", "5",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "iterations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flat", [walk_flat(), sweep_coin_flat(), bloch_flat(),
+                                  walk_flat(mode="ensemble", seed="1"), CLASSICAL])
+def test_echo_lists_only_keys_the_mode_reads(flat):
+    flat = without(flat, "initial.theta") if flat["mode"] == "sweep-initial" else flat
+    echo = config_to_flat(validate(config_from_flat(flat)))
+    assert validate(config_from_flat(echo)) == validate(config_from_flat(flat))
+    assert ("iterations" in echo) == (flat["mode"] == "ensemble")
+    assert ("p_right" in echo) == (flat["mode"] == "classical")

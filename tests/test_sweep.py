@@ -183,7 +183,7 @@ def test_bad_axis_range_fails_before_any_point_runs(monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a grid point ran")
 
-    monkeypatch.setattr("parrondoqw.sweep.run", no_run)
+    monkeypatch.setattr("parrondoqw.sweep.evolve_rows", no_run)
     with pytest.raises(ValueError, match="theta_a=7.0"):
         sweep_coin_params(grid)
     bloch = bloch_grid(Single(UniformRotation(np.pi / 2)))
