@@ -19,7 +19,6 @@ from .coins import (
     SiteTanhRotation,
     UniformRotation,
     general_coin_matrix,
-    phase_stream,
     realize,
     rotation_matrix,
     site_theta,

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import MissingRandomnessError
-from .rng import TAG_ALPHA, TAG_BETA, StepStream
+from .rng import TAG_ALPHA, TAG_BETA, StepStream, _check_seed
 
 # A 2x2 unitary acting on (amp_up, amp_down) at one site.
 LocalCoin = NDArray[np.complex128]
@@ -119,11 +119,15 @@ class GeneralCoin:
 class RandomPhaseAlpha:
     """q = 1/2 coin with alpha drawn uniformly per time step, beta = 0.
 
-    ``seed = None`` defers the randomness to a stream passed at realization
-    time; realizing without either raises ``MissingRandomnessError``.
+    Draws come from ``seed`` alone; while it is None (to be derived, see
+    ``with_derived_seeds``) walks and ``realize`` raise ``MissingRandomnessError``.
     """
 
     seed: int | None = None
+
+    def __post_init__(self):
+        if self.seed is not None:
+            _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,10 @@ class RandomPhaseBeta:
     """q = 1/2 coin with beta drawn uniformly per time step, alpha = 0."""
 
     seed: int | None = None
+
+    def __post_init__(self):
+        if self.seed is not None:
+            _check_seed(self.seed)
 
 
 CoinSpec = Union[
@@ -144,23 +152,12 @@ def is_stochastic_spec(spec: CoinSpec) -> bool:
     return isinstance(spec, RANDOM_PHASE_SPECS)
 
 
-def phase_stream(spec: CoinSpec) -> StepStream | None:
-    """Per-step phase source for a random-phase spec, or None for fixed coins."""
-    if isinstance(spec, RandomPhaseAlpha) and spec.seed is not None:
-        return StepStream(spec.seed, TAG_ALPHA)
-    if isinstance(spec, RandomPhaseBeta) and spec.seed is not None:
-        return StepStream(spec.seed, TAG_BETA)
-    return None
-
-
-def realize(
-    spec: CoinSpec, x: int, t: int, rng: StepStream | None = None
-) -> LocalCoin:
+def realize(spec: CoinSpec, x: int, t: int) -> LocalCoin:
     """Concrete 2x2 coin for lattice site ``x`` at time step ``t``.
 
     Random-phase specs draw their phase once per time step (the same value
-    for every site at that step) from ``rng``, or from a stream derived from
-    the spec's own seed when ``rng`` is None.
+    for every site at that step) from ``(spec.seed, TAG_ALPHA or TAG_BETA, t)``;
+    an unset seed raises ``MissingRandomnessError``.
     """
     if isinstance(spec, UniformRotation):
         return rotation_matrix(spec.theta)
@@ -169,13 +166,9 @@ def realize(
     if isinstance(spec, GeneralCoin):
         return general_coin_matrix(spec.q, spec.alpha, spec.beta)
     if isinstance(spec, RANDOM_PHASE_SPECS):
-        stream = rng if rng is not None else phase_stream(spec)
-        if stream is None:
-            raise MissingRandomnessError(
-                f"{type(spec).__name__} needs a seed or an explicit random stream"
-            )
-        phase = stream.angle(t)
-        if isinstance(spec, RandomPhaseAlpha):
-            return general_coin_matrix(0.5, phase, 0.0)
-        return general_coin_matrix(0.5, 0.0, phase)
+        if spec.seed is None:
+            raise MissingRandomnessError(f"{type(spec).__name__} needs a seed")
+        alpha = isinstance(spec, RandomPhaseAlpha)
+        phase = StepStream(spec.seed, TAG_ALPHA if alpha else TAG_BETA).angle(t)
+        return general_coin_matrix(0.5, *((phase, 0.0) if alpha else (0.0, phase)))
     raise TypeError(f"unknown coin spec {spec!r}")

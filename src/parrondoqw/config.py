@@ -36,7 +36,6 @@ from .coins import (
     RandomPhaseBeta,
     SiteTanhRotation,
     UniformRotation,
-    is_stochastic_spec,
 )
 from .errors import ConfigError
 from .evolution import (
@@ -45,7 +44,7 @@ from .evolution import (
     ProbabilisticChoice,
     Single,
     StrategySchedule,
-    coin_specs,
+    _seed_slots,
     reach,
     with_derived_seeds,
 )
@@ -371,12 +370,10 @@ def _validate_quantum_geometry(cfg: RunConfig):
 
 
 def _unseeded(schedule: StrategySchedule) -> str | None:
-    """Key of the first random source in the schedule that has no seed."""
-    if isinstance(schedule, ProbabilisticChoice) and schedule.seed is None:
-        return "schedule.seed"
-    for name, spec in zip("ab", coin_specs(schedule)):
-        if is_stochastic_spec(spec) and spec.seed is None:
-            return f"schedule.{name}.seed"
+    """Key of the first seed slot in the schedule that has no seed."""
+    for slot, name, seed in _seed_slots(schedule):
+        if seed is None:
+            return f"schedule.{_KEYS.get(name, name)}" + (".seed" if slot else "")
     return None
 
 

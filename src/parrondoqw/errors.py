@@ -18,7 +18,7 @@ class BoundaryLeakageError(WalkError):
 
 
 class MissingRandomnessError(WalkError):
-    """A stochastic coin or schedule was used without a seed or random stream."""
+    """A seed slot of a schedule, or a random-phase coin, has no seed."""
 
 
 class InsufficientDataError(WalkError):

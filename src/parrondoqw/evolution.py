@@ -17,9 +17,8 @@ and sweeps feed it batches of rows through ``evolve_rows``.
 
 from __future__ import annotations
 
-import dataclasses
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Union
 
@@ -31,7 +30,6 @@ from .coins import (
     SiteTanhRotation,
     general_coin_matrix,
     is_stochastic_spec,
-    phase_stream,
     realize,
     site_theta,
 )
@@ -40,7 +38,8 @@ from .errors import (
     GeometryTooSmallError,
     MissingRandomnessError,
 )
-from .rng import _BLOCK, RNG_ALGORITHM, TAG_CHOICE, StepStream, _uniform_block, child_seed
+from .rng import _BLOCK, RNG_ALGORITHM, TAG_ALPHA, TAG_BETA, TAG_CHOICE, _uniform_block
+from .rng import _check_seed, child_seed
 from .state import LatticeGeometry, WalkerState
 
 _LEAK_TOL = 1e-14
@@ -95,6 +94,8 @@ class ProbabilisticChoice:
     def __post_init__(self):
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {self.q}")
+        if self.seed is not None:
+            _check_seed(self.seed)
 
 
 StrategySchedule = Union[Single, Composite, AlternatingEvenOdd, ProbabilisticChoice]
@@ -183,13 +184,14 @@ class _Coin:
     coin, else a (4, R or 1, w) array, w = 1 for a site-independent coin.
     Phases are drawn for the rest of a block of steps, to ``t_end``, at once."""
 
-    def __init__(self, specs, n_sites: int, t_end: int, streams=None):
+    def __init__(self, specs, n_sites: int, t_end: int):
         specs = specs[:1] if all(spec == specs[0] for spec in specs) else specs
         self.site_dependent = isinstance(specs[0], SiteTanhRotation)
-        self.streams = self.block = None
-        if is_stochastic_spec(specs[0]):  # ``streams`` replace the specs' seeds
-            self.streams = streams or [phase_stream(spec) for spec in specs]
+        self.seeds = self.block = None
+        if is_stochastic_spec(specs[0]):  # seeds checked by _check_seeds
             self.alpha, self.t_end = isinstance(specs[0], RandomPhaseAlpha), t_end
+            self.seeds = [int(spec.seed) for spec in specs]
+            self.tag = TAG_ALPHA if self.alpha else TAG_BETA
         elif self.site_dependent:
             fields = [_tanh_field(spec, n_sites) for spec in specs]
             self.entries = fields[0][:, None] if len(fields) == 1 else np.stack(fields, 1)
@@ -199,14 +201,12 @@ class _Coin:
             self.entries = _fixed_matrix(specs[0])
 
     def at(self, t: int, cols: slice):
-        if self.streams is None:
+        if self.seeds is None:
             return self.entries[:, :, cols] if self.site_dependent else self.entries
         index, j = divmod(t, _BLOCK)
         if self.block is None or self.block[0] != index:
-            if None in self.streams:
-                raise MissingRandomnessError("a random-phase coin needs a seed or a stream")
             stop = min(_BLOCK, self.t_end - index * _BLOCK)
-            draws = [_uniform_block(s.seed, s.tag, index)[j:stop] for s in self.streams]
+            draws = [_uniform_block(seed, self.tag, index)[j:stop] for seed in self.seeds]
             phase = 2.0 * np.pi * np.array(draws)
             u = general_coin_matrix(0.5, *((phase, 0.0) if self.alpha else (0.0, phase)))
             self.block = (index, j, u.reshape(4, *phase.shape))
@@ -216,14 +216,14 @@ class _Coin:
 class _Choice:
     """Per row and step, coin ``a`` where the row's draw is below q, else ``b``."""
 
-    def __init__(self, a: _Coin, b: _Coin, streams: list, q: list):
-        self.a, self.b, self.streams = a, b, streams
-        self.q, self.block = np.array(q)[:, None], None
+    def __init__(self, a: _Coin, b: _Coin, rows: list):
+        self.a, self.b, self.seeds = a, b, [int(row.seed) for row in rows]
+        self.q, self.block = np.array([row.q for row in rows])[:, None], None
 
     def at(self, t: int, cols: slice):
         index, j = divmod(t, _BLOCK)
         if self.block is None or self.block[0] != index:
-            draws = [_uniform_block(s.seed, s.tag, index) for s in self.streams]
+            draws = [_uniform_block(seed, TAG_CHOICE, index) for seed in self.seeds]
             pick = np.array(draws) < self.q
             self.block = (index, pick, pick.all(axis=0), ~pick.any(axis=0))
         _, pick, all_a, all_b = self.block
@@ -233,8 +233,18 @@ class _Choice:
         return [np.where(pick[:, j : j + 1], x, y) for x, y in zip(a, b)]
 
 
-def _plan(rows, n_sites: int, rng: StepStream | None, t_end: int):
+def _check_seeds(rows) -> None:
+    """Raise ``MissingRandomnessError`` at the first unseeded slot, used or not."""
+    for row in rows:
+        for slot, name, seed in _seed_slots(row):
+            if seed is None:
+                raise MissingRandomnessError(f"seed slot {slot} ({type(row).__name__}.{name}) "
+                                             "has no seed; set it or use with_derived_seeds")
+
+
+def _plan(rows, n_sites: int, t_end: int):
     """The coins that steps of even and of odd time index apply, in order."""
+    _check_seeds(rows)
     first = rows[0]
     a, *b = [_Coin(list(specs), n_sites, t_end) for specs in zip(*map(coin_specs, rows))]
     if isinstance(first, Composite):
@@ -242,17 +252,14 @@ def _plan(rows, n_sites: int, rng: StepStream | None, t_end: int):
     if isinstance(first, AlternatingEvenOdd):
         return [a, a], b * 2
     if isinstance(first, ProbabilisticChoice):
-        if rng is None and any(row.seed is None for row in rows):
-            raise MissingRandomnessError("ProbabilisticChoice needs a seed or a stream")
-        streams = [rng or StepStream(row.seed, TAG_CHOICE) for row in rows]
-        choice = [_Choice(a, *b, streams, [row.q for row in rows])]
+        choice = [_Choice(a, *b, rows)]
         return choice, choice
     return [a], [a]  # Single
 
 
 def _evolve(
     up, down, rows, t0: int, steps: int, geometry: LatticeGeometry,
-    observe="series", variance=False, dists=None, rng=None, clip=False,
+    observe="series", variance=False, dists=None, clip=False,
 ):
     """Advance the walks in the rows of the (R, n) arrays ``up`` and ``down`` in
     place, row i under schedule ``rows[i]`` (all of one shape), computing on
@@ -271,7 +278,7 @@ def _evolve(
         raise GeometryTooSmallError(
             f"the walker can reach |x|={furthest} in {steps} steps, beyond the "
             f"edge of n_sites={geometry.n_sites} at |x|={half}")
-    even, odd = _plan(rows, geometry.n_sites, rng, t0 + steps)
+    even, odd = _plan(rows, geometry.n_sites, t0 + steps)
     interleaved = isinstance(rows[0], Composite) and rows[0].interleaved
     work = np.empty(6 * len(rows) * geometry.n_sites, dtype=np.complex128)  # see _mix
     if observe:  # x and x^2 at each float of the (re, im) pairs, and buffers
@@ -310,10 +317,11 @@ def _evolve(
 
 def map_batches(fn, args: tuple, count: int, workers: int = 1) -> np.ndarray:
     """``fn((*args, start, stop))`` over consecutive batches of at most 64 of
-    range(count), on ``workers`` processes if more than one; concatenated."""
+    range(count), on up to ``workers`` processes if there are two or more
+    batches; concatenated."""
     jobs = [(*args, i, min(i + _BATCH_ROWS, count)) for i in range(0, count, _BATCH_ROWS)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             return np.concatenate(list(pool.map(fn, jobs)))
     return np.concatenate([fn(job) for job in jobs])
 
@@ -339,19 +347,15 @@ def evolve_rows(geometry, up, down, rows, steps: int, t0: int = 0, observe="seri
 # ---------------------------------------------------------------------------
 
 
-def apply_coin(
-    state: WalkerState,
-    spec: CoinSpec,
-    t: int | None = None,
-    rng: StepStream | None = None,
-) -> WalkerState:
+def apply_coin(state: WalkerState, spec: CoinSpec, t: int | None = None) -> WalkerState:
     """Apply the coin at every site; does not advance the time step.
 
     ``t`` defaults to the state's own time index and selects the per-step
-    phase draw for random-phase specs.
+    phase draw for random-phase specs, which need a seed.
     """
+    _check_seeds([Single(spec)])
     n, t = state.geometry.n_sites, state.time_step if t is None else t
-    coin = _Coin([spec], n, t + 1, None if rng is None else [rng])
+    coin = _Coin([spec], n, t + 1)
     up, down = out = np.empty((2, 1, n), dtype=np.complex128)
     work = np.empty(4 * n, dtype=np.complex128)
     _mix(state.amp_up[None], state.amp_down[None], coin.at(t, slice(None)), out, work)
@@ -370,19 +374,14 @@ def shift(state: WalkerState) -> WalkerState:
     return WalkerState(state.geometry, up[0], down[0], state.time_step)
 
 
-def step(
-    state: WalkerState,
-    schedule: StrategySchedule,
-    rng: StepStream | None = None,
-) -> WalkerState:
+def step(state: WalkerState, schedule: StrategySchedule) -> WalkerState:
     """Advance one full time step: the schedule's coin composition, then one shift.
 
-    ``rng`` overrides the per-step choice stream of a ``ProbabilisticChoice``
-    schedule; all other randomness comes from seeds embedded in the specs.
+    All randomness comes from the seeds in the schedule; an unseeded slot
+    raises ``MissingRandomnessError`` before the step.
     """
     up, down = state.amp_up[None].copy(), state.amp_down[None].copy()
-    _evolve(up, down, [schedule], state.time_step, 1, state.geometry,
-            observe=None, rng=rng, clip=True)
+    _evolve(up, down, [schedule], state.time_step, 1, state.geometry, observe=None, clip=True)
     return WalkerState(state.geometry, up[0], down[0], state.time_step + 1)
 
 
@@ -391,19 +390,19 @@ def run(
     schedule: StrategySchedule,
     steps: int,
     record_full: bool = False,
-    rng: StepStream | None = None,
 ) -> Trajectory:
     """Run ``steps`` full steps, recording position mean and variance at every t.
 
     Requires every site the walker can reach (see ``reach``) to lie on the
-    lattice, so amplitude never touches the boundary; raised before any
+    lattice, so amplitude never touches the boundary, and a seed in every
+    seed slot (see ``with_derived_seeds``); both are checked before any
     evolution happens. This is the one-row call of the batched kernel.
     """
     n = initial.geometry.n_sites
     up, down = initial.amp_up[None].copy(), initial.amp_down[None].copy()
     dists = np.zeros((steps + 1, n)) if record_full else None
     mean, var = _evolve(up, down, [schedule], initial.time_step, steps, initial.geometry,
-                        variance=True, dists=dists, rng=rng)
+                        variance=True, dists=dists)
     final = WalkerState(initial.geometry, up[0], down[0], initial.time_step + steps)
     metadata = {"schedule": repr(schedule), "seeds": collect_seeds(schedule), "n_sites": n,
                 "steps": steps, "rng_algorithm": RNG_ALGORITHM}
@@ -431,31 +430,30 @@ def reach(extent: int, schedule, steps: int) -> int:
 
 
 def is_stochastic_schedule(schedule: StrategySchedule) -> bool:
-    """True if any randomness enters the dynamics (choice or phase draws)."""
-    if isinstance(schedule, ProbabilisticChoice) and 0.0 < schedule.q < 1.0:
-        return True
-    specs = coin_specs(schedule)
-    if isinstance(schedule, ProbabilisticChoice):
-        # q pinned at 0 or 1 leaves only the surviving coin's randomness.
-        specs = specs[1:] if schedule.q == 0.0 else specs[:1]
-    return any(is_stochastic_spec(s) for s in specs)
+    """True if any randomness enters the dynamics: a seed slot whose draws
+    matter. A q pinned at 0 or 1 leaves only the surviving coin's draws."""
+    q = getattr(schedule, "q", 0.5)  # only a ProbabilisticChoice has one
+    live = (0.0 < q < 1.0, q > 0.0, q < 1.0)  # by slot: the choice, coin a, coin b
+    return any(live[slot] for slot, _, _ in _seed_slots(schedule))
+
+
+def _seed_slots(schedule: StrategySchedule) -> list[tuple[int, str, int | None]]:
+    """The schedule's random sources, the only ones a walk has, as (slot,
+    field, seed): slot 0 the choice of a ProbabilisticChoice (field ``seed``,
+    TAG_CHOICE), slot 1 coin ``a`` (``spec`` of a Single) and slot 2 coin
+    ``b``, each when it is a random-phase coin (TAG_ALPHA or TAG_BETA)."""
+    slots = [(0, "seed", schedule.seed)] if isinstance(schedule, ProbabilisticChoice) else []
+    for slot, name in enumerate(("spec",) if isinstance(schedule, Single) else ("a", "b"), 1):
+        spec = getattr(schedule, name)
+        if is_stochastic_spec(spec):
+            slots.append((slot, name, spec.seed))
+    return slots
 
 
 def collect_seeds(schedule: StrategySchedule) -> dict:
-    """Seeds embedded in the schedule, for output metadata."""
-    seeds = {}
-    if isinstance(schedule, ProbabilisticChoice) and schedule.seed is not None:
-        seeds["choice"] = schedule.seed
-    for name, spec in zip(("coin_a", "coin_b"), coin_specs(schedule)):
-        if is_stochastic_spec(spec) and spec.seed is not None:
-            seeds[name] = spec.seed
-    return seeds
-
-
-def _reseed_spec(spec: CoinSpec, master_seed: int, index: int, slot: int) -> CoinSpec:
-    if is_stochastic_spec(spec):
-        return dataclasses.replace(spec, seed=child_seed(master_seed, index, slot))
-    return spec
+    """Seeds embedded in the schedule by slot name, for output metadata."""
+    names = ("choice", "coin_a", "coin_b")
+    return {names[slot]: seed for slot, _, seed in _seed_slots(schedule) if seed is not None}
 
 
 def with_derived_seeds(
@@ -468,16 +466,8 @@ def with_derived_seeds(
     bit-identically. Deterministic specs pass through unchanged, and no seed
     is derived for them.
     """
-    if isinstance(schedule, Single):
-        return Single(_reseed_spec(schedule.spec, master_seed, index, 1))
-    a = _reseed_spec(schedule.a, master_seed, index, 1)
-    b = _reseed_spec(schedule.b, master_seed, index, 2)
-    if isinstance(schedule, Composite):
-        return dataclasses.replace(schedule, a=a, b=b)
-    if isinstance(schedule, AlternatingEvenOdd):
-        return AlternatingEvenOdd(a, b)
-    if isinstance(schedule, ProbabilisticChoice):
-        return dataclasses.replace(
-            schedule, a=a, b=b, seed=child_seed(master_seed, index, 0)
-        )
-    raise TypeError(f"unknown schedule {schedule!r}")
+    changes = {}
+    for slot, name, _ in _seed_slots(schedule):
+        seed = child_seed(master_seed, index, slot)
+        changes[name] = replace(getattr(schedule, name), seed=seed) if slot else seed
+    return replace(schedule, **changes)

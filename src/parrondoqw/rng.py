@@ -33,7 +33,7 @@ _BLOCK = 256
 def _check_seed(seed: int) -> int:
     seed = int(seed)
     if seed < 0:
-        raise ValueError(f"seeds must be nonnegative integers, got {seed}")
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     return seed
 
 

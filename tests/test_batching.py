@@ -28,6 +28,7 @@ from parrondoqw import (
     UniformRotation,
     WalkerState,
     child_seed,
+    collect_seeds,
     ensemble_expectation,
     general_coin_matrix,
     realize,
@@ -37,6 +38,7 @@ from parrondoqw import (
     with_derived_seeds,
 )
 from parrondoqw import evolution
+from parrondoqw.config import _unseeded
 from parrondoqw.evolution import evolve_rows
 
 COIN_A = UniformRotation(np.pi / 2)
@@ -95,6 +97,18 @@ def test_ensemble_workers_do_not_change_bytes(iterations):
     )
     assert one.mean_expectation.tobytes() == two.mean_expectation.tobytes()
     assert one.std_error.tobytes() == two.std_error.tobytes()
+
+
+def test_one_batch_starts_no_pool(monkeypatch):
+    # with a single batch there is nothing for a second process to share
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started for one batch")
+
+    schedule = SCHEDULES["choice_phase"]
+    one = ensemble_expectation(start(21), schedule, 10, 10, 4)
+    monkeypatch.setattr(evolution, "ProcessPoolExecutor", no_pool)
+    two = ensemble_expectation(start(21), schedule, 10, 10, 4, workers=2)
+    assert one.mean_expectation.tobytes() == two.mean_expectation.tobytes()
 
 
 def coin_grid(count, template=ScheduleTemplate("composite", m=2, n=1)):
@@ -202,15 +216,23 @@ def test_seeds_are_derived_only_for_slots_that_read_them(monkeypatch):
     monkeypatch.setattr(evolution, "child_seed", counting)
     cases = [
         (Single(COIN_A), []),
+        (Single(RandomPhaseBeta()), [1]),
         (Composite(COIN_A, COIN_B, 2, 1), []),
+        (Composite(RandomPhaseAlpha(), RandomPhaseBeta(seed=3), 2, 1), [1, 2]),
         (AlternatingEvenOdd(RandomPhaseAlpha(), COIN_B), [1]),
+        (AlternatingEvenOdd(COIN_A, RandomPhaseBeta()), [2]),
         (ProbabilisticChoice(COIN_A, COIN_B, 0.5), [0]),
+        (ProbabilisticChoice(COIN_A, RandomPhaseBeta(), 0.0), [0, 2]),
         (ProbabilisticChoice(RandomPhaseAlpha(), RandomPhaseBeta(), 0.5), [1, 2, 0]),
     ]
+    names = {0: "choice", 1: "coin_a", 2: "coin_b"}
     for schedule, slots in cases:
         calls.clear()
         derived = with_derived_seeds(schedule, 21, 7)
         assert sorted(calls) == sorted(slots)
+        # the metadata and the config's missing-seed check read the same slots
+        assert sorted(collect_seeds(derived)) == sorted(names[slot] for slot in slots)
+        assert _unseeded(derived) is None
         for name, slot in (("a", 1), ("b", 2), ("spec", 1)):
             spec = getattr(derived, name, None)
             if getattr(spec, "seed", None) is not None:

@@ -7,14 +7,12 @@ from parrondoqw import (
     RandomPhaseAlpha,
     RandomPhaseBeta,
     SiteTanhRotation,
-    StepStream,
     UniformRotation,
     general_coin_matrix,
     realize,
     rotation_matrix,
     site_theta,
 )
-from parrondoqw.rng import TAG_ALPHA
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -142,9 +140,6 @@ def test_random_phase_structure():
 def test_random_phase_without_seed_or_stream_raises():
     with pytest.raises(MissingRandomnessError):
         realize(RandomPhaseAlpha(), 0, 0)
-    # an explicit stream substitutes for the missing seed
-    m = realize(RandomPhaseAlpha(), 0, 0, rng=StepStream(1, TAG_ALPHA))
-    assert_unitary(m)
 
 
 def test_uniform_rotation_range_check():

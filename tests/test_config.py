@@ -331,6 +331,14 @@ INVALID = {
     "sweep_coin_with_schedule": (sweep_coin_flat(**SINGLE_SCHEDULE), "schedule.kind"),
     "sweep_initial_with_spin": (without(bloch_flat(**{"initial.phi": "1"}), "initial.theta"),
                                 "initial.phi"),
+    # negative seeds, which the random streams cannot take
+    "choice_negative_seed": (walk_flat(**{
+        "schedule.kind": "probabilistic", "schedule.q": "0.5", "schedule.seed": "-3",
+        "schedule.b.kind": "uniform", "schedule.b.theta": "pi/4"}), "schedule.seed"),
+    "coin_a_negative_seed": (single_random_flat(**{"schedule.a.seed": "-5"}), "schedule.a.seed"),
+    "coin_b_negative_seed": (walk_flat(seed="1", **{
+        "schedule.kind": "alternating", "schedule.b.kind": "random-beta",
+        "schedule.b.seed": "-5"}), "schedule.b.seed"),
 }
 
 

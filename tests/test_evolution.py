@@ -1,3 +1,6 @@
+import functools
+import inspect
+
 import numpy as np
 import pytest
 
@@ -23,11 +26,13 @@ from parrondoqw import (
     apply_coin,
     collect_seeds,
     is_stochastic_schedule,
+    realize,
     run,
     shift,
     step,
     with_derived_seeds,
 )
+from parrondoqw import evolution
 
 from pathsum import path_sum_arrays
 
@@ -159,6 +164,37 @@ def test_probabilistic_choice_without_seed_raises():
 def test_random_phase_schedule_without_seed_raises():
     with pytest.raises(MissingRandomnessError):
         step(down_at_origin(), Single(RandomPhaseAlpha()))
+
+
+@pytest.mark.parametrize("q", [0.5, 0.0])
+def test_unseeded_slot_fails_before_the_first_step(q, monkeypatch):
+    # every slot needs a seed, even that of a coin the choice never picks
+    schedule = ProbabilisticChoice(RandomPhaseAlpha(), UniformRotation(np.pi / 2), q, seed=0)
+    with pytest.raises(MissingRandomnessError, match="slot 1"):
+        step(down_at_origin(), schedule)
+
+    def no_shift(*args, **kwargs):
+        raise AssertionError("evolution started")
+
+    monkeypatch.setattr(evolution, "_shift", no_shift)
+    with pytest.raises(MissingRandomnessError, match="slot 1"):
+        run(down_at_origin(41), schedule, 15)
+    with pytest.raises(MissingRandomnessError, match="slot 1"):
+        apply_coin(down_at_origin(), RandomPhaseAlpha())
+
+
+def test_randomness_enters_only_through_seeds():
+    for fn in (run, step, apply_coin, realize):
+        assert "rng" not in inspect.signature(fn).parameters
+
+
+@pytest.mark.parametrize("make", [
+    RandomPhaseAlpha, RandomPhaseBeta,
+    functools.partial(ProbabilisticChoice, UniformRotation(0.1), UniformRotation(0.2), 0.5),
+])
+def test_negative_seed_is_rejected_at_construction(make):
+    with pytest.raises(ValueError, match="^seed must be a nonnegative integer"):
+        make(seed=-3)
 
 
 def test_coin_application_preserves_norm():
