@@ -11,11 +11,14 @@ coin specs, ``initial.*`` into a ``BlochCoinState``, ``grid.axisN.*`` into a
 ``GridAxis`` and ``sweep.*`` into a ``ScheduleTemplate``. A section's ``kind``
 key picks the class from its family's table; every other key names a field
 of that class and is parsed by the field's annotation. Keys the chosen class
-does not have are rejected, and so are keys the mode does not read (a
-``schedule.*`` section in a classical run, say). Dumping walks the same
-fields and leaves out what the mode does not read, so a parsed ``RunConfig``
-dumps to flat text that parses back to an equal config, which is what makes
-output sidecars replayable.
+does not have are rejected.
+
+``MODES`` describes each run mode once: its help line, the keys it reads and
+the function that runs it. Validation rejects every other key (``seed`` in a
+classical run, say), the command line offers flags only for the keys read,
+and dumping leaves out the keys not read, so a parsed ``RunConfig`` dumps to
+flat text that parses back to an equal config, which is what makes output
+sidecars replayable.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+from . import ensemble, output, sweep
 from .coins import (
     CoinSpec,
     GeneralCoin,
@@ -46,12 +50,11 @@ from .evolution import (
     StrategySchedule,
     _seed_slots,
     reach,
+    run,
     with_derived_seeds,
 )
 from .state import SPIN_DOWN, BlochCoinState, LatticeGeometry, WalkerState
 from .sweep import GridAxis, GridSpec, ScheduleTemplate, check_grid
-
-MODES = ("walk", "ensemble", "sweep-coin", "sweep-initial", "classical")
 
 COIN_KINDS = {
     "uniform": UniformRotation,
@@ -160,24 +163,6 @@ class RunConfig:
     grid_fixed: dict[str, float] = field(default_factory=dict)
     # The flat keys the config was parsed from, in order; not a config key.
     given: tuple = field(default=(), init=False, compare=False, repr=False)
-
-
-# For the keys only some modes read (a name covers the keys below it), each mode's.
-_MODE_READS = {
-    "walk": ("schedule", "initial"),
-    "ensemble": ("schedule", "initial", "iterations"),
-    "sweep-coin": ("sweep", "grid", "initial"),
-    "sweep-initial": ("schedule", "grid", "initial.x0"),
-    "classical": ("p_right",),
-}
-_MODE_KEYS = ("schedule", "sweep", "grid", "initial", "iterations", "p_right")
-
-
-def _unread(mode: str, keys) -> list[str]:
-    """The keys in ``keys`` that ``mode`` does not read."""
-    reads = _MODE_READS.get(mode, _MODE_KEYS)
-    return [k for k in keys if k.split(".")[0] in _MODE_KEYS
-            and not any(k == r or k.startswith(r + ".") for r in reads)]
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +315,7 @@ def config_to_flat(cfg: RunConfig) -> dict[str, str]:
     read; parsing it back gives an equal config."""
     out: dict[str, str] = {}
     _dump(cfg, "", out)
-    for key in _unread(cfg.mode, list(out)):
+    for key in MODES[cfg.mode].unread(list(out)):
         del out[key]
     return out
 
@@ -353,13 +338,13 @@ def _validate_quantum_geometry(cfg: RunConfig):
     _require(cfg.sites is not None, f"mode={cfg.mode} requires 'sites'")
     _require(cfg.sites % 2 == 1, f"sites={cfg.sites} is even; the lattice must be odd")
     _require(cfg.sites >= 3, f"sites={cfg.sites} is too small; need at least 3")
-    _require(cfg.steps >= 0, f"steps={cfg.steps} must be nonnegative")
     _require(
         cfg.sites >= 2 * cfg.steps + 1,
         f"sites={cfg.sites} < 2*steps+1={2 * cfg.steps + 1} for steps={cfg.steps}",
     )
-    schedule = cfg.sweep if cfg.mode == "sweep-coin" else cfg.schedule
-    furthest = reach(abs(cfg.x0), schedule, cfg.steps)
+    # A sweep.* template never interleaves, so without a schedule a walker
+    # shifts once per step.
+    furthest = reach(abs(cfg.x0), cfg.schedule, cfg.steps)
     _require(
         furthest <= (cfg.sites - 1) // 2,
         f"sites={cfg.sites} is too small: from initial.x0={cfg.x0} the walker can "
@@ -402,12 +387,12 @@ def build_initial_state(cfg: RunConfig) -> WalkerState:
 def build_grid_spec(cfg: RunConfig) -> GridSpec:
     _require(cfg.axis1 is not None and cfg.axis2 is not None,
              f"mode={cfg.mode} requires grid.axis1 and grid.axis2")
-    if cfg.mode == "sweep-coin":
-        _require(cfg.sweep is not None, "mode=sweep-coin requires sweep.family")
+    coins = "sweep" in MODES[cfg.mode].reads
+    _require(cfg.sweep is not None or not coins, f"mode={cfg.mode} requires sweep.family")
     grid = GridSpec(
         axis1=cfg.axis1,
         axis2=cfg.axis2,
-        schedule=cfg.sweep if cfg.mode == "sweep-coin" else build_schedule(cfg),
+        schedule=cfg.sweep if coins else build_schedule(cfg),
         steps=cfg.steps,
         geometry=build_geometry(cfg),
         initial=cfg.initial,
@@ -425,27 +410,25 @@ def build_grid_spec(cfg: RunConfig) -> GridSpec:
 
 def validate(cfg: RunConfig) -> RunConfig:
     """Check every invariant the mode requires; raises ConfigError on the first."""
-    _require(cfg.mode in MODES, f"mode={cfg.mode!r}; expected one of {MODES}")
+    _require(cfg.mode in MODES, f"mode={cfg.mode!r}; expected one of {tuple(MODES)}")
+    # Every default is in range, so a key the mode does not read passes here
+    # and is rejected below.
     _require(cfg.workers >= 1, f"workers={cfg.workers} must be >= 1")
     _require(cfg.tie_tolerance >= 0.0, f"tie_tolerance={cfg.tie_tolerance} must be >= 0")
-    if cfg.seed is not None:
-        _require(cfg.seed >= 0, f"seed={cfg.seed} must be nonnegative")
-
-    if cfg.mode == "classical":
-        _require(cfg.steps >= 0, f"steps={cfg.steps} must be nonnegative")
-        _require(
-            0.0 <= cfg.p_right <= 1.0, f"p_right={cfg.p_right} outside [0, 1]"
-        )
-    else:
+    _require(cfg.seed is None or cfg.seed >= 0, f"seed={cfg.seed} must be nonnegative")
+    _require(cfg.steps >= 0, f"steps={cfg.steps} must be nonnegative")
+    _require(0.0 <= cfg.p_right <= 1.0, f"p_right={cfg.p_right} outside [0, 1]")
+    _require(cfg.iterations >= 1, f"iterations={cfg.iterations} must be >= 1")
+    mode = MODES[cfg.mode]
+    if "sites" in mode.reads:
         _validate_quantum_geometry(cfg)
-        if cfg.mode in ("walk", "ensemble"):
-            build_schedule(cfg)
-            if cfg.mode == "ensemble":
-                _require(cfg.iterations >= 1, f"iterations={cfg.iterations} must be >= 1")
-                _require(cfg.seed is not None, "mode=ensemble requires a master seed")
-        else:
-            build_grid_spec(cfg)
-    unread = _unread(cfg.mode, cfg.given)
+    if "grid" in mode.reads:
+        build_grid_spec(cfg)
+    elif "schedule" in mode.reads:
+        build_schedule(cfg)
+    if "iterations" in mode.reads:  # each iteration's seeds derive from the master seed
+        _require(cfg.seed is not None, f"mode={cfg.mode} requires a master seed")
+    unread = mode.unread(cfg.given)
     if unread:
         raise ConfigError(f"{unread[0]} is not read in mode={cfg.mode}; remove it")
     return cfg
@@ -467,6 +450,76 @@ def parse_and_validate(
         flat.update(read_flat_text(path.read_text()))
     if overrides:
         flat.update({k: str(v) for k, v in overrides.items() if v is not None})
-    if "mode" not in flat:
-        raise ConfigError("mode is required (config file key 'mode' or subcommand)")
     return validate(config_from_flat(flat))
+
+
+# ---------------------------------------------------------------------------
+# run modes
+# ---------------------------------------------------------------------------
+
+
+def _run_walk(cfg: RunConfig):
+    result = run(build_initial_state(cfg), build_schedule(cfg), cfg.steps,
+                 record_full=cfg.record_full)
+    return result, output.emit_trajectory, (
+        f"walk: {cfg.steps} steps, final <X> = {result.expectation[-1]:.6g}")
+
+
+def _run_ensemble(cfg: RunConfig):
+    result = ensemble.ensemble_expectation(build_initial_state(cfg), build_schedule(cfg),
+                                           cfg.steps, cfg.iterations, master_seed=cfg.seed,
+                                           workers=cfg.workers)
+    return result, output.emit_ensemble, (
+        f"ensemble: {cfg.iterations} iterations, final mean <X> = "
+        f"{result.mean_expectation[-1]:.6g} (std error {result.std_error[-1]:.3g})")
+
+
+def _run_sweep(cfg: RunConfig):
+    coins = "sweep" in MODES[cfg.mode].reads
+    run_sweep = sweep.sweep_coin_params if coins else sweep.sweep_initial_state
+    result = run_sweep(build_grid_spec(cfg), workers=cfg.workers)
+    wins, losses = (int((result.classification == c).sum()) for c in ("winning", "losing"))
+    return result, output.emit_sweep, (
+        f"{cfg.mode}: {result.expectation.size} points, {wins} winning / {losses} losing")
+
+
+def _run_classical(cfg: RunConfig):
+    result = ensemble.classical_walk(cfg.steps, cfg.p_right)
+    return result, functools.partial(output.emit_classical, record_full=cfg.record_full), (
+        f"classical: {cfg.steps} steps, final variance = {result.variance[-1]:.6g}")
+
+
+@dataclass(frozen=True)
+class Mode:
+    """A run mode: its subcommand's help line, the keys it reads besides
+    ``mode`` and ``out`` (a section name covers every key below it), and the
+    function that runs a validated config, returning the result, the emitter
+    that writes it and a one-line summary. That function looks builders,
+    sweeps and emitters up by module name at call time, so rebinding a name
+    (as ``bench/tracing.py`` does) reaches every call."""
+
+    help: str
+    reads: tuple[str, ...]
+    run: typing.Callable
+
+    def unread(self, keys) -> list[str]:
+        """The keys in ``keys`` this mode does not read."""
+        reads = ("mode", "out", *self.reads)
+        return [k for k in keys if not any(k == r or k.startswith(f"{r}.") for r in reads)]
+
+
+MODES = {
+    "walk": Mode("one trajectory: expectation and variance per step",
+                 ("sites", "steps", "seed", "record_full", "schedule", "initial"), _run_walk),
+    "ensemble": Mode("mean expectation over independently seeded iterations",
+                     ("sites", "steps", "seed", "iterations", "workers", "schedule",
+                      "initial"), _run_ensemble),
+    "sweep-coin": Mode("final expectation over a coin-parameter grid",
+                       ("sites", "steps", "workers", "tie_tolerance", "sweep", "grid",
+                        "initial"), _run_sweep),
+    "sweep-initial": Mode("final expectation over the initial-state Bloch grid",
+                          ("sites", "steps", "seed", "workers", "tie_tolerance", "schedule",
+                           "grid", "initial.x0"), _run_sweep),
+    "classical": Mode("exact classical random-walk baseline",
+                      ("steps", "record_full", "p_right"), _run_classical),
+}

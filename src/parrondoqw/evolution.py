@@ -17,6 +17,7 @@ and sweeps feed it batches of rows through ``evolve_rows``.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -317,11 +318,12 @@ def _evolve(
 
 def map_batches(fn, args: tuple, count: int, workers: int = 1) -> np.ndarray:
     """``fn((*args, start, stop))`` over consecutive batches of at most 64 of
-    range(count), on up to ``workers`` processes if there are two or more
-    batches; concatenated."""
+    range(count), on up to ``workers`` processes, but no more than there are
+    batches or cores; concatenated."""
     jobs = [(*args, i, min(i + _BATCH_ROWS, count)) for i in range(0, count, _BATCH_ROWS)]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+    processes = min(workers, len(jobs), os.cpu_count() or 1)
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             return np.concatenate(list(pool.map(fn, jobs)))
     return np.concatenate([fn(job) for job in jobs])
 

@@ -111,6 +111,32 @@ def test_one_batch_starts_no_pool(monkeypatch):
     assert one.mean_expectation.tobytes() == two.mean_expectation.tobytes()
 
 
+@pytest.mark.parametrize("cores,started", [(2, [2]), (1, []), (None, [])])
+def test_pool_is_capped_at_the_core_count(monkeypatch, cores, started):
+    # a fake pool records its size and starts nothing: 782 batches, 1000 workers asked
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(evolution, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(evolution.os, "cpu_count", lambda: cores)
+    count = 782 * 64
+    rows = evolution.map_batches(lambda job: np.arange(*job), (), count, workers=1000)
+    assert sizes == started
+    assert np.array_equal(rows, np.arange(count))
+
+
 def coin_grid(count, template=ScheduleTemplate("composite", m=2, n=1)):
     return GridSpec(
         axis1=GridAxis("theta_b_minus", -np.pi, np.pi, count),

@@ -250,3 +250,35 @@ def test_cli_sidecar_echo_reruns_identically(tmp_path):
     echo_path.write_text("".join(f"{k} = {v}\n" for k, v in echo.items()))
     assert main(["walk", "--config", str(echo_path), "--out", str(out2)]) == 0
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["walk", "--steps", "abc"], "steps='abc' is not an integer"),
+     (["walk", "--bogus"], "--bogus"),
+     ([], "required"),
+     (["classical", "--seed", "3"], "--seed")],
+    ids=["bad_value", "unknown_flag", "no_subcommand", "flag_the_mode_does_not_read"],
+)
+def test_cli_usage_error_exits_1(argv, message, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "o")] if argv else argv) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["walk", "--help"], ["classical", "--help"]])
+def test_cli_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode,basename,mapping", [
+    ("walk", "trajectory", WALK_CFG), ("classical", "classical", {"steps": "10"}),
+])
+def test_cli_record_full_flag_writes_distribution(mode, basename, mapping, tmp_path):
+    cfg = write_cfg(tmp_path, f"{mode}.cfg", mapping)
+    out = tmp_path / "o"
+    assert main([mode, "--config", str(cfg), "--out", str(out), "--record-full"]) == 0
+    rows = rectangular(out / f"{basename}_distribution.csv")
+    assert len(rows) == len(rectangular(out / f"{basename}.csv"))
+    assert json.loads((out / f"{basename}.json").read_text())["config"]["record_full"] == "true"

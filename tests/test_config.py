@@ -1,3 +1,4 @@
+import argparse
 import math
 import re
 
@@ -16,8 +17,8 @@ from parrondoqw import (
     parse_and_validate,
     parse_angle,
 )
-from parrondoqw.cli import main
-from parrondoqw.config import config_from_flat, read_flat_text, validate
+from parrondoqw.cli import build_parser, main
+from parrondoqw.config import MODES, config_from_flat, read_flat_text, validate
 
 
 @pytest.mark.parametrize(
@@ -339,7 +340,57 @@ INVALID = {
     "coin_b_negative_seed": (walk_flat(seed="1", **{
         "schedule.kind": "alternating", "schedule.b.kind": "random-beta",
         "schedule.b.seed": "-5"}), "schedule.b.seed"),
+    # values their field's type cannot parse
+    "steps_not_integer": (walk_flat(steps="abc"), "steps"),
+    "record_full_not_boolean": (walk_flat(record_full="maybe"), "record_full"),
 }
+
+# What each mode reads besides mode and out; a name covers the keys below it.
+READS = {
+    "walk": {"sites", "steps", "seed", "record_full", "schedule", "initial"},
+    "ensemble": {"sites", "steps", "seed", "iterations", "workers", "schedule", "initial"},
+    "sweep-coin": {"sites", "steps", "workers", "tie_tolerance", "sweep", "grid", "initial"},
+    "sweep-initial": {"sites", "steps", "seed", "workers", "tie_tolerance", "schedule", "grid",
+                      "initial.x0"},
+    "classical": {"steps", "record_full", "p_right"},
+}
+# The keys that have a command-line flag.
+FLAG_KEYS = ("sites", "steps", "seed", "record_full", "iterations", "workers")
+# A valid config of each mode, and entries under each top-level key or section
+# that some mode does not read; the first entry's key is the one an error names.
+MODE_FLATS = {
+    "walk": walk_flat(),
+    "ensemble": walk_flat(mode="ensemble", seed="1"),
+    "sweep-coin": sweep_coin_flat(),
+    "sweep-initial": without(bloch_flat(), "initial.theta"),
+    "classical": CLASSICAL,
+}
+UNREAD_SAMPLES = {
+    "sites": {"sites": "41"},
+    "seed": {"seed": "3"},
+    "record_full": {"record_full": "true"},
+    "iterations": {"iterations": "10"},
+    "workers": {"workers": "2"},
+    "tie_tolerance": {"tie_tolerance": "0.1"},
+    "p_right": {"p_right": "0.25"},
+    "schedule": SINGLE_SCHEDULE,
+    "sweep": {"sweep.family": "single_b"},
+    "grid": {"grid.fixed.theta_a": "1"},
+    "initial": {"initial.phi": "1"},
+    "initial.x0": {"initial.x0": "1"},
+}
+
+
+def reads(mode, key):
+    return any(key == r or key.startswith(f"{r}.") for r in READS[mode] | {"mode", "out"})
+
+
+INVALID.update({
+    f"{mode}_reads_no_{key}": (flat | entries, next(iter(entries)))
+    for mode, flat in MODE_FLATS.items()
+    for key, entries in UNREAD_SAMPLES.items()
+    if not reads(mode, key)
+})
 
 
 @pytest.mark.parametrize("flat,key", INVALID.values(), ids=INVALID.keys())
@@ -379,3 +430,21 @@ def test_echo_lists_only_keys_the_mode_reads(flat):
     assert validate(config_from_flat(echo)) == validate(config_from_flat(flat))
     assert ("iterations" in echo) == (flat["mode"] == "ensemble")
     assert ("p_right" in echo) == (flat["mode"] == "classical")
+    for key in ("workers", "tie_tolerance", "record_full"):
+        assert (key in echo) == (key in READS[flat["mode"]])
+    assert [k for k in echo if not reads(flat["mode"], k)] == []
+
+
+def test_mode_table_lists_the_keys_each_mode_reads():
+    assert {name: set(mode.reads) for name, mode in MODES.items()} == READS
+    # the unread cases above cover every top-level key that some mode reads
+    assert set(UNREAD_SAMPLES) | {"steps"} == set().union(*READS.values())
+    assert sum(name.split("_reads_no_")[0] in READS for name in INVALID) == 31
+
+
+@pytest.mark.parametrize("mode", READS)
+def test_subcommand_offers_flags_only_for_keys_it_reads(mode):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for a in sub.choices[mode]._actions for o in a.option_strings}
+    flags = {"--" + k.replace("_", "-") for k in FLAG_KEYS if k in READS[mode]}
+    assert options == {"-h", "--help", "--config", "--out"} | flags
