@@ -16,8 +16,8 @@ import time
 from .config import MODES, config_to_flat, parse_and_validate
 from .errors import ConfigError, WalkError
 
-# The config keys that have a flag; a subcommand offers those its mode reads.
-# Values stay strings, so a bad one fails config parsing, which names the key.
+# The config keys that have a flag. Each subcommand shows those its mode reads and
+# hides the rest, which then fail validation as in a file; values stay strings.
 _FLAGS = {
     "sites": {"help": "lattice size (odd)"},
     "steps": {"help": "number of time steps"},
@@ -39,9 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=mode.help)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output directory (default: out)")
-        for key in mode.reads:
-            if key in _FLAGS:
-                p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
+        for key, flag in _FLAGS.items():
+            shown = flag if key in mode.reads else dict(flag, help=argparse.SUPPRESS)
+            p.add_argument("--" + key.replace("_", "-"), **shown)
     return parser
 
 

@@ -64,12 +64,11 @@ def general_coin_matrix(q: float, alpha, beta) -> LocalCoin:
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
-    a = np.sqrt(q)
-    b = np.sqrt(1.0 - q)
-    entries = np.broadcast_arrays(
-        a, b * np.exp(1j * alpha), b * np.exp(1j * beta), -a * np.exp(1j * (alpha + beta))
-    )
-    return np.array(entries, dtype=np.complex128).reshape((2, 2) + entries[0].shape)
+    a, b = np.sqrt(q), np.sqrt(1.0 - q)
+    coins = np.empty((2, 2, *np.broadcast(alpha, beta).shape), np.complex128)
+    coins[0, 0], coins[0, 1] = a, b * np.exp(1j * alpha)  # filled in place: cheap for one coin
+    coins[1, 0], coins[1, 1] = b * np.exp(1j * beta), -a * np.exp(1j * (alpha + beta))
+    return coins
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ one site right, spin-down one site left). Four schedules are supported:
 - ``AlternatingEvenOdd``: A twice on even step indices (0 is even), B on odd.
 - ``ProbabilisticChoice``: per step, coin A with probability q, else coin B.
 
-``_evolve`` advances R walks of one shape as the rows of (R, n) arrays, on
-their light cone only: ``run`` and ``step`` are its one-row calls, ensembles
-and sweeps feed it batches of rows through ``evolve_rows``.
+``_evolve`` advances R walks of one shape as the rows of (R, n) arrays, on the
+occupied sublattice of their light cone only: ``run`` and ``step`` are its
+one-row calls, ensembles and sweeps feed it rows through ``evolve_rows``.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from .errors import (
 from .rng import _BLOCK, RNG_ALGORITHM, TAG_ALPHA, TAG_BETA, TAG_CHOICE, _uniform_block
 from .rng import _check_seed, child_seed
 from .state import LatticeGeometry, WalkerState
-
-_LEAK_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -128,62 +126,49 @@ _BATCH_ROWS = 64  # rows per kernel call when ensembles and sweeps batch walks
 
 @lru_cache(maxsize=32)  # as many bytes as 128 real cosine/sine pairs
 def _tanh_field(spec: SiteTanhRotation, n_sites: int):
-    """Coin entries (u00, u01, u10, u11) at every site, a complex (4, n) array;
-    cached, treat as read-only."""
+    """The coin at every site, a complex (2, 2, n) array; cached, treat as read-only."""
     geometry = LatticeGeometry(n_sites)
     half = 0.5 * site_theta(spec.theta_minus, spec.theta_plus, geometry.positions)
     c, s = np.cos(half), np.sin(half)
-    return np.array([c, -s, s, c], dtype=np.complex128)
+    return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
 @lru_cache(maxsize=256)
 def _fixed_matrix(spec: CoinSpec):
-    """Site- and time-independent 2x2, unpacked to scalars; cached."""
-    return tuple(realize(spec, 0, 0).ravel())
+    """Site- and time-independent 2x2 as a (2, 2, 1, 1) array; cached, treat as read-only."""
+    return realize(spec, 0, 0).reshape(2, 2, 1, 1)
 
 
-def _mix(up, down, coin, out, work):
-    """(a up + b down, c up + d down) for coin entries (a, b, c, d) into the pair
-    ``out``, which may overlap the input, through the products at the start of
-    the flat buffer ``work``: reused buffers spare large batches fresh pages."""
-    products = work[: 4 * up.size].reshape((4,) + up.shape)
-    for entry, amplitudes, product in zip(coin, (up, down, up, down), products):
-        np.multiply(entry, amplitudes, product)
-    np.add(products[0], products[1], out[0])
-    np.add(products[2], products[3], out[1])
-    return out
+def _mix(psi, coin, work):
+    """psi[i] <- coin[i, 0] psi[0] + coin[i, 1] psi[1] in place for the (2, R, w) spin
+    pair ``psi``, a (2, 2, R or 1, w or 1) ``coin``, in two ufunc calls through the
+    products at the start of ``work``: reused, it spares large batches fresh pages."""
+    products = work[: 2 * psi.size].reshape((2,) + psi.shape)
+    np.multiply(coin, psi, products)
+    np.add(products[:, 0], products[:, 1], psi)
 
 
-def _pair(work, like):
-    """Room for two arrays shaped like ``like`` after ``_mix``'s products in ``work``."""
-    return work[4 * like.size : 6 * like.size].reshape((2,) + like.shape)
+def _pair(buffers, ua: int, da: int, c: int):
+    """The up view (columns [ua, ua + c) of ``buffers[0]``) and the down view
+    (columns [da, da + c) of ``buffers[1]``) as one strided (2, R, c) array."""
+    _, rows, width = buffers.shape
+    item, gap = buffers.itemsize, rows * width + da - ua  # from an up to its down element
+    return np.ndarray((2, rows, c), buffers.dtype, buffers, ua * item,
+                      (gap * item, width * item, item))
 
 
-def _shift(up, down, u, d, a0: int, a1: int, coin=None, work=None) -> tuple[int, int]:
-    """Write ``u``, ``d``, the amplitudes of columns [a0, a1) after ``coin`` if
-    given, into ``up`` one column right and ``down`` one column left; returns
-    the columns occupied after. Amplitude >1e-14 pushed off the lattice raises."""
-    n = up.shape[1]
-    if coin is not None and 0 < a0 and a1 < n:  # no column leaves the lattice
-        _mix(u, d, coin, (up[:, a0 + 1 : a1 + 1], down[:, a0 - 1 : a1 - 1]), work)
-    else:
-        u, d = (u, d) if coin is None else _mix(u, d, coin, _pair(work, u), work)
-        leak_up = abs(u[:, -1]).max() if a1 == n else 0.0
-        leak_down = abs(d[:, 0]).max() if a0 == 0 else 0.0
-        if max(leak_up, leak_down) > _LEAK_TOL:
-            raise BoundaryLeakageError(f"amplitude {max(leak_up, leak_down):.3e} "
-                                       "reached the lattice edge; enlarge the lattice")
-        up[:, a0 + 1 : a1 + 1] = u[:, : n - a0 - 1]
-        down[:, max(a0 - 1, 0) : a1 - 1] = d[:, 1 if a0 == 0 else 0 :]
-    up[:, a0] = down[:, a1 - 1] = 0.0
-    return max(a0 - 1, 0), min(a1 + 1, n)
+def _check_leak(amplitude: float) -> None:
+    """Amplitude >1e-14 shifted off the lattice raises; less is dropped."""
+    if amplitude > 1e-14:
+        raise BoundaryLeakageError(f"amplitude {amplitude:.3e} reached the lattice edge; "
+                                   "enlarge the lattice")
 
 
 class _Coin:
     """One coin of a schedule for the R rows of a batch. ``at(t, cols)`` gives
-    its entries at step ``t`` over columns ``cols``: scalars for one fixed
-    coin, else a (4, R or 1, w) array, w = 1 for a site-independent coin.
-    Phases are drawn for the rest of a block of steps, to ``t_end``, at once."""
+    it at step ``t`` over the lattice columns ``cols``, a (2, 2, R or 1, w)
+    array; w = 1 for a site-independent coin. Phases are drawn for the rest of
+    a block of steps, to ``t_end``, at once."""
 
     def __init__(self, specs, n_sites: int, t_end: int):
         specs = specs[:1] if all(spec == specs[0] for spec in specs) else specs
@@ -195,23 +180,23 @@ class _Coin:
             self.tag = TAG_ALPHA if self.alpha else TAG_BETA
         elif self.site_dependent:
             fields = [_tanh_field(spec, n_sites) for spec in specs]
-            self.entries = fields[0][:, None] if len(fields) == 1 else np.stack(fields, 1)
+            self.entries = fields[0][:, :, None] if len(fields) == 1 else np.stack(fields, 2)
         elif len(specs) > 1:
-            self.entries = np.array([_fixed_matrix(spec) for spec in specs]).T[:, :, None]
+            self.entries = np.concatenate([_fixed_matrix(spec) for spec in specs], axis=2)
         else:
             self.entries = _fixed_matrix(specs[0])
 
     def at(self, t: int, cols: slice):
         if self.seeds is None:
-            return self.entries[:, :, cols] if self.site_dependent else self.entries
+            return self.entries[..., cols] if self.site_dependent else self.entries
         index, j = divmod(t, _BLOCK)
         if self.block is None or self.block[0] != index:
             stop = min(_BLOCK, self.t_end - index * _BLOCK)
             draws = [_uniform_block(seed, self.tag, index)[j:stop] for seed in self.seeds]
             phase = 2.0 * np.pi * np.array(draws)
             u = general_coin_matrix(0.5, *((phase, 0.0) if self.alpha else (0.0, phase)))
-            self.block = (index, j, u.reshape(4, *phase.shape))
-        return self.block[2][:, :, j - self.block[1] : j - self.block[1] + 1]
+            self.block = (index, j, u)
+        return self.block[2][..., j - self.block[1] : j - self.block[1] + 1]
 
 
 class _Choice:
@@ -230,8 +215,7 @@ class _Choice:
         _, pick, all_a, all_b = self.block
         if all_a[j] or all_b[j]:
             return (self.a if all_a[j] else self.b).at(t, cols)
-        a, b = self.a.at(t, cols), self.b.at(t, cols)
-        return [np.where(pick[:, j : j + 1], x, y) for x, y in zip(a, b)]
+        return np.where(pick[:, j : j + 1], self.a.at(t, cols), self.b.at(t, cols))
 
 
 def _check_seeds(rows) -> None:
@@ -263,55 +247,74 @@ def _evolve(
     observe="series", variance=False, dists=None, clip=False,
 ):
     """Advance the walks in the rows of the (R, n) arrays ``up`` and ``down`` in
-    place, row i under schedule ``rows[i]`` (all of one shape), computing on
-    the light cone only: the columns occupied at the start, grown by one on
-    each side per shift. A cone leaving the lattice raises first, unless
-    ``clip``. Returns <X> and (if ``variance``) Var(X) per row: (R, steps + 1)
-    over t for ``observe`` "series", (R, 1) at the end for "final". ``dists``
-    gets row 0's P(x, t). Reductions are per row: a row's bits ignore its batch."""
+    place, row i under schedule ``rows[i]`` (all of one shape), on the occupied
+    sublattice of the light cone only. Two compact (R, W) buffers hold it:
+    column j of a view stands for lattice column ``lo + s j``, with stride s = 2
+    when the columns occupied at the start share one parity (every shift flips
+    it), else 1. Up amplitudes sit right-aligned and down ones left-aligned, so
+    the coins mix in place and a shift only grows the up view left and the down
+    view right by 2 / s columns. A cone leaving the lattice raises first, unless
+    ``clip``: then amplitude shifted off the lattice is checked and dropped.
+    Returns <X> and (if ``variance``) Var(X) per row: (R, steps + 1) over t for
+    ``observe`` "series", (R, 1) at the end for "final". ``dists`` gets row 0's
+    P(x, t). Reductions are per row: a row's bits ignore its batch."""
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    occupied = np.flatnonzero(((up != 0) | (down != 0)).any(axis=0))
-    half = geometry.half_span
-    a0, a1 = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (half, half + 1)
+    n, half = geometry.n_sites, geometry.half_span
+    occupied = up.any(axis=0) | down.any(axis=0)
+    occupied[half] |= not occupied.any()  # an all-zero state evolves the centre column
+    a0, a1 = int(occupied.argmax()), n - int(occupied[::-1].argmax())
     furthest = reach(max(half - a0, a1 - 1 - half), rows[0], steps)
     if furthest > half and not clip:
         raise GeometryTooSmallError(
             f"the walker can reach |x|={furthest} in {steps} steps, beyond the "
-            f"edge of n_sites={geometry.n_sites} at |x|={half}")
-    even, odd = _plan(rows, geometry.n_sites, t0 + steps)
+            f"edge of n_sites={n} at |x|={half}")
+    even, odd = _plan(rows, n, t0 + steps)
     interleaved = isinstance(rows[0], Composite) and rows[0].interleaved
-    work = np.empty(6 * len(rows) * geometry.n_sites, dtype=np.complex128)  # see _mix
-    if observe:  # x and x^2 at each float of the (re, im) pairs, and buffers
-        x = np.repeat(geometry.positions.astype(float), 2)
-        xs = np.array([x, x * x])[: 2 if variance else 1, None]
-        shape = (2 + len(xs), len(rows), len(x))  # fits in ``work``, idle between steps
+    s = 1 if occupied[a0 + 1 : a1 : 2].any() else 2
+    grow, shifts = 2 // s, reach(0, rows[0], steps)
+    lo, c = a0, (a1 - 1 - a0) // s + 1  # the views' first lattice column and width
+    buffers = np.zeros((2, len(rows), c + grow * shifts), dtype=np.complex128)
+    ua, da = buffers.shape[2] - c, 0  # where the up and the down view start
+    buffers[0, :, ua:], buffers[1, :, :c] = up[:, a0:a1:s], down[:, a0:a1:s]
+    work = np.empty(2 * buffers.size, dtype=np.complex128)  # see _mix
+    if observe:  # x and x^2 at each float of the (re, im) pairs, a line per parity
+        x = np.repeat(np.arange(a0 - shifts, a1 + shifts) - half, 2).astype(float)
+        xs = np.array([x, x * x])[: 1 + variance].reshape(1 + variance, -1, 2)
+        lines = [xs[:, p::s].reshape(1 + variance, 1, -1) for p in range(s)]
+        shape = (3 + variance, len(rows), 2 * buffers.shape[2])  # in ``work``, between mixes
         squares = work.view(np.float64)[: np.prod(shape)].reshape(shape)
     moments = np.zeros((steps + 1 if observe == "series" else 1, len(rows), 1 + variance))
     for k in range(steps + 1):
+        psi = _pair(buffers, ua, da, c)
         if observe == "series" or (observe and k == steps):
-            u, d = up[:, a0:a1], down[:, a0:a1]
             if dists is not None:  # summed in this order, P(x, t) keeps its old bytes
-                dists[k, a0:a1] = (u.real**2 + u.imag**2 + d.real**2 + d.imag**2)[0]
-            w = 2 * (a1 - a0)
-            p = np.square(u.view(np.float64), out=squares[0, :, :w])
-            p += np.square(d.view(np.float64), out=squares[1, :, :w])
-            terms = np.multiply(p, xs[:, :, 2 * a0 : 2 * a1], out=squares[2:, :, :w])
+                u, d = psi
+                dists[k, lo : lo + s * c : s] = (u.real**2 + u.imag**2
+                                                 + d.real**2 + d.imag**2)[0]
+            w, (j, p) = 2 * c, divmod(lo - a0 + shifts, s)
+            sq = np.square(psi.view(np.float64), out=squares[:2, :, :w])
+            x = lines[p][..., 2 * j : 2 * j + w]
+            terms = np.multiply(np.add(*sq, out=sq[0]), x, out=squares[2:, :, :w])
             np.add.reduce(terms, axis=-1, out=moments[k if observe == "series" else 0].T)
         if k == steps:
             break
         t = t0 + k
         coins = odd if t % 2 else even
-        u, d = up[:, a0:a1], down[:, a0:a1]
-        for j, coin in enumerate(coins):
-            if interleaved or j == len(coins) - 1:
-                a0, a1 = _shift(up, down, u, d, a0, a1, coin.at(t, slice(a0, a1)), work)
-                u, d = up[:, a0:a1], down[:, a0:a1]
-            else:
-                u, d = _mix(u, d, coin.at(t, slice(a0, a1)), _pair(work, u), work)
+        for i, coin in enumerate(coins):
+            _mix(psi, coin.at(t, slice(lo, lo + s * c, s)), work)
+            if interleaved or i == len(coins) - 1:  # the shift
+                ua, lo, c = ua - grow, lo - 1, c + grow
+                left, right = lo < 0, lo + s * (c - 1) >= n  # off the lattice: clip only
+                if left or right:
+                    _check_leak(max(abs(buffers[1, :, da]).max() if left else 0.0,
+                                    abs(buffers[0, :, ua + c - 1]).max() if right else 0.0))
+                    ua, da, lo, c = ua + left, da + left, lo + s * left, c - left - right
+                psi = _pair(buffers, ua, da, c)
     if steps:  # + 0.0 turns -0.0 into 0.0: zeros match whichever columns were computed
-        up += 0.0
-        down += 0.0
+        up[...] = down[...] = 0.0
+        np.add(psi[0], 0.0, out=up[:, lo : lo + s * c : s])
+        np.add(psi[1], 0.0, out=down[:, lo : lo + s * c : s])
     mean = moments[:, :, 0].T.copy()
     return mean, np.maximum(moments[:, :, 1].T - mean * mean, 0.0) if variance else None
 
@@ -357,11 +360,9 @@ def apply_coin(state: WalkerState, spec: CoinSpec, t: int | None = None) -> Walk
     """
     _check_seeds([Single(spec)])
     n, t = state.geometry.n_sites, state.time_step if t is None else t
-    coin = _Coin([spec], n, t + 1)
-    up, down = out = np.empty((2, 1, n), dtype=np.complex128)
-    work = np.empty(4 * n, dtype=np.complex128)
-    _mix(state.amp_up[None], state.amp_down[None], coin.at(t, slice(None)), out, work)
-    return WalkerState(state.geometry, up[0], down[0], state.time_step)
+    psi = np.array([state.amp_up, state.amp_down])[:, None]
+    _mix(psi, _Coin([spec], n, t + 1).at(t, slice(None)), np.empty(4 * n, np.complex128))
+    return WalkerState(state.geometry, psi[0, 0], psi[1, 0], state.time_step)
 
 
 def shift(state: WalkerState) -> WalkerState:
@@ -370,10 +371,10 @@ def shift(state: WalkerState) -> WalkerState:
     Raises ``BoundaryLeakageError`` if amplitude beyond 1e-14 sits on the edge
     sites it would push off the lattice; the shift never wraps or reflects.
     """
-    n = state.geometry.n_sites
-    up, down = np.empty((2, 1, n), dtype=np.complex128)
-    _shift(up, down, state.amp_up[None], state.amp_down[None], 0, n)
-    return WalkerState(state.geometry, up[0], down[0], state.time_step)
+    _check_leak(max(abs(state.amp_up[-1]), abs(state.amp_down[0])))
+    up, down = np.zeros((2, state.geometry.n_sites), dtype=np.complex128)
+    up[1:], down[:-1] = state.amp_up[:-1], state.amp_down[1:]
+    return WalkerState(state.geometry, up, down, state.time_step)
 
 
 def step(state: WalkerState, schedule: StrategySchedule) -> WalkerState:

@@ -39,7 +39,9 @@ from parrondoqw import (
 )
 from parrondoqw import evolution
 from parrondoqw.config import _unseeded
-from parrondoqw.evolution import evolve_rows
+from parrondoqw.evolution import evolve_rows, reach
+
+from pathsum import path_sum_arrays
 
 COIN_A = UniformRotation(np.pi / 2)
 COIN_B = SiteTanhRotation(-np.pi / 8, np.pi / 4)
@@ -265,3 +267,62 @@ def test_seeds_are_derived_only_for_slots_that_read_them(monkeypatch):
                 assert spec.seed == child_seed(21, 7, slot)
         if isinstance(derived, ProbabilisticChoice):
             assert derived.seed == child_seed(21, 7, 0)
+
+
+def spread_start(n, sites, time_step=0, amps=None):
+    """A normalized start over ``sites``, up then down amplitudes, at ``time_step``."""
+    g = LatticeGeometry(n)
+    if amps is None:
+        amps = np.exp(1j * np.arange(2 * len(sites))) * np.linspace(1.0, 2.0, 2 * len(sites))
+    amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
+    up, down = np.zeros((2, n), dtype=complex)
+    index = [g.index_of(x) for x in sites]
+    up[index], down[index] = amps[: len(sites)], amps[len(sites) :]
+    return WalkerState(g, up, down, time_step)
+
+
+# Starts and schedules that move the kernel's sublattice views off the usual
+# centred, even, t0 = 0 case: (start, schedule, steps).
+EQUIVALENCE = {
+    # occupied columns of both parities: the kernel keeps every column
+    "two_sublattices": (spread_start(31, [-2, -1, 1]), SCHEDULES["choice_phase"], 6),
+    "off_centre": (spread_start(31, [7]), Composite(COIN_A, COIN_B, 2, 1), 6),
+    "off_centre_spread": (spread_start(31, [-9, -7, -3]), SCHEDULES["choice"], 5),
+    "odd_t0": (spread_start(31, [0], time_step=7), SCHEDULES["alternating_phase"], 6),
+    "odd_t0_two_sublattices": (spread_start(31, [2, 3], time_step=259),
+                               SCHEDULES["composite_general"], 5),
+    # a shift after every coin: the parity still flips on each one
+    "interleaved": (spread_start(31, [1]),
+                    Composite(COIN_A, RandomPhaseBeta(), 2, 1, interleaved=True), 3),
+    "interleaved_two_sublattices": (spread_start(31, [0, 1]),
+                                    Composite(COIN_B, COIN_A, 1, 1, interleaved=True), 4),
+    # diag(1, -1) on a negative real amplitude computes -0.0 parts, which must not survive
+    "signed_zeros": (spread_start(31, [-1], amps=np.array([-0.6, 0.8j])),
+                     Single(GeneralCoin(1.0, 0.0, 0.0)), 3),
+}
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE)
+def test_sublattice_kernel_matches_path_sum_and_batches(name):
+    initial, schedule, steps = EQUIVALENCE[name]
+    g, rows = initial.geometry, [with_derived_seeds(schedule, 5, i) for i in range(70)]
+    batch = evolve_rows(g, initial.amp_up[None], initial.amp_down[None], rows, steps,
+                        t0=initial.time_step)
+    components = [(spin, int(x), amp)
+                  for spin, amps in enumerate((initial.amp_up, initial.amp_down))
+                  for x, amp in zip(g.positions, amps) if amp != 0]
+    shifts = reach(0, schedule, steps)
+    off = np.array([all(abs(x - x0) > shifts or (x - x0 - shifts) % 2 for _, x0, _ in components)
+                    for x in g.positions])  # no start reaches x in that many shifts
+    assert off.any()
+    for i in (0, 1, 69):
+        trajectory = run(initial, rows[i], steps)
+        assert batch[i].tobytes() == trajectory.expectation.tobytes()
+        final = trajectory.final_state
+        up, down = path_sum_arrays(components, rows[i], steps, g.n_sites, initial.time_step)
+        assert np.max(np.abs(final.amp_up - np.array(up))) < 1e-10
+        assert np.max(np.abs(final.amp_down - np.array(down))) < 1e-10
+        for amps in (final.amp_up, final.amp_down):
+            assert not amps[off].any()
+            floats = amps.view(np.float64)
+            assert not np.signbit(floats[floats == 0]).any()  # every zero is +0.0

@@ -257,13 +257,32 @@ def test_cli_sidecar_echo_reruns_identically(tmp_path):
     [(["walk", "--steps", "abc"], "steps='abc' is not an integer"),
      (["walk", "--bogus"], "--bogus"),
      ([], "required"),
-     (["classical", "--seed", "3"], "--seed")],
+     (["classical", "--seed", "3"], "seed is not read in mode=classical")],
     ids=["bad_value", "unknown_flag", "no_subcommand", "flag_the_mode_does_not_read"],
 )
 def test_cli_usage_error_exits_1(argv, message, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path / "o")] if argv else argv) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mode,flag,key,mapping", [
+    ("classical", ["--seed", "3"], "seed = 3", {"steps": "10"}),
+    ("classical", ["--sites", "41"], "sites = 41", {"steps": "10"}),
+    ("walk", ["--iterations", "5"], "iterations = 5", WALK_CFG),
+    ("walk", ["--workers", "2"], "workers = 2", WALK_CFG),
+    ("ensemble", ["--record-full"], "record_full = true", dict(WALK_CFG, seed="1")),
+])
+def test_unread_flag_fails_as_the_same_key_in_a_file(mode, flag, key, mapping, tmp_path,
+                                                      capsys):
+    cfg = write_cfg(tmp_path, "run.cfg", mapping)
+    assert main([mode, "--config", str(cfg), *flag, "--out", str(tmp_path / "a")]) == 1
+    from_flag = capsys.readouterr().err
+    cfg.write_text(cfg.read_text() + key + "\n")
+    assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "b")]) == 1
+    assert from_flag == capsys.readouterr().err
+    assert f"{key.split()[0]} is not read in mode={mode}; remove it" in from_flag
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["walk", "--help"], ["classical", "--help"]])

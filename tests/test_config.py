@@ -444,7 +444,12 @@ def test_mode_table_lists_the_keys_each_mode_reads():
 
 @pytest.mark.parametrize("mode", READS)
 def test_subcommand_offers_flags_only_for_keys_it_reads(mode):
+    # every flag is accepted, so an unread one fails validation, but only read ones show
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    options = {o for a in sub.choices[mode]._actions for o in a.option_strings}
+    actions = sub.choices[mode]._actions
+    shown = {o for a in actions if a.help != argparse.SUPPRESS for o in a.option_strings}
     flags = {"--" + k.replace("_", "-") for k in FLAG_KEYS if k in READS[mode]}
-    assert options == {"-h", "--help", "--config", "--out"} | flags
+    assert shown == {"-h", "--help", "--config", "--out"} | flags
+    accepted = {o for a in actions for o in a.option_strings}
+    assert accepted == shown | {"--" + k.replace("_", "-") for k in FLAG_KEYS}
+    assert all(o in sub.choices[mode].format_help() for o in flags)

@@ -107,6 +107,46 @@ def test_shift_boundary_leakage():
         shift(s)
 
 
+def edge_state(n, edge, amplitude):
+    """Spin-down at the origin plus ``amplitude`` on an edge site, in the spin that
+    the shift moves off the lattice: up on the right edge, down on the left."""
+    s = WalkerState.localized(LatticeGeometry(n), SPIN_DOWN, 0)
+    up, down = s.amp_up.copy(), s.amp_down.copy()
+    if edge == "right":
+        up[-1] = amplitude
+    else:
+        down[0] = amplitude
+    return WalkerState(s.geometry, up, down, 3)
+
+
+# n = 11: the edges have the other parity than the origin (every column kept);
+# n = 13: the same parity (every other column kept)
+EDGES = [(n, edge) for n in (11, 13) for edge in ("left", "right")]
+# coins that keep |up| and |down| at each site: what leaves is the edge amplitude
+DIAGONAL = [Single(UniformRotation(0.0)), Single(GeneralCoin(1.0, 0.5, 1.0))]
+
+
+@pytest.mark.parametrize("n,edge", EDGES)
+@pytest.mark.parametrize("schedule", DIAGONAL + [Single(RandomPhaseAlpha(seed=4))])
+def test_step_raises_on_edge_amplitude_above_tolerance(n, edge, schedule):
+    # 3e-14, or 2.1e-14 of it after the mixing phase coin, leaves the lattice
+    with pytest.raises(BoundaryLeakageError, match="lattice edge"):
+        step(edge_state(n, edge, 3e-14), schedule)
+
+
+@pytest.mark.parametrize("n,edge", EDGES)
+@pytest.mark.parametrize("schedule", DIAGONAL)
+def test_step_drops_edge_amplitude_within_tolerance(n, edge, schedule):
+    start = edge_state(n, edge, 1e-14)
+    stepped, clean = step(start, schedule), step(edge_state(n, edge, 0.0), schedule)
+    # the step is that of the start without the edge amplitude, so the norm it
+    # lost is that amplitude's weight
+    assert stepped.amp_up.tobytes() == clean.amp_up.tobytes()
+    assert stepped.amp_down.tobytes() == clean.amp_down.tobytes()
+    assert 0.0 < abs(start.amp_up[-1]) ** 2 + abs(start.amp_down[0]) ** 2 <= 1e-28
+    assert stepped.time_step == 4
+
+
 def test_step_identity_coin_drifts_down_left():
     s = step(down_at_origin(), Single(UniformRotation(0.0)))
     assert s.position_expectation() == pytest.approx(-1.0, abs=1e-14)
@@ -173,10 +213,10 @@ def test_unseeded_slot_fails_before_the_first_step(q, monkeypatch):
     with pytest.raises(MissingRandomnessError, match="slot 1"):
         step(down_at_origin(), schedule)
 
-    def no_shift(*args, **kwargs):
+    def no_mix(*args, **kwargs):
         raise AssertionError("evolution started")
 
-    monkeypatch.setattr(evolution, "_shift", no_shift)
+    monkeypatch.setattr(evolution, "_mix", no_mix)
     with pytest.raises(MissingRandomnessError, match="slot 1"):
         run(down_at_origin(41), schedule, 15)
     with pytest.raises(MissingRandomnessError, match="slot 1"):
