@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .coins import (
     CoinSpec,
     GeneralCoin,
-    LocalCoin,
     RandomPhaseAlpha,
     RandomPhaseBeta,
     SiteTanhRotation,
@@ -25,9 +24,6 @@ from .coins import (
 )
 from .config import (
     RunConfig,
-    build_grid_spec,
-    build_initial_state,
-    build_schedule,
     config_to_flat,
     dumps_config,
     parse_and_validate,
@@ -67,7 +63,6 @@ from .evolution import (
     with_derived_seeds,
 )
 from .output import (
-    OutputBundle,
     emit_classical,
     emit_ensemble,
     emit_sweep,

@@ -57,7 +57,7 @@ def main(argv=None) -> int:
         return 1
     started = time.perf_counter()
     try:
-        result, emit, summary = MODES[cfg.mode].run(cfg)
+        result, emit, summary = MODES[cfg.mode].run(cfg, **cfg.built)
         bundle = emit(result, cfg.out_dir, config_echo=config_to_flat(cfg),
                       runtime_seconds=time.perf_counter() - started)
     except WalkError as exc:

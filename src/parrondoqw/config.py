@@ -19,6 +19,9 @@ classical run, say), the command line offers flags only for the keys read,
 and dumping leaves out the keys not read, so a parsed ``RunConfig`` dumps to
 flat text that parses back to an equal config, which is what makes output
 sidecars replayable.
+
+Only ``validate`` calls ``build_schedule``, ``build_initial_state`` and ``build_grid_spec``,
+once per run; the mode's runner takes what they built, kept in ``RunConfig.built``.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .evolution import (
     with_derived_seeds,
 )
 from .state import SPIN_DOWN, BlochCoinState, LatticeGeometry, WalkerState
-from .sweep import GridAxis, GridSpec, ScheduleTemplate, check_grid
+from .sweep import GridAxis, GridSpec, ScheduleTemplate
 
 COIN_KINDS = {
     "uniform": UniformRotation,
@@ -163,6 +166,8 @@ class RunConfig:
     grid_fixed: dict[str, float] = field(default_factory=dict)
     # The flat keys the config was parsed from, in order; not a config key.
     given: tuple = field(default=(), init=False, compare=False, repr=False)
+    # The run objects validate built, by the mode runner's argument names.
+    built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +176,8 @@ class RunConfig:
 
 
 def read_flat_text(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment, blank lines ignored."""
-    values: dict[str, str] = {}
+    """Parse ``key = value`` lines, each key once; '#' starts a comment."""
+    values, lines = {}, {}  # key -> value, key -> line number
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -183,7 +188,9 @@ def read_flat_text(text: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not key or not value:
             raise ConfigError(f"line {lineno}: empty key or value in {raw!r}")
-        values[key] = value
+        if key in lines:
+            raise ConfigError(f"line {lineno}: {key} repeats line {lines[key]}")
+        values[key], lines[key] = value, lineno
     return values
 
 
@@ -390,8 +397,7 @@ def build_grid_spec(cfg: RunConfig) -> GridSpec:
     coins = "sweep" in MODES[cfg.mode].reads
     _require(cfg.sweep is not None or not coins, f"mode={cfg.mode} requires sweep.family")
     grid = GridSpec(
-        axis1=cfg.axis1,
-        axis2=cfg.axis2,
+        axis1=cfg.axis1, axis2=cfg.axis2,
         schedule=cfg.sweep if coins else build_schedule(cfg),
         steps=cfg.steps,
         geometry=build_geometry(cfg),
@@ -402,15 +408,17 @@ def build_grid_spec(cfg: RunConfig) -> GridSpec:
         tie_tolerance=cfg.tie_tolerance,
     )
     try:
-        check_grid(grid)
+        sweep.check_grid(grid)
     except (ConfigError, ValueError) as exc:
         raise ConfigError(f"grid.{exc}") from exc
     return grid
 
 
 def validate(cfg: RunConfig) -> RunConfig:
-    """Check every invariant the mode requires; raises ConfigError on the first."""
+    """Check every invariant the mode requires, raising ConfigError on the
+    first, and keep the run objects the mode's runner takes in ``cfg.built``."""
     _require(cfg.mode in MODES, f"mode={cfg.mode!r}; expected one of {tuple(MODES)}")
+    _require(cfg.out_dir != "", "out is empty; it must name an output directory")
     # Every default is in range, so a key the mode does not read passes here
     # and is rejected below.
     _require(cfg.workers >= 1, f"workers={cfg.workers} must be >= 1")
@@ -423,9 +431,9 @@ def validate(cfg: RunConfig) -> RunConfig:
     if "sites" in mode.reads:
         _validate_quantum_geometry(cfg)
     if "grid" in mode.reads:
-        build_grid_spec(cfg)
+        cfg.built = {"grid": build_grid_spec(cfg)}
     elif "schedule" in mode.reads:
-        build_schedule(cfg)
+        cfg.built = {"schedule": build_schedule(cfg), "initial": build_initial_state(cfg)}
     if "iterations" in mode.reads:  # each iteration's seeds derive from the master seed
         _require(cfg.seed is not None, f"mode={cfg.mode} requires a master seed")
     unread = mode.unread(cfg.given)
@@ -445,8 +453,7 @@ def parse_and_validate(
     flat: dict[str, str] = {}
     if config_path is not None:
         path = Path(config_path)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
+        _require(path.is_file(), f"config file not found: {path}")
         flat.update(read_flat_text(path.read_text()))
     if overrides:
         flat.update({k: str(v) for k, v in overrides.items() if v is not None})
@@ -458,26 +465,24 @@ def parse_and_validate(
 # ---------------------------------------------------------------------------
 
 
-def _run_walk(cfg: RunConfig):
-    result = run(build_initial_state(cfg), build_schedule(cfg), cfg.steps,
-                 record_full=cfg.record_full)
+def _run_walk(cfg: RunConfig, initial: WalkerState, schedule: StrategySchedule):
+    result = run(initial, schedule, cfg.steps, record_full=cfg.record_full)
     return result, output.emit_trajectory, (
         f"walk: {cfg.steps} steps, final <X> = {result.expectation[-1]:.6g}")
 
 
-def _run_ensemble(cfg: RunConfig):
-    result = ensemble.ensemble_expectation(build_initial_state(cfg), build_schedule(cfg),
-                                           cfg.steps, cfg.iterations, master_seed=cfg.seed,
-                                           workers=cfg.workers)
+def _run_ensemble(cfg: RunConfig, initial: WalkerState, schedule: StrategySchedule):
+    result = ensemble.ensemble_expectation(initial, schedule, cfg.steps, cfg.iterations,
+                                           master_seed=cfg.seed, workers=cfg.workers)
     return result, output.emit_ensemble, (
         f"ensemble: {cfg.iterations} iterations, final mean <X> = "
         f"{result.mean_expectation[-1]:.6g} (std error {result.std_error[-1]:.3g})")
 
 
-def _run_sweep(cfg: RunConfig):
-    coins = "sweep" in MODES[cfg.mode].reads
+def _run_sweep(cfg: RunConfig, grid: GridSpec):
+    coins = callable(grid.schedule)  # a template; a fixed schedule sweeps initial states
     run_sweep = sweep.sweep_coin_params if coins else sweep.sweep_initial_state
-    result = run_sweep(build_grid_spec(cfg), workers=cfg.workers)
+    result = run_sweep(grid, workers=cfg.workers)
     wins, losses = (int((result.classification == c).sum()) for c in ("winning", "losing"))
     return result, output.emit_sweep, (
         f"{cfg.mode}: {result.expectation.size} points, {wins} winning / {losses} losing")
@@ -493,10 +498,10 @@ def _run_classical(cfg: RunConfig):
 class Mode:
     """A run mode: its subcommand's help line, the keys it reads besides
     ``mode`` and ``out`` (a section name covers every key below it), and the
-    function that runs a validated config, returning the result, the emitter
-    that writes it and a one-line summary. That function looks builders,
-    sweeps and emitters up by module name at call time, so rebinding a name
-    (as ``bench/tracing.py`` does) reaches every call."""
+    function ``run(cfg, **cfg.built)`` that runs a validated config on the
+    objects ``validate`` built, returning the result, its emitter and a
+    one-line summary. Sweeps and emitters are looked up by module name at call
+    time, so rebinding a name (as ``bench/tracing.py`` does) reaches every call."""
 
     help: str
     reads: tuple[str, ...]

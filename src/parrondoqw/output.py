@@ -10,7 +10,7 @@ reproduces the CSV byte for byte; only the sidecar's runtime stamp varies.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -22,12 +22,11 @@ from .sweep import SweepResult
 
 @dataclass
 class OutputBundle:
-    """Paths written by one emit call, plus the sidecar metadata."""
+    """Paths written by one emit call: primary CSV, sidecar, extra CSVs by name."""
 
     data_path: Path
     sidecar_path: Path
-    extra_paths: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
+    extra_paths: dict
 
 
 def _fmt(value) -> str:
@@ -73,7 +72,7 @@ def _emit(kind, out_dir, basename, tables: dict, config_echo, extra: dict) -> Ou
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
     (_, data_path), *extras = paths.items()
-    return OutputBundle(data_path, sidecar, {s[1:]: p for s, p in extras}, metadata)
+    return OutputBundle(data_path, sidecar, {s[1:]: p for s, p in extras})
 
 
 def emit_trajectory(

@@ -141,6 +141,23 @@ def test_cli_runtime_error_exit_2(tmp_path, capsys):
     assert "cannot create output directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["classical", "--steps", "10"],
+                                  ["walk", "--config", "walk.cfg"]], ids=["classical", "walk"])
+def test_cli_empty_out_fails_validation(argv, tmp_path, capsys, monkeypatch):
+    # rejected with exit 1 before any evolution, not after it as a runtime error
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("parrondoqw.ensemble.classical_walk", no_run)
+    monkeypatch.setattr("parrondoqw.config.run", no_run)
+    write_cfg(tmp_path, "walk.cfg", WALK_CFG)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", ""]) == 1
+    captured = capsys.readouterr()
+    assert "configuration error: out is empty" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_flag_overrides_file(tmp_path):
     cfg = write_cfg(tmp_path, "walk.cfg", WALK_CFG)
     out = tmp_path / "o"

@@ -1,9 +1,12 @@
 import argparse
 import math
 import re
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from parrondoqw import config, sweep
 from parrondoqw import (
     Composite,
     ConfigError,
@@ -11,14 +14,21 @@ from parrondoqw import (
     RandomPhaseAlpha,
     Single,
     UniformRotation,
-    build_schedule,
     config_to_flat,
     dumps_config,
     parse_and_validate,
     parse_angle,
 )
 from parrondoqw.cli import build_parser, main
-from parrondoqw.config import MODES, config_from_flat, read_flat_text, validate
+from parrondoqw.config import (
+    MODES,
+    build_grid_spec,
+    build_initial_state,
+    build_schedule,
+    config_from_flat,
+    read_flat_text,
+    validate,
+)
 
 
 @pytest.mark.parametrize(
@@ -53,6 +63,19 @@ def test_flat_text_comments_and_errors():
         read_flat_text("just words\n")
     with pytest.raises(ConfigError):
         read_flat_text("key =\n")
+
+
+def test_flat_text_rejects_a_repeated_key(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="line 3: steps repeats line 1"):
+        read_flat_text("steps = 10\nsites = 41\nsteps = 20\n")
+    path = tmp_path / "twice.cfg"
+    path.write_text("mode = classical\nsteps = 10\nsteps = 20\n")
+    assert main(["classical", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "steps repeats line 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # a flag still overrides the file's one entry
+    path.write_text("mode = classical\nsteps = 10\n")
+    assert parse_and_validate(path, {"steps": "20"}).steps == 20
 
 
 def walk_flat(**extra):
@@ -186,8 +209,6 @@ def sweep_coin_flat(**extra):
 
 
 def test_sweep_coin_config_builds_grid():
-    from parrondoqw import build_grid_spec
-
     cfg = validate(config_from_flat(sweep_coin_flat()))
     grid = build_grid_spec(cfg)
     assert grid.axis1.name == "theta_b_minus"
@@ -453,3 +474,48 @@ def test_subcommand_offers_flags_only_for_keys_it_reads(mode):
     accepted = {o for a in actions for o in a.option_strings}
     assert accepted == shown | {"--" + k.replace("_", "-") for k in FLAG_KEYS}
     assert all(o in sub.choices[mode].format_help() for o in flags)
+
+
+# A small valid config per quantum mode, and the builder and grid-check calls
+# one CLI run of it makes: validation builds each object once and the runner
+# takes it; check_grid runs in validation and once more as the sweep's own check.
+HANDOVER = {
+    "walk": (walk_flat(sites="41", steps="10"),
+             {"build_schedule": 1, "build_initial_state": 1}),
+    "ensemble": (single_random_flat(mode="ensemble", sites="41", steps="10", iterations="8"),
+                 {"build_schedule": 1, "build_initial_state": 1}),
+    "sweep-coin": (sweep_coin_flat(), {"build_grid_spec": 1, "check_grid": 2}),
+    "sweep-initial": (without(bloch_flat(), "initial.theta"),
+                      {"build_schedule": 1, "build_grid_spec": 1, "check_grid": 2}),
+}
+BUILDERS = {"schedule": build_schedule, "initial": build_initial_state,
+            "grid": build_grid_spec}
+
+
+@pytest.mark.parametrize("flat,counts", HANDOVER.values(), ids=HANDOVER.keys())
+def test_validation_hands_the_runner_what_it_built(flat, counts, tmp_path, monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("build_schedule", "build_initial_state", "build_grid_spec"):
+        count(config, name)
+    count(sweep, "check_grid")
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in flat.items()))
+    assert main([flat["mode"], "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert calls == counts
+    monkeypatch.undo()
+    # the runner on validation's objects gives what it gives on freshly built ones
+    cfg = parse_and_validate(path)
+    result, _, _ = MODES[cfg.mode].run(cfg, **cfg.built)
+    fresh, _, _ = MODES[cfg.mode].run(cfg, **{k: BUILDERS[k](cfg) for k in cfg.built})
+    arrays = {k: v for k, v in vars(result).items() if isinstance(v, np.ndarray)}
+    assert arrays and all(np.array_equal(v, getattr(fresh, k)) for k, v in arrays.items())
