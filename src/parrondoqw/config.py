@@ -345,10 +345,6 @@ def _validate_quantum_geometry(cfg: RunConfig):
     _require(cfg.sites is not None, f"mode={cfg.mode} requires 'sites'")
     _require(cfg.sites % 2 == 1, f"sites={cfg.sites} is even; the lattice must be odd")
     _require(cfg.sites >= 3, f"sites={cfg.sites} is too small; need at least 3")
-    _require(
-        cfg.sites >= 2 * cfg.steps + 1,
-        f"sites={cfg.sites} < 2*steps+1={2 * cfg.steps + 1} for steps={cfg.steps}",
-    )
     # A sweep.* template never interleaves, so without a schedule a walker
     # shifts once per step.
     furthest = reach(abs(cfg.x0), cfg.schedule, cfg.steps)
@@ -361,21 +357,25 @@ def _validate_quantum_geometry(cfg: RunConfig):
     )
 
 
-def _unseeded(schedule: StrategySchedule) -> str | None:
-    """Key of the first seed slot in the schedule that has no seed."""
+def _slot_key(schedule: StrategySchedule, seeded: bool) -> str | None:
+    """Key of the first seed slot in the schedule that has a seed (``seeded``)
+    or has none."""
     for slot, name, seed in _seed_slots(schedule):
-        if seed is None:
+        if (seed is not None) == seeded:
             return f"schedule.{_KEYS.get(name, name)}" + (".seed" if slot else "")
     return None
 
 
 def build_schedule(cfg: RunConfig) -> StrategySchedule:
     """The configured schedule, ready to run: with a top-level seed, every
-    stochastic seed slot is derived from it unless all are set explicitly."""
+    stochastic seed slot is derived from it, and none may be set."""
     _require(cfg.schedule is not None, f"mode={cfg.mode} requires a schedule section")
-    missing = _unseeded(cfg.schedule)
-    if missing and cfg.seed is not None:
+    if cfg.seed is not None:
+        given = _slot_key(cfg.schedule, seeded=True)
+        _require(given is None, f"{given} and the top-level seed exclude each other: "
+                                "every seed slot is derived from seed; remove one")
         return with_derived_seeds(cfg.schedule, cfg.seed, 0)
+    missing = _slot_key(cfg.schedule, seeded=False)
     _require(
         missing is None,
         f"the schedule draws random numbers and needs {missing} or a top-level seed",

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DegenerateEnsembleWarning, InsufficientDataError
 from .evolution import (
     StrategySchedule,
+    _seed_slots,
     evolve_rows,
     is_stochastic_schedule,
     map_batches,
@@ -63,6 +64,8 @@ def ensemble_expectation(
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if master_seed is None and _seed_slots(schedule):
+        raise ValueError("master_seed is required: each iteration's seeds derive from it")
     if not is_stochastic_schedule(schedule):
         warnings.warn(
             "schedule has no randomness; every ensemble iteration is identical",

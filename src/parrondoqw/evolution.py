@@ -13,6 +13,11 @@ one site right, spin-down one site left). Four schedules are supported:
 ``_evolve`` advances R walks of one shape as the rows of (R, n) arrays, on the
 occupied sublattice of their light cone only: ``run`` and ``step`` are its
 one-row calls, ensembles and sweeps feed it rows through ``evolve_rows``.
+Draws become coins only in ``_plan``: ``_evolve`` calls it at its first step
+and at the first step of each 256-step block, for the steps up to the end of
+that block or of the run, and gets stateless tables (fixed or tanh coins, the
+window's random-phase coins, the choice's picks) that each step reads by its
+offset into that window.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .coins import (
     general_coin_matrix,
     is_stochastic_spec,
     realize,
+    rotation_matrix,
     site_theta,
 )
 from .errors import (
@@ -127,16 +133,14 @@ _BATCH_ROWS = 64  # rows per kernel call when ensembles and sweeps batch walks
 @lru_cache(maxsize=32)  # as many bytes as 128 real cosine/sine pairs
 def _tanh_field(spec: SiteTanhRotation, n_sites: int):
     """The coin at every site, a complex (2, 2, n) array; cached, treat as read-only."""
-    geometry = LatticeGeometry(n_sites)
-    half = 0.5 * site_theta(spec.theta_minus, spec.theta_plus, geometry.positions)
-    c, s = np.cos(half), np.sin(half)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    positions = LatticeGeometry(n_sites).positions
+    return rotation_matrix(site_theta(spec.theta_minus, spec.theta_plus, positions))
 
 
 @lru_cache(maxsize=256)
 def _fixed_matrix(spec: CoinSpec):
-    """Site- and time-independent 2x2 as a (2, 2, 1, 1) array; cached, treat as read-only."""
-    return realize(spec, 0, 0).reshape(2, 2, 1, 1)
+    """Site- and time-independent 2x2 as a (2, 2, 1) array; cached, treat as read-only."""
+    return realize(spec, 0, 0).reshape(2, 2, 1)
 
 
 def _mix(psi, coin, work):
@@ -164,60 +168,6 @@ def _check_leak(amplitude: float) -> None:
                                    "enlarge the lattice")
 
 
-class _Coin:
-    """One coin of a schedule for the R rows of a batch. ``at(t, cols)`` gives
-    it at step ``t`` over the lattice columns ``cols``, a (2, 2, R or 1, w)
-    array; w = 1 for a site-independent coin. Phases are drawn for the rest of
-    a block of steps, to ``t_end``, at once."""
-
-    def __init__(self, specs, n_sites: int, t_end: int):
-        specs = specs[:1] if all(spec == specs[0] for spec in specs) else specs
-        self.site_dependent = isinstance(specs[0], SiteTanhRotation)
-        self.seeds = self.block = None
-        if is_stochastic_spec(specs[0]):  # seeds checked by _check_seeds
-            self.alpha, self.t_end = isinstance(specs[0], RandomPhaseAlpha), t_end
-            self.seeds = [int(spec.seed) for spec in specs]
-            self.tag = TAG_ALPHA if self.alpha else TAG_BETA
-        elif self.site_dependent:
-            fields = [_tanh_field(spec, n_sites) for spec in specs]
-            self.entries = fields[0][:, :, None] if len(fields) == 1 else np.stack(fields, 2)
-        elif len(specs) > 1:
-            self.entries = np.concatenate([_fixed_matrix(spec) for spec in specs], axis=2)
-        else:
-            self.entries = _fixed_matrix(specs[0])
-
-    def at(self, t: int, cols: slice):
-        if self.seeds is None:
-            return self.entries[..., cols] if self.site_dependent else self.entries
-        index, j = divmod(t, _BLOCK)
-        if self.block is None or self.block[0] != index:
-            stop = min(_BLOCK, self.t_end - index * _BLOCK)
-            draws = [_uniform_block(seed, self.tag, index)[j:stop] for seed in self.seeds]
-            phase = 2.0 * np.pi * np.array(draws)
-            u = general_coin_matrix(0.5, *((phase, 0.0) if self.alpha else (0.0, phase)))
-            self.block = (index, j, u)
-        return self.block[2][..., j - self.block[1] : j - self.block[1] + 1]
-
-
-class _Choice:
-    """Per row and step, coin ``a`` where the row's draw is below q, else ``b``."""
-
-    def __init__(self, a: _Coin, b: _Coin, rows: list):
-        self.a, self.b, self.seeds = a, b, [int(row.seed) for row in rows]
-        self.q, self.block = np.array([row.q for row in rows])[:, None], None
-
-    def at(self, t: int, cols: slice):
-        index, j = divmod(t, _BLOCK)
-        if self.block is None or self.block[0] != index:
-            draws = [_uniform_block(seed, TAG_CHOICE, index) for seed in self.seeds]
-            pick = np.array(draws) < self.q
-            self.block = (index, pick, pick.all(axis=0), ~pick.any(axis=0))
-        _, pick, all_a, all_b = self.block
-        if all_a[j] or all_b[j]:
-            return (self.a if all_a[j] else self.b).at(t, cols)
-        return np.where(pick[:, j : j + 1], self.a.at(t, cols), self.b.at(t, cols))
-
-
 def _check_seeds(rows) -> None:
     """Raise ``MissingRandomnessError`` at the first unseeded slot, used or not."""
     for row in rows:
@@ -227,19 +177,51 @@ def _check_seeds(rows) -> None:
                                              "has no seed; set it or use with_derived_seeds")
 
 
-def _plan(rows, n_sites: int, t_end: int):
-    """The coins that steps of even and of odd time index apply, in order."""
-    _check_seeds(rows)
-    first = rows[0]
-    a, *b = [_Coin(list(specs), n_sites, t_end) for specs in zip(*map(coin_specs, rows))]
-    if isinstance(first, Composite):
-        return [a] * first.m + b * first.n, [a] * first.m + b * first.n
+def _draws(seeds, tag: int, t: int, stop: int) -> np.ndarray:
+    """Draws t to stop - 1, all of one block, of each seed's stream: (R, stop - t)."""
+    index, j = divmod(t, _BLOCK)
+    return np.array([_uniform_block(int(seed), tag, index)[j : j + stop - t]
+                     for seed in seeds])
+
+
+def _coin(specs, n_sites: int, t: int, stop: int):
+    """One coin of the R rows of a batch for steps t to stop - 1, as a function
+    of (step - t, the lattice columns read) that gives a (2, 2, R or 1, w) array;
+    w = 1 for a site-independent coin."""
+    specs = specs[:1] if all(spec == specs[0] for spec in specs) else specs
+    if is_stochastic_spec(specs[0]):  # a phase per row and step
+        alpha = isinstance(specs[0], RandomPhaseAlpha)
+        tag = TAG_ALPHA if alpha else TAG_BETA
+        phase = 2.0 * np.pi * _draws([spec.seed for spec in specs], tag, t, stop)
+        u = general_coin_matrix(0.5, *((phase, 0.0) if alpha else (0.0, phase)))
+        return lambda k, cols: u[..., k : k + 1]
+    tanh = isinstance(specs[0], SiteTanhRotation)
+    table = np.stack([_tanh_field(s, n_sites) if tanh else _fixed_matrix(s) for s in specs], 2)
+    return lambda k, cols: table[..., cols] if tanh else table
+
+
+def _plan(rows, n_sites: int, t: int, stop: int):
+    """The coins that steps t to stop - 1, all of one block, apply, in order:
+    a list for even and one for odd step indices (see ``_coin``). A coin no
+    step of the window applies is not built."""
+    first, specs = rows[0], list(zip(*map(coin_specs, rows)))
     if isinstance(first, AlternatingEvenOdd):
-        return [a, a], b * 2
-    if isinstance(first, ProbabilisticChoice):
-        choice = [_Choice(a, *b, rows)]
-        return choice, choice
-    return [a], [a]  # Single
+        return [[_coin(specs[p], n_sites, t, stop)] * 2 if stop - t > 1 or t % 2 == p else []
+                for p in (0, 1)]
+    a, *b = [_coin(s, n_sites, t, stop) for s in specs]
+    if isinstance(first, Composite):
+        return [[a] * first.m + b * first.n] * 2
+    if not isinstance(first, ProbabilisticChoice):
+        return [[a]] * 2  # Single
+    pick = _draws([row.seed for row in rows], TAG_CHOICE, t, stop) < [[row.q] for row in rows]
+    all_a, all_b = pick.all(axis=0), ~pick.any(axis=0)
+
+    def choice(k, cols):  # coin a where the row's draw is below q, else b
+        if all_a[k] or all_b[k]:
+            return (a if all_a[k] else b[0])(k, cols)
+        return np.where(pick[:, k : k + 1], a(k, cols), b[0](k, cols))
+
+    return [[choice]] * 2
 
 
 def _evolve(
@@ -269,7 +251,7 @@ def _evolve(
         raise GeometryTooSmallError(
             f"the walker can reach |x|={furthest} in {steps} steps, beyond the "
             f"edge of n_sites={n} at |x|={half}")
-    even, odd = _plan(rows, n, t0 + steps)
+    _check_seeds(rows)
     interleaved = isinstance(rows[0], Composite) and rows[0].interleaved
     s = 1 if occupied[a0 + 1 : a1 : 2].any() else 2
     grow, shifts = 2 // s, reach(0, rows[0], steps)
@@ -300,9 +282,11 @@ def _evolve(
         if k == steps:
             break
         t = t0 + k
-        coins = odd if t % 2 else even
+        if k == 0 or t % _BLOCK == 0:  # draws become coins a block of steps at a time
+            start, plan = t, _plan(rows, n, t, min(t0 + steps, (t // _BLOCK + 1) * _BLOCK))
+        coins = plan[t % 2]
         for i, coin in enumerate(coins):
-            _mix(psi, coin.at(t, slice(lo, lo + s * c, s)), work)
+            _mix(psi, coin(t - start, slice(lo, lo + s * c, s)), work)
             if interleaved or i == len(coins) - 1:  # the shift
                 ua, lo, c = ua - grow, lo - 1, c + grow
                 left, right = lo < 0, lo + s * (c - 1) >= n  # off the lattice: clip only
@@ -323,6 +307,8 @@ def map_batches(fn, args: tuple, count: int, workers: int = 1) -> np.ndarray:
     """``fn((*args, start, stop))`` over consecutive batches of at most 64 of
     range(count), on up to ``workers`` processes, but no more than there are
     batches or cores; concatenated."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = [(*args, i, min(i + _BATCH_ROWS, count)) for i in range(0, count, _BATCH_ROWS)]
     processes = min(workers, len(jobs), os.cpu_count() or 1)
     if processes > 1:
@@ -360,8 +346,9 @@ def apply_coin(state: WalkerState, spec: CoinSpec, t: int | None = None) -> Walk
     """
     _check_seeds([Single(spec)])
     n, t = state.geometry.n_sites, state.time_step if t is None else t
+    (coin,) = _plan([Single(spec)], n, t, t + 1)[t % 2]
     psi = np.array([state.amp_up, state.amp_down])[:, None]
-    _mix(psi, _Coin([spec], n, t + 1).at(t, slice(None)), np.empty(4 * n, np.complex128))
+    _mix(psi, coin(0, slice(None)), np.empty(4 * n, np.complex128))
     return WalkerState(state.geometry, psi[0, 0], psi[1, 0], state.time_step)
 
 

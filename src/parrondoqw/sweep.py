@@ -181,17 +181,22 @@ def _chunk(args):
 def check_grid(grid: GridSpec) -> None:
     """Reject, before any point runs, a grid that does not fit its schedule.
 
-    A template schedule sweeps two coin parameters and may fix the third; a
-    fixed schedule sweeps the Bloch angles (theta, phi) and fixes nothing.
-    The four corner points are then built, so an axis range the schedule or
-    the initial state rejects fails here too: axis values lie between the
-    corners and every parameter's valid range is an interval. Raises
-    ConfigError for names and unbound parameters, ValueError for ranges.
+    A template schedule sweeps two coin parameters it reads (any of them, for
+    a plain factory) and may fix the third; a fixed schedule sweeps the Bloch
+    angles (theta, phi) and fixes nothing. The four corner points are then
+    built, so an axis range the schedule or the initial state rejects fails
+    here too: axis values lie between the corners and every parameter's
+    valid range is an interval. Raises ConfigError for names and unbound
+    parameters, ValueError for ranges and a negative tie tolerance.
     """
+    if grid.tie_tolerance < 0.0:
+        raise ValueError(f"tie_tolerance must be >= 0, got {grid.tie_tolerance}")
     names = (grid.axis1.name, grid.axis2.name)
     allowed = COIN_PARAMETERS if callable(grid.schedule) else BLOCH_PARAMETERS
-    if names[0] == names[1] or not set(names) <= set(allowed):
-        raise ConfigError(f"axis1.name and axis2.name must be two of {allowed}, got {names}")
+    swept = (grid.schedule.required_parameters()
+             if isinstance(grid.schedule, ScheduleTemplate) else allowed)
+    if names[0] == names[1] or not set(names) <= set(swept):
+        raise ConfigError(f"axis1.name and axis2.name must be two of {swept}, got {names}")
     for name in grid.fixed:
         if name not in set(allowed) - set(names):
             raise ConfigError(f"fixed.{name} is not a coin parameter left free by the axes")

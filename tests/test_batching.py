@@ -38,7 +38,7 @@ from parrondoqw import (
     with_derived_seeds,
 )
 from parrondoqw import evolution
-from parrondoqw.config import _unseeded
+from parrondoqw.config import _slot_key
 from parrondoqw.evolution import evolve_rows, reach
 
 from pathsum import path_sum_arrays
@@ -260,7 +260,7 @@ def test_seeds_are_derived_only_for_slots_that_read_them(monkeypatch):
         assert sorted(calls) == sorted(slots)
         # the metadata and the config's missing-seed check read the same slots
         assert sorted(collect_seeds(derived)) == sorted(names[slot] for slot in slots)
-        assert _unseeded(derived) is None
+        assert _slot_key(derived, seeded=False) is None
         for name, slot in (("a", 1), ("b", 2), ("spec", 1)):
             spec = getattr(derived, name, None)
             if getattr(spec, "seed", None) is not None:

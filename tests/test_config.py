@@ -105,7 +105,7 @@ def test_even_sites_rejected():
 
 
 def test_lattice_too_small_for_steps():
-    with pytest.raises(ConfigError, match="2\\*steps\\+1"):
+    with pytest.raises(ConfigError, match="too small"):
         validate(config_from_flat(walk_flat(steps="101")))
 
 
@@ -361,6 +361,21 @@ INVALID = {
     "coin_b_negative_seed": (walk_flat(seed="1", **{
         "schedule.kind": "alternating", "schedule.b.kind": "random-beta",
         "schedule.b.seed": "-5"}), "schedule.b.seed"),
+    # a top-level seed derives every seed slot, so none may be set beside it
+    "walk_slot_and_top_seed": (walk_flat(seed="1", **{
+        "schedule.kind": "alternating", "schedule.b.kind": "random-beta",
+        "schedule.b.seed": "5"}), "schedule.b.seed"),
+    "ensemble_slot_and_top_seed": (walk_flat(mode="ensemble", seed="1", **{
+        "schedule.kind": "probabilistic", "schedule.q": "0.5", "schedule.seed": "111",
+        "schedule.b.kind": "uniform", "schedule.b.theta": "pi/4"}), "schedule.seed"),
+    "sweep_initial_slot_and_top_seed": (without(bloch_flat(seed="3", **{
+        "schedule.a.kind": "random-alpha", "schedule.a.seed": "5"}),
+        "initial.theta", "schedule.a.theta"), "schedule.a.seed"),
+    # an axis the sweep's template never reads
+    "sweep_coin_unread_axis": (without(sweep_coin_flat(**{
+        "sweep.family": "single_b", "sweep.m": "0", "sweep.n": "0",
+        "grid.axis1.name": "theta_a", "grid.fixed.theta_b_minus": "pi/2"}),
+        "grid.fixed.theta_a"), "grid.axis1"),
     # values their field's type cannot parse
     "steps_not_integer": (walk_flat(steps="abc"), "steps"),
     "record_full_not_boolean": (walk_flat(record_full="maybe"), "record_full"),

@@ -186,3 +186,30 @@ def test_worker_count_does_not_change_results():
     sweeps = [sweep_coin_params(grid, workers=w) for w in (1, 2)]
     assert np.array_equal(sweeps[0].expectation, sweeps[1].expectation)
     assert np.array_equal(sweeps[0].classification, sweeps[1].classification)
+
+
+def test_bad_arguments_fail_before_any_walk(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a walk ran")
+
+    monkeypatch.setattr("parrondoqw.ensemble.evolve_rows", no_run)
+    monkeypatch.setattr("parrondoqw.sweep.evolve_rows", no_run)
+    schedule = Single(RandomPhaseAlpha())
+    with pytest.raises(ValueError, match="master_seed"):
+        ensemble_expectation(down(), schedule, 5, 3, master_seed=None)
+    grid = GridSpec(
+        axis1=GridAxis("theta_b_minus", -np.pi, np.pi, 3),
+        axis2=GridAxis("theta_b_plus", -np.pi, np.pi, 3),
+        schedule=ScheduleTemplate("single_b"),
+        steps=5,
+        geometry=LatticeGeometry(21),
+        tie_tolerance=-1.0,
+    )
+    with pytest.raises(ValueError, match="tie_tolerance"):
+        sweep_coin_params(grid)
+    grid.tie_tolerance = 1e-9
+    for workers in (0, -5):
+        with pytest.raises(ValueError, match="workers"):
+            ensemble_expectation(down(), schedule, 5, 3, master_seed=1, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            sweep_coin_params(grid, workers=workers)

@@ -190,3 +190,16 @@ def test_bad_axis_range_fails_before_any_point_runs(monkeypatch):
     bloch.axis1 = GridAxis("theta", 0.0, 4.0, 3)
     with pytest.raises(ValueError, match="theta=4.0"):
         sweep_initial_state(bloch)
+
+
+def test_axis_the_template_never_reads_fails_before_any_point_runs(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr("parrondoqw.sweep.evolve_rows", no_run)
+    # single_b has no uniform coin: every theta_a would give the same walk
+    grid = coin_grid(ScheduleTemplate("single_b"))
+    grid.axis1 = GridAxis("theta_a", -np.pi, np.pi, 3)
+    grid.fixed = {"theta_b_minus": 0.5}
+    with pytest.raises(ConfigError, match="two of \\('theta_b_minus', 'theta_b_plus'\\)"):
+        sweep_coin_params(grid)
