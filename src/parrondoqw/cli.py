@@ -3,7 +3,8 @@
 One subcommand per run mode in ``config.MODES``: ``walk``, ``ensemble``,
 ``sweep-coin``, ``sweep-initial``, ``classical``. Each reads an optional flat
 config file plus flags for the keys its mode reads (flags win), runs the
-computation, and writes CSV data with a JSON sidecar. Exit codes: 0 success,
+computation, and writes CSV data with a JSON sidecar. A warning the run raises
+prints as one ``warning: <message>`` line on stderr. Exit codes: 0 success,
 1 usage or validation error, 2 runtime error.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 
 from .config import MODES, config_to_flat, parse_and_validate
 from .errors import ConfigError, WalkError
@@ -57,7 +59,10 @@ def main(argv=None) -> int:
         return 1
     started = time.perf_counter()
     try:
-        result, emit, summary = MODES[cfg.mode].run(cfg, **cfg.built)
+        with warnings.catch_warnings(record=True) as caught:
+            result, emit, summary = MODES[cfg.mode].run(cfg, **cfg.built)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
         bundle = emit(result, cfg.out_dir, config_echo=config_to_flat(cfg),
                       runtime_seconds=time.perf_counter() - started)
     except WalkError as exc:

@@ -344,6 +344,8 @@ def apply_coin(state: WalkerState, spec: CoinSpec, t: int | None = None) -> Walk
     ``t`` defaults to the state's own time index and selects the per-step
     phase draw for random-phase specs, which need a seed.
     """
+    if t is not None and t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
     _check_seeds([Single(spec)])
     n, t = state.geometry.n_sites, state.time_step if t is None else t
     (coin,) = _plan([Single(spec)], n, t, t + 1)[t % 2]

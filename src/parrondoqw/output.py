@@ -1,10 +1,11 @@
 """Plot-ready CSV emission with JSON sidecars.
 
-Every emit writes a primary CSV (full double precision, 17 significant
-digits, '.' decimal separator) plus a JSON sidecar carrying the flat config
+Every emit writes a primary CSV plus a JSON sidecar carrying the flat config
 echo, the RNG algorithm identifier, the seeds actually consumed, the package
-version, and the wall-clock runtime. Re-running the sidecar's config echo
-reproduces the CSV byte for byte; only the sidecar's runtime stamp varies.
+version, and the wall-clock runtime. The emitters only name columns and pass
+arrays; ``_emit`` alone turns numbers into text, with 17 significant digits
+and a '.' separator. Re-running the sidecar's config echo reproduces the CSV
+byte for byte; only the sidecar's runtime stamp varies.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .ensemble import ClassicalWalkResult, EnsembleResult
@@ -29,24 +32,13 @@ class OutputBundle:
     extra_paths: dict
 
 
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
-
-
-def _table(corner: str, columns, row_labels, matrix, cell=_fmt):
-    """Header ``[corner, *columns]``, then one row per label: the label and
-    its formatted matrix row."""
-    rows = ([label] + [cell(v) for v in row] for label, row in zip(row_labels, matrix))
-    return [corner] + list(columns), rows
-
-
-def _int_labels(values):
-    return [str(int(v)) for v in values]
+_NUMBER = "%.17g"  # integers print without a decimal point, and -0 stays -0
 
 
 def _emit(kind, out_dir, basename, tables: dict, config_echo, extra: dict) -> OutputBundle:
-    """Write ``{basename}{suffix}.csv`` for each ``suffix: (header, rows)``
-    (the first is the primary data file), then the JSON sidecar."""
+    """Write ``{basename}{suffix}.csv`` for each ``suffix: (header, labels, matrix)``
+    (the first is the primary data file), then the JSON sidecar. Row i is
+    ``labels[i]`` then ``matrix[i]``; every number, in the header too, prints as _NUMBER."""
     if out_dir is None or str(out_dir) == "":
         raise OutputError("output directory path is empty")
     out = Path(out_dir)
@@ -59,12 +51,14 @@ def _emit(kind, out_dir, basename, tables: dict, config_echo, extra: dict) -> Ou
     metadata = {"kind": kind, "version": __version__,
                 "config": dict(config_echo) if config_echo else None, **extra}
     try:
-        for suffix, (header, rows) in tables.items():
-            path = paths[suffix]
+        for path, (header, labels, matrix) in zip(paths.values(), tables.values()):
+            head = ",".join(h if isinstance(h, str) else _NUMBER % h for h in header)
+            cell = "%s" if matrix.dtype.kind in "OSU" else _NUMBER  # text, e.g. "winning"
+            line = ",".join([_NUMBER] + [cell] * matrix.shape[1]) + "\n"
             with open(path, "w", newline="") as fh:
-                fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(row) + "\n")
+                fh.write(head + "\n")
+                for label, row in zip(labels, matrix):
+                    fh.write(line % (label, *row))
         path = sidecar
         with open(sidecar, "w") as fh:
             json.dump(metadata, fh, indent=2, sort_keys=True, default=str)
@@ -84,12 +78,11 @@ def emit_trajectory(
 ) -> OutputBundle:
     """Write t/expectation/variance columns, the optional P(x, t) matrix, and
     the sidecar."""
-    times = _int_labels(trajectory.times)
-    tables = {"": _table("t", ["expectation", "variance"], times,
-                         zip(trajectory.expectation, trajectory.variance))}
+    times, positions = trajectory.times, trajectory.final_state.geometry.positions
+    tables = {"": (("t", "expectation", "variance"), times,
+                   np.column_stack((trajectory.expectation, trajectory.variance)))}
     if trajectory.distributions is not None:
-        positions = _int_labels(trajectory.final_state.geometry.positions)
-        tables["_distribution"] = _table("t", positions, times, trajectory.distributions)
+        tables["_distribution"] = (("t", *positions), times, trajectory.distributions)
     extra = {"trajectory": trajectory.metadata, "runtime_seconds": runtime_seconds}
     return _emit("trajectory", out_dir, basename, tables, config_echo, extra)
 
@@ -101,9 +94,8 @@ def emit_ensemble(
     config_echo=None,
     runtime_seconds: float | None = None,
 ) -> OutputBundle:
-    times = _int_labels(result.times)
-    tables = {"": _table("t", ["mean_expectation", "std_error"], times,
-                         zip(result.mean_expectation, result.std_error))}
+    tables = {"": (("t", "mean_expectation", "std_error"), result.times,
+                   np.column_stack((result.mean_expectation, result.std_error)))}
     extra = {"ensemble": result.metadata, "runtime_seconds": runtime_seconds}
     return _emit("ensemble", out_dir, basename, tables, config_echo, extra)
 
@@ -116,13 +108,11 @@ def emit_classical(
     config_echo=None,
     runtime_seconds: float | None = None,
 ) -> OutputBundle:
-    times = _int_labels(result.times)
-    tables = {"": _table("t", ["expectation", "variance"], times,
-                         zip(result.expectation, result.variance))}
+    tables = {"": (("t", "expectation", "variance"), result.times,
+                   np.column_stack((result.expectation, result.variance)))}
     if record_full:
-        tables["_distribution"] = _table(
-            "t", _int_labels(result.positions), times, result.distributions
-        )
+        tables["_distribution"] = (("t", *result.positions), result.times,
+                                   result.distributions)
     extra = {"runtime_seconds": runtime_seconds}
     return _emit("classical", out_dir, basename, tables, config_echo, extra)
 
@@ -136,12 +126,10 @@ def emit_sweep(
 ) -> OutputBundle:
     """Write the expectation matrix (one row per axis1 value, axis value
     headers), the parallel classification matrix, and the sidecar."""
-    corner = f"{result.grid.axis1.name}\\{result.grid.axis2.name}"
-    columns = [_fmt(v) for v in result.axis2_values]
-    rows = [_fmt(v) for v in result.axis1_values]
+    header = (f"{result.grid.axis1.name}\\{result.grid.axis2.name}", *result.axis2_values)
     tables = {
-        "_expectation": _table(corner, columns, rows, result.expectation),
-        "_classification": _table(corner, columns, rows, result.classification, str),
+        "_expectation": (header, result.axis1_values, result.expectation),
+        "_classification": (header, result.axis1_values, result.classification),
     }
     extra = {
         "sweep": result.metadata,

@@ -78,23 +78,21 @@ ScheduleFactory = Callable[[Mapping[str, float]], StrategySchedule]
 class ScheduleTemplate:
     """Builds the uniform-A / site-tanh-B game family from named coin parameters.
 
-    Kinds: ``single_a`` (uniform coin alone), ``single_b`` (site-dependent
-    coin alone), ``composite`` (A m times then B n times per step).
+    Kinds: ``single_b`` (site-dependent coin alone), ``composite`` (A m
+    times then B n times per step).
     """
 
     kind: str
     m: int = 0
     n: int = 0
 
-    _KINDS = ("single_a", "single_b", "composite")
+    _KINDS = ("single_b", "composite")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"kind must be one of {self._KINDS}, got {self.kind!r}")
 
     def required_parameters(self) -> tuple[str, ...]:
-        if self.kind == "single_a":
-            return ("theta_a",)
         if self.kind == "single_b":
             return ("theta_b_minus", "theta_b_plus")
         return COIN_PARAMETERS
@@ -106,8 +104,6 @@ class ScheduleTemplate:
                 f"schedule template '{self.kind}' is missing parameter(s) "
                 f"{', '.join(missing)}; bind them to a grid axis or a fixed value"
             )
-        if self.kind == "single_a":
-            return Single(UniformRotation(params["theta_a"]))
         coin_b = SiteTanhRotation(params["theta_b_minus"], params["theta_b_plus"])
         if self.kind == "single_b":
             return Single(coin_b)

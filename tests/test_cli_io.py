@@ -6,12 +6,15 @@ import pytest
 
 from parrondoqw import (
     SPIN_DOWN,
+    ClassicalWalkResult,
     GridAxis,
     GridSpec,
     LatticeGeometry,
     OutputError,
     ScheduleTemplate,
     Single,
+    SweepResult,
+    Trajectory,
     UniformRotation,
     WalkerState,
     classical_walk,
@@ -77,6 +80,51 @@ def test_emit_sweep_two_by_two(tmp_path):
     assert len(crows) == 3
     labels = {cell for row in crows[1:] for cell in row[1:]}
     assert labels <= {"winning", "losing", "neutral"}
+
+
+def table(path):
+    """A CSV's header after the corner cell, its row labels and its other cells."""
+    rows = rectangular(path)
+    return rows[0][1:], [r[0] for r in rows[1:]], [r[1:] for r in rows[1:]]
+
+
+def test_csv_numbers_print_with_17_significant_digits(tmp_path):
+    def number(v):
+        return format(float(v), ".17g")
+
+    def integer(v):
+        return str(int(v))
+
+    values = np.array([-0.0, 5e-324, 0.1, 1 / 3, 2.0**53 + 1, -2.5])
+    assert [number(v) for v in values] == [
+        "-0", "4.9406564584124654e-324", "0.10000000000000001", "0.33333333333333331",
+        "9007199254740992", "-2.5"]
+    geometry = LatticeGeometry(5)  # positions -2..2
+    times, dist = np.arange(3), np.resize(values, (3, 5))
+    traj = Trajectory(times, values[:3], values[3:], dist,
+                      WalkerState.localized(geometry, SPIN_DOWN, 0), {})
+    classical = ClassicalWalkResult(times, geometry.positions, dist, values[:3], values[3:])
+    t_labels = [integer(t) for t in times]
+    series = [[number(a), number(b)] for a, b in zip(values[:3], values[3:])]
+    cells = [[number(v) for v in row] for row in dist]
+    for bundle in (emit_trajectory(traj, tmp_path / "walk"),
+                   emit_classical(classical, tmp_path / "classical", record_full=True)):
+        assert table(bundle.data_path) == (["expectation", "variance"], t_labels, series)
+        assert table(bundle.extra_paths["distribution"]) == (
+            [integer(x) for x in geometry.positions], t_labels, cells)
+
+    grid = GridSpec(axis1=GridAxis("theta_b_minus", -1.0, 1.0, 2),
+                    axis2=GridAxis("theta_b_plus", -1.0, 1.0, 3),
+                    schedule=ScheduleTemplate("single_b"), steps=4, geometry=geometry)
+    classes = np.array([["winning", "losing", "neutral"],
+                        ["neutral", "winning", "losing"]], dtype=object)
+    expectation = np.resize(values[::-1], (2, 3))
+    bundle = emit_sweep(SweepResult(values[:2], values[2:5], expectation, classes, grid, {}),
+                        tmp_path / "sweep")
+    axis1, axis2 = [number(v) for v in values[:2]], [number(v) for v in values[2:5]]
+    assert table(bundle.data_path) == (
+        axis2, axis1, [[number(v) for v in row] for row in expectation])
+    assert table(bundle.extra_paths["classification"]) == (axis2, axis1, classes.tolist())
 
 
 def test_emit_empty_output_path_fails():
@@ -197,6 +245,19 @@ def test_cli_ensemble(tmp_path):
     rows = rectangular(out / "ensemble.csv")
     assert rows[0] == ["t", "mean_expectation", "std_error"]
     assert len(rows) == 22
+
+
+def test_cli_prints_a_run_warning_as_one_stderr_line(tmp_path, capsys):
+    # the schedule has no randomness, so every ensemble iteration is the same walk
+    cfg = write_cfg(tmp_path, "det.cfg", WALK_CFG)
+    out = tmp_path / "d"
+    code = main(["ensemble", "--config", str(cfg), "--out", str(out),
+                 "--seed", "7", "--iterations", "3"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "warning: schedule has no randomness; every ensemble iteration is identical\n")
+    assert captured.out.endswith(f"wrote {out / 'ensemble.csv'}\n")
 
 
 def test_cli_sweep_coin_and_rerun_identical(tmp_path):

@@ -376,6 +376,9 @@ INVALID = {
         "sweep.family": "single_b", "sweep.m": "0", "sweep.n": "0",
         "grid.axis1.name": "theta_a", "grid.fixed.theta_b_minus": "pi/2"}),
         "grid.fixed.theta_a"), "grid.axis1"),
+    # a family with one coin parameter, which leaves no plane to sweep
+    "sweep_family_single_a": (sweep_coin_flat(**{"sweep.family": "single_a"}),
+                              "sweep.family"),
     # values their field's type cannot parse
     "steps_not_integer": (walk_flat(steps="abc"), "steps"),
     "record_full_not_boolean": (walk_flat(record_full="maybe"), "record_full"),

@@ -84,6 +84,12 @@ def test_degenerate_tanh_equals_uniform():
     assert np.allclose(a.amp_down, b.amp_down, atol=1e-14)
 
 
+@pytest.mark.parametrize("spec", [UniformRotation(1.0), RandomPhaseAlpha(seed=3)])
+def test_apply_coin_rejects_negative_t(spec):
+    with pytest.raises(ValueError, match=r"^t must be nonnegative, got -1$"):
+        apply_coin(down_at_origin(), spec, t=-1)
+
+
 def test_shift_moves_spins_opposite_ways():
     g = LatticeGeometry(5)
     up = shift(WalkerState.localized(g, SPIN_UP, 0))

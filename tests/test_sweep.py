@@ -124,7 +124,13 @@ def bloch_grid(schedule, count_theta=3, count_phi=4, steps=10, n=21, **kwargs):
 
 def test_initial_sweep_rejects_template():
     with pytest.raises(ConfigError):
-        sweep_initial_state(bloch_grid(ScheduleTemplate("single_a")))
+        sweep_initial_state(bloch_grid(ScheduleTemplate("single_b")))
+
+
+def test_template_has_no_single_a_family():
+    # a uniform coin alone reads only theta_a, so it has no plane to sweep
+    with pytest.raises(ValueError, match="single_a"):
+        ScheduleTemplate("single_a")
 
 
 def test_initial_sweep_rejects_coin_axes():
