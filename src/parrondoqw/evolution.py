@@ -73,10 +73,10 @@ class Composite:
     interleaved: bool = False
 
     def __post_init__(self):
-        if self.m < 0 or self.n < 0 or self.m + self.n < 1:
-            raise ValueError(
-                f"need m >= 0, n >= 0 and m + n >= 1, got m={self.m}, n={self.n}"
-            )
+        counts = all(isinstance(v, (int, np.integer)) for v in (self.m, self.n))
+        if not counts or self.m < 0 or self.n < 0 or self.m + self.n < 1:
+            raise ValueError(f"need integers m >= 0, n >= 0 with m + n >= 1, "
+                             f"got m={self.m!r}, n={self.n!r}")
 
 
 @dataclass(frozen=True)
@@ -130,17 +130,25 @@ class Trajectory:
 _BATCH_ROWS = 64  # rows per kernel call when ensembles and sweeps batch walks
 
 
-@lru_cache(maxsize=32)  # as many bytes as 128 real cosine/sine pairs
+@lru_cache(maxsize=64)  # a batch of fields, as many bytes as 128 cosine/sine pairs
 def _tanh_field(spec: SiteTanhRotation, n_sites: int):
-    """The coin at every site, a complex (2, 2, n) array; cached, treat as read-only."""
-    positions = LatticeGeometry(n_sites).positions
-    return rotation_matrix(site_theta(spec.theta_minus, spec.theta_plus, positions))
+    """The coin at every site, a float64 (2, 2, n) array; cached, treat as read-only."""
+    theta = site_theta(spec.theta_minus, spec.theta_plus, LatticeGeometry(n_sites).positions)
+    return rotation_matrix(theta).real.copy()  # a y-rotation: its imaginary part is 0
 
 
 @lru_cache(maxsize=256)
 def _fixed_matrix(spec: CoinSpec):
-    """Site- and time-independent 2x2 as a (2, 2, 1) array; cached, treat as read-only."""
-    return realize(spec, 0, 0).reshape(2, 2, 1)
+    """Site- and time-independent 2x2 as a (2, 2, 1) array, float64 if its imaginary
+    part is 0, else complex; cached, treat as read-only."""
+    coin = realize(spec, 0, 0).reshape(2, 2, 1)
+    return coin if coin.imag.any() else coin.real.copy()
+
+
+def _table(spec: CoinSpec, n_sites: int):
+    """The cached table of a fixed or tanh coin (``_fixed_matrix``, ``_tanh_field``)."""
+    tanh = isinstance(spec, SiteTanhRotation)
+    return _tanh_field(spec, n_sites) if tanh else _fixed_matrix(spec)
 
 
 def _mix(psi, coin, work):
@@ -196,7 +204,7 @@ def _coin(specs, n_sites: int, t: int, stop: int):
         u = general_coin_matrix(0.5, *((phase, 0.0) if alpha else (0.0, phase)))
         return lambda k, cols: u[..., k : k + 1]
     tanh = isinstance(specs[0], SiteTanhRotation)
-    table = np.stack([_tanh_field(s, n_sites) if tanh else _fixed_matrix(s) for s in specs], 2)
+    table = np.stack([_table(s, n_sites) for s in specs], 2)
     return lambda k, cols: table[..., cols] if tanh else table
 
 
@@ -237,9 +245,11 @@ def _evolve(
     the coins mix in place and a shift only grows the up view left and the down
     view right by 2 / s columns. A cone leaving the lattice raises first, unless
     ``clip``: then amplitude shifted off the lattice is checked and dropped.
-    Returns <X> and (if ``variance``) Var(X) per row: (R, steps + 1) over t for
-    ``observe`` "series", (R, 1) at the end for "final". ``dists`` gets row 0's
-    P(x, t). Reductions are per row: a row's bits ignore its batch."""
+    The buffers are float64 when the start and every coin table are real (with
+    the bytes complex128 gives), else complex128. Returns <X> and (if
+    ``variance``) Var(X) per row: (R, steps + 1) over t for ``observe``
+    "series", (R, 1) at the end for "final". ``dists`` gets row 0's P(x, t).
+    Reductions are per row: a row's bits ignore its batch."""
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     n, half = geometry.n_sites, geometry.half_span
@@ -256,28 +266,35 @@ def _evolve(
     s = 1 if occupied[a0 + 1 : a1 : 2].any() else 2
     grow, shifts = 2 // s, reach(0, rows[0], steps)
     lo, c = a0, (a1 - 1 - a0) // s + 1  # the views' first lattice column and width
-    buffers = np.zeros((2, len(rows), c + grow * shifts), dtype=np.complex128)
+    initial = up[:, a0:a1:s], down[:, a0:a1:s]
+    real = not any(a.imag.any() for a in initial) and all(
+        not is_stochastic_spec(spec) and _table(spec, n).dtype == np.float64
+        for spec in {spec for row in rows for spec in coin_specs(row)})
+    dtype, e = (np.float64, 2) if real else (np.complex128, 1)  # e: floats per amplitude
+    buffers = np.zeros((2, len(rows), c + grow * shifts), dtype)
     ua, da = buffers.shape[2] - c, 0  # where the up and the down view start
-    buffers[0, :, ua:], buffers[1, :, :c] = up[:, a0:a1:s], down[:, a0:a1:s]
-    work = np.empty(2 * buffers.size, dtype=np.complex128)  # see _mix
+    buffers[0, :, ua:], buffers[1, :, :c] = (a.real if real else a for a in initial)
+    work = np.empty(2 * buffers.size, dtype)  # see _mix
     if observe:  # x and x^2 at each float of the (re, im) pairs, a line per parity
         x = np.repeat(np.arange(a0 - shifts, a1 + shifts) - half, 2).astype(float)
         xs = np.array([x, x * x])[: 1 + variance].reshape(1 + variance, -1, 2)
         lines = [xs[:, p::s].reshape(1 + variance, 1, -1) for p in range(s)]
-        shape = (3 + variance, len(rows), 2 * buffers.shape[2])  # in ``work``, between mixes
-        squares = work.view(np.float64)[: np.prod(shape)].reshape(shape)
+        # in ``work``, between mixes; a real walk's in zeros of its own: its im floats stay 0
+        shape = (3 + variance, len(rows), 2 * buffers.shape[2])
+        flat = np.zeros(np.prod(shape)) if real else work.view(np.float64)
+        squares = flat[: np.prod(shape)].reshape(shape)
     moments = np.zeros((steps + 1 if observe == "series" else 1, len(rows), 1 + variance))
+    psi = _pair(buffers, ua, da, c)
     for k in range(steps + 1):
-        psi = _pair(buffers, ua, da, c)
         if observe == "series" or (observe and k == steps):
             if dists is not None:  # summed in this order, P(x, t) keeps its old bytes
                 u, d = psi
                 dists[k, lo : lo + s * c : s] = (u.real**2 + u.imag**2
                                                  + d.real**2 + d.imag**2)[0]
             w, (j, p) = 2 * c, divmod(lo - a0 + shifts, s)
-            sq = np.square(psi.view(np.float64), out=squares[:2, :, :w])
-            x = lines[p][..., 2 * j : 2 * j + w]
-            terms = np.multiply(np.add(*sq, out=sq[0]), x, out=squares[2:, :, :w])
+            sq = np.square(psi.view(np.float64), out=squares[:2, :, :w:e])
+            x, terms = lines[p][..., 2 * j : 2 * j + w : e], squares[2:, :, :w]
+            np.multiply(np.add(*sq, out=sq[0]), x, out=terms[..., ::e])
             np.add.reduce(terms, axis=-1, out=moments[k if observe == "series" else 0].T)
         if k == steps:
             break

@@ -62,8 +62,9 @@ class GridAxis:
     count: int
 
     def __post_init__(self):
-        if self.count < 2:
-            raise ValueError(f"axis '{self.name}' needs count >= 2, got {self.count}")
+        if not isinstance(self.count, (int, np.integer)) or self.count < 2:
+            raise ValueError(f"axis '{self.name}' needs an integer count >= 2, "
+                             f"got {self.count!r}")
         if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
             raise ValueError(f"axis '{self.name}' bounds must be finite")
 

@@ -326,3 +326,32 @@ def test_sublattice_kernel_matches_path_sum_and_batches(name):
             assert not amps[off].any()
             floats = amps.view(np.float64)
             assert not np.signbit(floats[floats == 0]).any()  # every zero is +0.0
+
+
+def test_real_and_complex_starts_share_a_sweep_byte_for_byte():
+    # the phi = 0 column starts real but shares its batches with complex starts;
+    # a real walk alone evolves in float64, so each point checks both arithmetics
+    tanh = SiteTanhRotation(-np.pi / 8, np.pi / 4)
+    schedule = Composite(UniformRotation(np.pi / 2), tanh, 2, 1)
+    grid = GridSpec(
+        axis1=GridAxis("theta", 0.0, np.pi, 5),
+        axis2=GridAxis("phi", 0.0, 1.5 * np.pi, 4),
+        schedule=schedule,
+        steps=60,
+        geometry=LatticeGeometry(201),
+    )
+    result = sweep_initial_state(grid)
+    for i, theta in enumerate(result.axis1_values):
+        for j, phi in enumerate(result.axis2_values):
+            initial = WalkerState.localized(grid.geometry, BlochCoinState(theta, phi))
+            final = run(initial, schedule, grid.steps).expectation[-1]
+            assert result.expectation[i, j].tobytes() == final.tobytes()
+
+
+def test_real_coin_row_in_a_complex_batch_is_its_own_run():
+    initial = start(61, BlochCoinState(1.0, 0.0))
+    rows = [Single(GeneralCoin(0.5, 0.0, 0.0)), Single(GeneralCoin(0.5, 1.0, 0.3))]
+    batch = evolve_rows(initial.geometry, initial.amp_up[None], initial.amp_down[None],
+                        rows, 25)
+    for i, row in enumerate(rows):
+        assert batch[i].tobytes() == run(initial, row, 25).expectation.tobytes()

@@ -441,6 +441,22 @@ def test_composite_requires_at_least_one_application():
         Composite(UniformRotation(0.1), UniformRotation(0.2), 0, 0)
 
 
+@pytest.mark.parametrize("m, n", [(1.5, 1), (1, 2.0)])
+def test_composite_rejects_non_integer_counts(m, n):
+    with pytest.raises(ValueError, match=r"need integers m >= 0, n >= 0"):
+        Composite(UniformRotation(1.0), UniformRotation(2.0), m, n)
+    assert Composite(UniformRotation(1.0), UniformRotation(2.0), np.int64(2), 1).m == 2
+
+
+def test_real_coins_have_float64_tables():
+    assert evolution._fixed_matrix(UniformRotation(1.0)).dtype == np.float64
+    assert evolution._fixed_matrix(GeneralCoin(0.5, 0.0, 0.0)).dtype == np.float64
+    assert evolution._tanh_field(SiteTanhRotation(-1.0, 2.0), 21).dtype == np.float64
+    assert evolution._fixed_matrix(GeneralCoin(0.5, 1.0, 0.0)).dtype == np.complex128
+    for spec in (UniformRotation(1.0), GeneralCoin(0.5, 0.0, 0.0)):  # the same numbers
+        assert np.array_equal(evolution._fixed_matrix(spec)[..., 0], realize(spec, 0, 0))
+
+
 def test_collect_seeds_empty_for_deterministic():
     assert collect_seeds(Single(UniformRotation(1.0))) == {}
 

@@ -41,6 +41,12 @@ def test_grid_axis_closed_endpoints():
         GridAxis("theta_a", 0, 1, 1)
 
 
+def test_grid_axis_rejects_a_non_integer_count():
+    with pytest.raises(ValueError, match=r"'theta_b_minus' needs an integer count"):
+        GridAxis("theta_b_minus", -1, 1, 3.0)
+    assert GridAxis("theta_b_minus", -1, 1, np.int64(3)).values().tolist() == [-1, 0, 1]
+
+
 def test_schedule_template_binding_check():
     tpl = ScheduleTemplate("composite", m=2, n=1)
     with pytest.raises(ConfigError):
