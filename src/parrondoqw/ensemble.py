@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DegenerateEnsembleWarning, InsufficientDataError
 from .evolution import (
     StrategySchedule,
+    _check_count,
     _seed_slots,
     evolve_rows,
     is_stochastic_schedule,
@@ -43,7 +44,7 @@ def _chunk(args):
     initial, schedule, steps, master_seed, start, stop = args
     rows = [with_derived_seeds(schedule, master_seed, i) for i in range(start, stop)]
     up, down = initial.amp_up[None], initial.amp_down[None]
-    return evolve_rows(initial.geometry, up, down, rows, steps, t0=initial.time_step)
+    return evolve_rows(up, down, rows, initial.time_step, steps, initial.geometry)[0]
 
 
 def ensemble_expectation(
@@ -62,8 +63,7 @@ def ensemble_expectation(
     schedule with no randomness is allowed but warns: all iterations are
     then identical.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    _check_count("iterations", iterations, 1)
     if master_seed is None and _seed_slots(schedule):
         raise ValueError("master_seed is required: each iteration's seeds derive from it")
     if not is_stochastic_schedule(schedule):
@@ -117,8 +117,7 @@ def classical_walk(steps: int, p_right: float = 0.5) -> ClassicalWalkResult:
     """
     if not 0.0 <= p_right <= 1.0:
         raise ValueError(f"p_right must lie in [0, 1], got {p_right}")
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+    _check_count("steps", steps, 0)
 
     width = 2 * steps + 1
     positions = np.arange(-steps, steps + 1)

@@ -6,7 +6,7 @@ class WalkError(Exception):
 
 
 class InvalidPositionError(WalkError):
-    """A position label lies outside the lattice."""
+    """A position label is not an integer or lies outside the lattice."""
 
 
 class GeometryTooSmallError(WalkError):

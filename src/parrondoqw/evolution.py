@@ -10,14 +10,15 @@ one site right, spin-down one site left). Four schedules are supported:
 - ``AlternatingEvenOdd``: A twice on even step indices (0 is even), B on odd.
 - ``ProbabilisticChoice``: per step, coin A with probability q, else coin B.
 
-``_evolve`` advances R walks of one shape as the rows of (R, n) arrays, on the
-occupied sublattice of their light cone only: ``run`` and ``step`` are its
-one-row calls, ensembles and sweeps feed it rows through ``evolve_rows``.
-Draws become coins only in ``_plan``: ``_evolve`` calls it at its first step
-and at the first step of each 256-step block, for the steps up to the end of
-that block or of the run, and gets stateless tables (fixed or tanh coins, the
-window's random-phase coins, the choice's picks) that each step reads by its
-offset into that window.
+``evolve_rows``, the kernel, advances R walks of one shape from the rows of
+(R, n) starts, or one (1, n) start for all, on the occupied sublattice of
+their light cone only; it only reads the starts and returns <X>, Var and the
+final amplitudes. ``run`` and ``step`` are its one-row calls, ensembles and
+sweeps pass it batches of rows. Draws become coins only in ``_plan``: the
+kernel calls it at its first step and at the first step of each 256-step
+block, for the steps up to the end of that block or of the run, and gets
+stateless tables (fixed or tanh coins, the window's random-phase coins, the
+choice's picks) that each step reads by its offset into that window.
 """
 
 from __future__ import annotations
@@ -176,6 +177,12 @@ def _check_leak(amplitude: float) -> None:
                                    "enlarge the lattice")
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise a ``ValueError`` naming ``value`` unless it is an integer >= ``least``."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _check_seeds(rows) -> None:
     """Raise ``MissingRandomnessError`` at the first unseeded slot, used or not."""
     for row in rows:
@@ -232,26 +239,25 @@ def _plan(rows, n_sites: int, t: int, stop: int):
     return [[choice]] * 2
 
 
-def _evolve(
+def evolve_rows(
     up, down, rows, t0: int, steps: int, geometry: LatticeGeometry,
     observe="series", variance=False, dists=None, clip=False,
 ):
-    """Advance the walks in the rows of the (R, n) arrays ``up`` and ``down`` in
-    place, row i under schedule ``rows[i]`` (all of one shape), on the occupied
-    sublattice of the light cone only. Two compact (R, W) buffers hold it:
-    column j of a view stands for lattice column ``lo + s j``, with stride s = 2
-    when the columns occupied at the start share one parity (every shift flips
-    it), else 1. Up amplitudes sit right-aligned and down ones left-aligned, so
-    the coins mix in place and a shift only grows the up view left and the down
-    view right by 2 / s columns. A cone leaving the lattice raises first, unless
-    ``clip``: then amplitude shifted off the lattice is checked and dropped.
-    The buffers are float64 when the start and every coin table are real (with
-    the bytes complex128 gives), else complex128. Returns <X> and (if
-    ``variance``) Var(X) per row: (R, steps + 1) over t for ``observe``
-    "series", (R, 1) at the end for "final". ``dists`` gets row 0's P(x, t).
-    Reductions are per row: a row's bits ignore its batch."""
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+    """Advance walk i from row i of the (R, n) starts ``up`` and ``down``, or from
+    their one (1, n) row, under schedule ``rows[i]`` (all of one shape), on the
+    occupied sublattice of the light cone only; the starts are only read. Two
+    compact (R, W) buffers hold it: column j of a view stands for lattice column
+    ``lo + s j``, with stride s = 2 when the columns occupied at the start share
+    one parity (every shift flips it), else 1. Up amplitudes sit right-aligned
+    and down ones left-aligned, so the coins mix in place and a shift only grows
+    the up view left and the down view right by 2 / s columns. A cone leaving
+    the lattice raises first, unless ``clip``: then amplitude shifted off the
+    lattice is checked and dropped. A real start under real coin tables runs in
+    float64, with the bytes complex128 gives. Returns <X> and Var(X) (if
+    ``variance``, else None) per row, (R, steps + 1) over t for ``observe``
+    "series", (R, 1) at the end for "final", then the final (R, n) up and down
+    amplitudes. ``dists`` gets row 0's P(x, t). A row's bytes are those of its ``run``."""
+    _check_count("steps", steps, 0)
     n, half = geometry.n_sites, geometry.half_span
     occupied = up.any(axis=0) | down.any(axis=0)
     occupied[half] |= not occupied.any()  # an all-zero state evolves the centre column
@@ -274,7 +280,8 @@ def _evolve(
     buffers = np.zeros((2, len(rows), c + grow * shifts), dtype)
     ua, da = buffers.shape[2] - c, 0  # where the up and the down view start
     buffers[0, :, ua:], buffers[1, :, :c] = (a.real if real else a for a in initial)
-    work = np.empty(2 * buffers.size, dtype)  # see _mix
+    work = np.empty(2 * buffers.size + 8, dtype)  # see _mix; cut to start on a 64-byte
+    work = work[-work.ctypes.data % 64 // work.itemsize :]  # line: ~6% faster mixes
     if observe:  # x and x^2 at each float of the (re, im) pairs, a line per parity
         x = np.repeat(np.arange(a0 - shifts, a1 + shifts) - half, 2).astype(float)
         xs = np.array([x, x * x])[: 1 + variance].reshape(1 + variance, -1, 2)
@@ -312,42 +319,25 @@ def _evolve(
                                     abs(buffers[0, :, ua + c - 1]).max() if right else 0.0))
                     ua, da, lo, c = ua + left, da + left, lo + s * left, c - left - right
                 psi = _pair(buffers, ua, da, c)
-    if steps:  # + 0.0 turns -0.0 into 0.0: zeros match whichever columns were computed
-        up[...] = down[...] = 0.0
-        np.add(psi[0], 0.0, out=up[:, lo : lo + s * c : s])
-        np.add(psi[1], 0.0, out=down[:, lo : lo + s * c : s])
+    finals = np.zeros((len(rows), n), complex), np.zeros((len(rows), n), complex)
+    for final, view in zip(finals, psi):  # + 0.0 turns -0.0 into 0.0: zeros match
+        np.add(view, 0.0, out=final[:, lo : lo + s * c : s])  # whichever columns were computed
     mean = moments[:, :, 0].T.copy()
-    return mean, np.maximum(moments[:, :, 1].T - mean * mean, 0.0) if variance else None
+    var = np.maximum(moments[:, :, 1].T - mean * mean, 0.0) if variance else None
+    return mean, var, *finals
 
 
 def map_batches(fn, args: tuple, count: int, workers: int = 1) -> np.ndarray:
     """``fn((*args, start, stop))`` over consecutive batches of at most 64 of
     range(count), on up to ``workers`` processes, but no more than there are
     batches or cores; concatenated."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_count("workers", workers, 1)
     jobs = [(*args, i, min(i + _BATCH_ROWS, count)) for i in range(0, count, _BATCH_ROWS)]
     processes = min(workers, len(jobs), os.cpu_count() or 1)
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             return np.concatenate(list(pool.map(fn, jobs)))
     return np.concatenate([fn(job) for job in jobs])
-
-
-def evolve_rows(geometry, up, down, rows, steps: int, t0: int = 0, observe="series"):
-    """<X> of walks that start on the same sites, as ``_evolve`` returns it:
-    row i from ``up[i]``, ``down[i]`` ((R, n) arrays, or (1, n) for all
-    rows) under schedule ``rows[i]``, bit-for-bit what its own ``run`` gives."""
-    mean = np.empty((len(rows), steps + 1 if observe == "series" else 1))
-    up, down = (np.broadcast_to(a, (len(rows), geometry.n_sites)) for a in (up, down))
-    shapes: dict[tuple, list] = {}  # rows of one schedule shape share a call
-    for i, s in enumerate(rows):
-        counts = (s.m, s.n, s.interleaved) if isinstance(s, Composite) else None
-        shapes.setdefault((type(s), counts, *map(type, coin_specs(s))), []).append(i)
-    for index in shapes.values():
-        rows_i = [rows[i] for i in index]
-        mean[index] = _evolve(up[index], down[index], rows_i, t0, steps, geometry, observe)[0]
-    return mean
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +379,8 @@ def step(state: WalkerState, schedule: StrategySchedule) -> WalkerState:
     All randomness comes from the seeds in the schedule; an unseeded slot
     raises ``MissingRandomnessError`` before the step.
     """
-    up, down = state.amp_up[None].copy(), state.amp_down[None].copy()
-    _evolve(up, down, [schedule], state.time_step, 1, state.geometry, observe=None, clip=True)
+    *_, up, down = evolve_rows(state.amp_up[None], state.amp_down[None], [schedule],
+                               state.time_step, 1, state.geometry, observe=None, clip=True)
     return WalkerState(state.geometry, up[0], down[0], state.time_step + 1)
 
 
@@ -407,14 +397,14 @@ def run(
     seed slot (see ``with_derived_seeds``); both are checked before any
     evolution happens. This is the one-row call of the batched kernel.
     """
-    n = initial.geometry.n_sites
-    up, down = initial.amp_up[None].copy(), initial.amp_down[None].copy()
-    dists = np.zeros((steps + 1, n)) if record_full else None
-    mean, var = _evolve(up, down, [schedule], initial.time_step, steps, initial.geometry,
-                        variance=True, dists=dists)
-    final = WalkerState(initial.geometry, up[0], down[0], initial.time_step + steps)
-    metadata = {"schedule": repr(schedule), "seeds": collect_seeds(schedule), "n_sites": n,
-                "steps": steps, "rng_algorithm": RNG_ALGORITHM}
+    _check_count("steps", steps, 0)  # before P(x, t) is allocated
+    g, t0 = initial.geometry, initial.time_step
+    dists = np.zeros((steps + 1, g.n_sites)) if record_full else None
+    mean, var, up, down = evolve_rows(initial.amp_up[None], initial.amp_down[None], [schedule],
+                                      t0, steps, g, variance=True, dists=dists)
+    final = WalkerState(g, up[0], down[0], t0 + steps)
+    metadata = {"schedule": repr(schedule), "seeds": collect_seeds(schedule),
+                "n_sites": g.n_sites, "steps": steps, "rng_algorithm": RNG_ALGORITHM}
     return Trajectory(np.arange(steps + 1), mean[0], var[0], dists, final, metadata)
 
 

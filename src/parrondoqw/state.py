@@ -43,10 +43,10 @@ class LatticeGeometry:
         return self.positions.astype(float) ** 2
 
     def index_of(self, x: int) -> int:
-        """Array index of position label ``x``."""
-        if abs(int(x)) > self.half_span:
+        """Array index of the integer position label ``x``."""
+        if not isinstance(x, (int, np.integer)) or abs(x) > self.half_span:
             raise InvalidPositionError(
-                f"position {x} outside lattice [-{self.half_span}, {self.half_span}]"
+                f"position {x!r} is not an integer in [-{self.half_span}, {self.half_span}]"
             )
         return int(x) + self.half_span
 

@@ -1,19 +1,21 @@
 """2D parameter sweeps over coin parameters or initial spin states.
 
 Each grid point is one walk, of which only the final position expectation
-is computed; points are classified winning/losing/neutral by its sign. Points
-are rows of the batched kernel, evolved together in fixed chunks of
-consecutive points; with ``workers > 1`` a process pool evolves the chunks.
-A point's value is bit-for-bit that of its own ``run``, and all seeds are
-derived per point, so the output depends neither on chunking nor on the
-worker count.
+is computed; points are classified winning/losing/neutral by its sign. The
+schedule is a ``ScheduleTemplate`` (a coin-parameter sweep) or one fixed
+schedule (an initial-state sweep), so every point has the same schedule
+shape, and the points are rows of the batched kernel ``evolve_rows``,
+evolved together in fixed chunks of consecutive points; with ``workers > 1``
+a process pool evolves the chunks. A point's value is bit-for-bit that of
+its own ``run``, and all seeds are derived per point, so the output depends
+neither on chunking nor on the worker count.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -72,9 +74,6 @@ class GridAxis:
         return np.linspace(self.lower, self.upper, self.count)
 
 
-ScheduleFactory = Callable[[Mapping[str, float]], StrategySchedule]
-
-
 @dataclass(frozen=True)
 class ScheduleTemplate:
     """Builds the uniform-A / site-tanh-B game family from named coin parameters.
@@ -117,7 +116,7 @@ class GridSpec:
 
     axis1: GridAxis
     axis2: GridAxis
-    schedule: Union[StrategySchedule, ScheduleFactory]
+    schedule: Union[StrategySchedule, ScheduleTemplate]
     steps: int
     geometry: LatticeGeometry
     initial: BlochCoinState = SPIN_DOWN
@@ -152,7 +151,7 @@ def _point_inputs(grid: GridSpec, v1: float, v2: float, index: int):
     params[grid.axis1.name] = v1
     params[grid.axis2.name] = v2
     schedule, bloch = grid.schedule, grid.initial
-    if callable(schedule):  # a template/factory; fixed schedules are not callable
+    if isinstance(schedule, ScheduleTemplate):
         schedule = schedule(params)
     else:
         # 2*pi is the same physical phase as 0; wrap so closed grids are allowed.
@@ -172,26 +171,30 @@ def _chunk(args):
     psi = np.zeros((2, len(points), grid.geometry.n_sites), dtype=np.complex128)
     psi[:, :, grid.geometry.index_of(grid.x0)] = np.array([b.spinor() for _, b in points]).T
     rows = [schedule for schedule, _ in points]
-    return evolve_rows(grid.geometry, *psi, rows, grid.steps, observe="final")[:, 0]
+    return evolve_rows(*psi, rows, 0, grid.steps, grid.geometry, observe="final")[0][:, 0]
 
 
 def check_grid(grid: GridSpec) -> None:
     """Reject, before any point runs, a grid that does not fit its schedule.
 
-    A template schedule sweeps two coin parameters it reads (any of them, for
-    a plain factory) and may fix the third; a fixed schedule sweeps the Bloch
-    angles (theta, phi) and fixes nothing. The four corner points are then
-    built, so an axis range the schedule or the initial state rejects fails
-    here too: axis values lie between the corners and every parameter's
-    valid range is an interval. Raises ConfigError for names and unbound
-    parameters, ValueError for ranges and a negative tie tolerance.
+    The schedule is a ``ScheduleTemplate`` or a fixed schedule. A template
+    sweeps two coin parameters it reads and may fix the third; a fixed
+    schedule sweeps the Bloch angles (theta, phi) and fixes nothing. The four
+    corner points are then built, so an axis range the schedule or the
+    initial state rejects fails here too: axis values lie between the corners
+    and every parameter's valid range is an interval. Raises ConfigError for
+    any other schedule, names and unbound parameters, ValueError for ranges
+    and a negative tie tolerance.
     """
+    template = isinstance(grid.schedule, ScheduleTemplate)
+    if callable(grid.schedule) and not template:
+        raise ConfigError(f"the schedule must be a ScheduleTemplate or a fixed schedule, "
+                          f"got {grid.schedule!r}")
     if grid.tie_tolerance < 0.0:
         raise ValueError(f"tie_tolerance must be >= 0, got {grid.tie_tolerance}")
     names = (grid.axis1.name, grid.axis2.name)
-    allowed = COIN_PARAMETERS if callable(grid.schedule) else BLOCH_PARAMETERS
-    swept = (grid.schedule.required_parameters()
-             if isinstance(grid.schedule, ScheduleTemplate) else allowed)
+    allowed = COIN_PARAMETERS if template else BLOCH_PARAMETERS
+    swept = grid.schedule.required_parameters() if template else allowed
     if names[0] == names[1] or not set(names) <= set(swept):
         raise ConfigError(f"axis1.name and axis2.name must be two of {swept}, got {names}")
     for name in grid.fixed:
@@ -233,15 +236,13 @@ def _execute(grid: GridSpec, workers: int) -> SweepResult:
 def sweep_coin_params(grid: GridSpec, workers: int = 1) -> SweepResult:
     """Final <X> over a coin-parameter plane, e.g. (theta_b_minus, theta_b_plus).
 
-    The grid's schedule must be a template/factory taking the bound parameter
-    map; axis names must be coin parameters. The initial state is the same at
-    every point.
+    The grid's schedule must be a ``ScheduleTemplate``, which builds each
+    point's schedule from the bound parameter map; axis names must be coin
+    parameters. The initial state is the same at every point.
     """
-    if not callable(grid.schedule):
-        raise ConfigError(
-            "coin-parameter sweeps need a schedule template (callable), "
-            "not a fixed schedule"
-        )
+    if not callable(grid.schedule):  # any other callable fails in check_grid
+        raise ConfigError("coin-parameter sweeps need a schedule template, "
+                          "not a fixed schedule")
     check_grid(grid)
     return _execute(grid, workers)
 
@@ -253,7 +254,7 @@ def sweep_initial_state(grid: GridSpec, workers: int = 1) -> SweepResult:
     varies. At theta = 0 or pi the phi angle is an unobservable global phase,
     so whole rows there are degenerate by construction.
     """
-    if callable(grid.schedule):
+    if isinstance(grid.schedule, ScheduleTemplate):  # any other callable fails in check_grid
         raise ConfigError("initial-state sweeps need a fully fixed schedule")
     check_grid(grid)
     return _execute(grid, workers)

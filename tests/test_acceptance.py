@@ -65,7 +65,8 @@ def random_schedule(rng):
         if kind == 1:
             return SiteTanhRotation(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi))
         if kind == 2:
-            return GeneralCoin(rng.uniform(0, 1), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
+            return GeneralCoin(rng.uniform(0, 1), rng.uniform(0, 2 * np.pi),
+                               rng.uniform(0, 2 * np.pi))
         if kind == 3:
             return RandomPhaseAlpha(seed=int(rng.integers(1 << 31)))
         return RandomPhaseBeta(seed=int(rng.integers(1 << 31)))

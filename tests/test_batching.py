@@ -84,7 +84,7 @@ def test_a_row_is_the_same_bytes_in_every_batch(name):
     alone = run(initial, rows[5], steps).expectation
     up, down = initial.amp_up[None], initial.amp_down[None]
     for count in COUNTS[1:]:
-        batch = evolve_rows(initial.geometry, up, down, rows[:count], steps)
+        batch = evolve_rows(up, down, rows[:count], 0, steps, initial.geometry)[0]
         assert batch[5].tobytes() == alone.tobytes()
         for i in (0, count - 1):
             assert batch[i].tobytes() == run(initial, rows[i], steps).expectation.tobytes()
@@ -190,25 +190,28 @@ def test_sweep_workers_do_not_change_bytes(count):
     assert np.array_equal(one.classification, two.classification)
 
 
-def test_mixed_schedule_shapes_share_a_sweep():
-    # a factory may return a different schedule shape at each point
-    def factory(params):
-        a = UniformRotation(params["theta_a"])
-        if params["theta_b_plus"] > 0:
-            return Composite(a, SiteTanhRotation(params["theta_b_minus"], 0.3), 1, 2)
-        return Single(a)
-
-    grid = coin_grid(4, template=factory)
-    grid.axis1 = GridAxis("theta_a", -1.0, 1.0, 4)
-    grid.axis2 = GridAxis("theta_b_plus", -1.0, 1.0, 4)
-    grid.fixed = {"theta_b_minus": 0.2}
-    result = sweep_coin_params(grid)
-    initial = WalkerState.localized(grid.geometry, grid.initial, grid.x0)
-    for i, a in enumerate(result.axis1_values):
-        for j, b in enumerate(result.axis2_values):
-            schedule = factory({"theta_a": a, "theta_b_plus": b, "theta_b_minus": 0.2})
-            final = run(initial, schedule, grid.steps).expectation[-1]
-            assert result.expectation[i, j].tobytes() == final.tobytes()
+@pytest.mark.parametrize("name", SCHEDULES)
+@pytest.mark.parametrize("stacked", (False, True))
+def test_kernel_only_reads_its_starts_and_returns_each_rows_run(name, stacked):
+    # one read-only (1, n) start for every row, or a read-only (R, n) broadcast of it
+    initial, steps, count = start(41, SYMMETRIC, x0=1), 12, 70
+    rows = [with_derived_seeds(SCHEDULES[name], 6, i) for i in range(count)]
+    up, down = initial.amp_up[None].copy(), initial.amp_down[None].copy()
+    for a in (up, down):
+        a.flags.writeable = False
+    if stacked:
+        up, down = (np.broadcast_to(a, (count, a.shape[1])) for a in (up, down))
+    before = up.tobytes(), down.tobytes()
+    mean, var, up_final, down_final = evolve_rows(up, down, rows, 0, steps, initial.geometry,
+                                                  variance=True)
+    assert (up.tobytes(), down.tobytes()) == before
+    assert up_final.shape == down_final.shape == (count, initial.geometry.n_sites)
+    for i in range(count):
+        own = run(initial, rows[i], steps)
+        assert mean[i].tobytes() == own.expectation.tobytes()
+        assert var[i].tobytes() == own.variance.tobytes()
+        assert up_final[i].tobytes() == own.final_state.amp_up.tobytes()
+        assert down_final[i].tobytes() == own.final_state.amp_down.tobytes()
 
 
 def test_phase_draws_come_a_block_at_a_time_with_unchanged_values():
@@ -306,13 +309,14 @@ EQUIVALENCE = {
 def test_sublattice_kernel_matches_path_sum_and_batches(name):
     initial, schedule, steps = EQUIVALENCE[name]
     g, rows = initial.geometry, [with_derived_seeds(schedule, 5, i) for i in range(70)]
-    batch = evolve_rows(g, initial.amp_up[None], initial.amp_down[None], rows, steps,
-                        t0=initial.time_step)
+    batch = evolve_rows(initial.amp_up[None], initial.amp_down[None], rows,
+                        initial.time_step, steps, g)[0]
     components = [(spin, int(x), amp)
                   for spin, amps in enumerate((initial.amp_up, initial.amp_down))
                   for x, amp in zip(g.positions, amps) if amp != 0]
     shifts = reach(0, schedule, steps)
-    off = np.array([all(abs(x - x0) > shifts or (x - x0 - shifts) % 2 for _, x0, _ in components)
+    off = np.array([all(abs(x - x0) > shifts or (x - x0 - shifts) % 2
+                        for _, x0, _ in components)
                     for x in g.positions])  # no start reaches x in that many shifts
     assert off.any()
     for i in (0, 1, 69):
@@ -351,7 +355,7 @@ def test_real_and_complex_starts_share_a_sweep_byte_for_byte():
 def test_real_coin_row_in_a_complex_batch_is_its_own_run():
     initial = start(61, BlochCoinState(1.0, 0.0))
     rows = [Single(GeneralCoin(0.5, 0.0, 0.0)), Single(GeneralCoin(0.5, 1.0, 0.3))]
-    batch = evolve_rows(initial.geometry, initial.amp_up[None], initial.amp_down[None],
-                        rows, 25)
+    batch = evolve_rows(initial.amp_up[None], initial.amp_down[None], rows, 0, 25,
+                        initial.geometry)[0]
     for i, row in enumerate(rows):
         assert batch[i].tobytes() == run(initial, row, 25).expectation.tobytes()

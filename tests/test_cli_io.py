@@ -378,4 +378,5 @@ def test_cli_record_full_flag_writes_distribution(mode, basename, mapping, tmp_p
     assert main([mode, "--config", str(cfg), "--out", str(out), "--record-full"]) == 0
     rows = rectangular(out / f"{basename}_distribution.csv")
     assert len(rows) == len(rectangular(out / f"{basename}.csv"))
-    assert json.loads((out / f"{basename}.json").read_text())["config"]["record_full"] == "true"
+    sidecar = json.loads((out / f"{basename}.json").read_text())
+    assert sidecar["config"]["record_full"] == "true"

@@ -357,7 +357,8 @@ INVALID = {
     "choice_negative_seed": (walk_flat(**{
         "schedule.kind": "probabilistic", "schedule.q": "0.5", "schedule.seed": "-3",
         "schedule.b.kind": "uniform", "schedule.b.theta": "pi/4"}), "schedule.seed"),
-    "coin_a_negative_seed": (single_random_flat(**{"schedule.a.seed": "-5"}), "schedule.a.seed"),
+    "coin_a_negative_seed": (single_random_flat(**{"schedule.a.seed": "-5"}),
+                             "schedule.a.seed"),
     "coin_b_negative_seed": (walk_flat(seed="1", **{
         "schedule.kind": "alternating", "schedule.b.kind": "random-beta",
         "schedule.b.seed": "-5"}), "schedule.b.seed"),

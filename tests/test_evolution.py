@@ -24,7 +24,9 @@ from parrondoqw import (
     UniformRotation,
     WalkerState,
     apply_coin,
+    classical_walk,
     collect_seeds,
+    ensemble_expectation,
     is_stochastic_schedule,
     realize,
     run,
@@ -417,7 +419,8 @@ def test_is_stochastic_schedule():
     assert is_stochastic_schedule(ProbabilisticChoice(a, b, 0.5, seed=1))
     # pinned q leaves only the surviving coin's randomness
     assert not is_stochastic_schedule(ProbabilisticChoice(a, b, 1.0, seed=1))
-    assert not is_stochastic_schedule(ProbabilisticChoice(RandomPhaseAlpha(seed=1), b, 0.0, seed=1))
+    pinned = ProbabilisticChoice(RandomPhaseAlpha(seed=1), b, 0.0, seed=1)
+    assert not is_stochastic_schedule(pinned)
 
 
 def test_with_derived_seeds_deterministic_and_distinct():
@@ -446,6 +449,26 @@ def test_composite_rejects_non_integer_counts(m, n):
     with pytest.raises(ValueError, match=r"need integers m >= 0, n >= 0"):
         Composite(UniformRotation(1.0), UniformRotation(2.0), m, n)
     assert Composite(UniformRotation(1.0), UniformRotation(2.0), np.int64(2), 1).m == 2
+
+
+CHOICE = ProbabilisticChoice(UniformRotation(1.0), SiteTanhRotation(0.1, 0.2), 0.5)
+ENSEMBLE = functools.partial(ensemble_expectation, down_at_origin(), CHOICE, master_seed=1)
+RUN = functools.partial(run, down_at_origin(), Single(UniformRotation(1.0)))
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param("steps", lambda: RUN(2.0), id="run"),
+    pytest.param("steps", lambda: RUN(1.5, record_full=True), id="run_record_full"),
+    pytest.param("steps", lambda: evolution.evolve_rows(*np.zeros((2, 1, 7)), [CHOICE], 0, 1.5,
+                                                        LatticeGeometry(7)), id="evolve_rows"),
+    pytest.param("steps", lambda: ENSEMBLE(2.5, 3), id="ensemble_steps"),
+    pytest.param("iterations", lambda: ENSEMBLE(2, 3.0), id="ensemble_iterations"),
+    pytest.param("workers", lambda: ENSEMBLE(2, 3, workers=2.0), id="ensemble_workers"),
+    pytest.param("steps", lambda: classical_walk(2.5), id="classical"),
+])
+def test_a_non_integer_count_raises_a_value_error_naming_it(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= [01], got "):
+        call()
 
 
 def test_real_coins_have_float64_tables():

@@ -32,6 +32,17 @@ def test_index_of_outside_lattice():
         g.index_of(3)
 
 
+@pytest.mark.parametrize("x", [1.5, -0.7, 0.0, np.float64(1.0), "1", None])
+def test_index_of_rejects_a_label_that_is_not_an_integer(x):
+    # int(x) would truncate 1.5 to 1 and -0.7 to 0
+    g = LatticeGeometry(5)
+    with pytest.raises(InvalidPositionError, match="is not an integer in"):
+        g.index_of(x)
+    with pytest.raises(InvalidPositionError):
+        WalkerState.localized(g, SPIN_DOWN, x)
+    assert g.index_of(np.int64(-1)) == 1 and g.index_of(True) == 3
+
+
 def test_bloch_ranges():
     with pytest.raises(ValueError):
         BlochCoinState(theta=-0.1)

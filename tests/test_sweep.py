@@ -22,6 +22,7 @@ from parrondoqw import (
     sweep_coin_params,
     sweep_initial_state,
 )
+from parrondoqw.sweep import check_grid
 
 
 def test_classify_signs():
@@ -202,6 +203,18 @@ def test_bad_axis_range_fails_before_any_point_runs(monkeypatch):
     bloch.axis1 = GridAxis("theta", 0.0, 4.0, 3)
     with pytest.raises(ValueError, match="theta=4.0"):
         sweep_initial_state(bloch)
+
+
+def test_a_plain_callable_schedule_fails_before_any_point_runs(monkeypatch):
+    # only a ScheduleTemplate builds a schedule per point: every batch has one shape
+    def no_run(*args, **kwargs):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr("parrondoqw.sweep.evolve_rows", no_run)
+    grid = coin_grid(lambda params: ScheduleTemplate("composite", m=2, n=1)(params))
+    for check in (check_grid, sweep_coin_params, sweep_initial_state):
+        with pytest.raises(ConfigError, match="a ScheduleTemplate or a fixed schedule"):
+            check(grid)
 
 
 def test_axis_the_template_never_reads_fails_before_any_point_runs(monkeypatch):
