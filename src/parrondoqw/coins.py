@@ -10,7 +10,8 @@ Four families are supported:
 - ``GeneralCoin``: the three-parameter (q, alpha, beta) unitary.
 - ``RandomPhaseAlpha`` / ``RandomPhaseBeta``: q = 1/2 coins whose alpha (resp.
   beta) phase is drawn uniformly on [0, 2*pi) once per time step, shared by
-  all sites at that step.
+  all sites at that step. Each states its draw stream (``tag``) and where its
+  phase goes (``coin``), and the two share the ``seed`` field and its check.
 """
 
 from __future__ import annotations
@@ -115,8 +116,10 @@ class GeneralCoin:
 
 
 @dataclass(frozen=True)
-class RandomPhaseAlpha:
-    """q = 1/2 coin with alpha drawn uniformly per time step, beta = 0.
+class _RandomPhase:
+    """q = 1/2 coin with one phase drawn uniformly on [0, 2*pi) per time step. A
+    subclass states the stream ``tag`` of the draws and ``coin``, which places
+    the phase (or an array of phases) in ``general_coin_matrix``.
 
     Draws come from ``seed`` alone; while it is None (to be derived, see
     ``with_derived_seeds``) walks and ``realize`` raise ``MissingRandomnessError``.
@@ -130,33 +133,36 @@ class RandomPhaseAlpha:
 
 
 @dataclass(frozen=True)
-class RandomPhaseBeta:
+class RandomPhaseAlpha(_RandomPhase):
+    """q = 1/2 coin with alpha drawn uniformly per time step, beta = 0."""
+
+    tag = TAG_ALPHA
+    coin = staticmethod(lambda phase: general_coin_matrix(0.5, phase, 0.0))
+
+
+@dataclass(frozen=True)
+class RandomPhaseBeta(_RandomPhase):
     """q = 1/2 coin with beta drawn uniformly per time step, alpha = 0."""
 
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.seed is not None:
-            _check_seed(self.seed)
+    tag = TAG_BETA
+    coin = staticmethod(lambda phase: general_coin_matrix(0.5, 0.0, phase))
 
 
 CoinSpec = Union[
     UniformRotation, SiteTanhRotation, GeneralCoin, RandomPhaseAlpha, RandomPhaseBeta
 ]
 
-RANDOM_PHASE_SPECS = (RandomPhaseAlpha, RandomPhaseBeta)
-
 
 def is_stochastic_spec(spec: CoinSpec) -> bool:
-    return isinstance(spec, RANDOM_PHASE_SPECS)
+    return isinstance(spec, _RandomPhase)
 
 
 def realize(spec: CoinSpec, x: int, t: int) -> LocalCoin:
     """Concrete 2x2 coin for lattice site ``x`` at time step ``t``.
 
     Random-phase specs draw their phase once per time step (the same value
-    for every site at that step) from ``(spec.seed, TAG_ALPHA or TAG_BETA, t)``;
-    an unset seed raises ``MissingRandomnessError``.
+    for every site at that step) from ``(spec.seed, spec.tag, t)`` and place it
+    by ``spec.coin``; an unset seed raises ``MissingRandomnessError``.
     """
     if isinstance(spec, UniformRotation):
         return rotation_matrix(spec.theta)
@@ -164,10 +170,8 @@ def realize(spec: CoinSpec, x: int, t: int) -> LocalCoin:
         return rotation_matrix(site_theta(spec.theta_minus, spec.theta_plus, x))
     if isinstance(spec, GeneralCoin):
         return general_coin_matrix(spec.q, spec.alpha, spec.beta)
-    if isinstance(spec, RANDOM_PHASE_SPECS):
+    if isinstance(spec, _RandomPhase):
         if spec.seed is None:
             raise MissingRandomnessError(f"{type(spec).__name__} needs a seed")
-        alpha = isinstance(spec, RandomPhaseAlpha)
-        phase = StepStream(spec.seed, TAG_ALPHA if alpha else TAG_BETA).angle(t)
-        return general_coin_matrix(0.5, *((phase, 0.0) if alpha else (0.0, phase)))
+        return spec.coin(StepStream(spec.seed, spec.tag).angle(t))
     raise TypeError(f"unknown coin spec {spec!r}")

@@ -31,23 +31,14 @@ from typing import Union
 
 import numpy as np
 
-from .coins import (
-    CoinSpec,
-    RandomPhaseAlpha,
-    SiteTanhRotation,
-    general_coin_matrix,
-    is_stochastic_spec,
-    realize,
-    rotation_matrix,
-    site_theta,
-)
+from .coins import CoinSpec, SiteTanhRotation, is_stochastic_spec, realize, rotation_matrix
+from .coins import site_theta
 from .errors import (
     BoundaryLeakageError,
     GeometryTooSmallError,
     MissingRandomnessError,
 )
-from .rng import _BLOCK, RNG_ALGORITHM, TAG_ALPHA, TAG_BETA, TAG_CHOICE, _uniform_block
-from .rng import _check_seed, child_seed
+from .rng import _BLOCK, RNG_ALGORITHM, TAG_CHOICE, _check_seed, _draws, child_seed
 from .state import LatticeGeometry, WalkerState
 
 
@@ -146,12 +137,6 @@ def _fixed_matrix(spec: CoinSpec):
     return coin if coin.imag.any() else coin.real.copy()
 
 
-def _table(spec: CoinSpec, n_sites: int):
-    """The cached table of a fixed or tanh coin (``_fixed_matrix``, ``_tanh_field``)."""
-    tanh = isinstance(spec, SiteTanhRotation)
-    return _tanh_field(spec, n_sites) if tanh else _fixed_matrix(spec)
-
-
 def _mix(psi, coin, work):
     """psi[i] <- coin[i, 0] psi[0] + coin[i, 1] psi[1] in place for the (2, R, w) spin
     pair ``psi``, a (2, 2, R or 1, w or 1) ``coin``, in two ufunc calls through the
@@ -192,26 +177,17 @@ def _check_seeds(rows) -> None:
                                              "has no seed; set it or use with_derived_seeds")
 
 
-def _draws(seeds, tag: int, t: int, stop: int) -> np.ndarray:
-    """Draws t to stop - 1, all of one block, of each seed's stream: (R, stop - t)."""
-    index, j = divmod(t, _BLOCK)
-    return np.array([_uniform_block(int(seed), tag, index)[j : j + stop - t]
-                     for seed in seeds])
-
-
 def _coin(specs, n_sites: int, t: int, stop: int):
     """One coin of the R rows of a batch for steps t to stop - 1, as a function
     of (step - t, the lattice columns read) that gives a (2, 2, R or 1, w) array;
     w = 1 for a site-independent coin."""
-    specs = specs[:1] if all(spec == specs[0] for spec in specs) else specs
-    if is_stochastic_spec(specs[0]):  # a phase per row and step
-        alpha = isinstance(specs[0], RandomPhaseAlpha)
-        tag = TAG_ALPHA if alpha else TAG_BETA
-        phase = 2.0 * np.pi * _draws([spec.seed for spec in specs], tag, t, stop)
-        u = general_coin_matrix(0.5, *((phase, 0.0) if alpha else (0.0, phase)))
+    first = specs[0]
+    specs = specs[:1] if all(spec == first for spec in specs) else specs
+    if is_stochastic_spec(first):  # a phase per row and step
+        u = first.coin(2.0 * np.pi * _draws([spec.seed for spec in specs], first.tag, t, stop))
         return lambda k, cols: u[..., k : k + 1]
-    tanh = isinstance(specs[0], SiteTanhRotation)
-    table = np.stack([_table(s, n_sites) for s in specs], 2)
+    tanh = isinstance(first, SiteTanhRotation)
+    table = np.stack([_tanh_field(s, n_sites) if tanh else _fixed_matrix(s) for s in specs], 2)
     return lambda k, cols: table[..., cols] if tanh else table
 
 
@@ -244,7 +220,8 @@ def evolve_rows(
     observe="series", variance=False, dists=None, clip=False,
 ):
     """Advance walk i from row i of the (R, n) starts ``up`` and ``down``, or from
-    their one (1, n) row, under schedule ``rows[i]`` (all of one shape), on the
+    their one (1, n) row, under schedule ``rows[i]`` (all of one shape, else a
+    ``ValueError`` before any step: type, m, n, interleaving, coin classes), on the
     occupied sublattice of the light cone only; the starts are only read. Two
     compact (R, W) buffers hold it: column j of a view stands for lattice column
     ``lo + s j``, with stride s = 2 when the columns occupied at the start share
@@ -258,6 +235,14 @@ def evolve_rows(
     "series", (R, 1) at the end for "final", then the final (R, n) up and down
     amplitudes. ``dists`` gets row 0's P(x, t). A row's bytes are those of its ``run``."""
     _check_count("steps", steps, 0)
+    specs, shape = set(), None
+    for i, row in enumerate(rows):  # one pass: every row's coins (see ``real``) and shape
+        coins = coin_specs(row)
+        specs.update(coins)
+        key = (type(row), getattr(row, "m", 0), getattr(row, "n", 0),
+               getattr(row, "interleaved", False), *map(type, coins))
+        if key != (shape := shape or key):
+            raise ValueError(f"row {i} ({row!r}) differs in shape from row 0 ({rows[0]!r})")
     n, half = geometry.n_sites, geometry.half_span
     occupied = up.any(axis=0) | down.any(axis=0)
     occupied[half] |= not occupied.any()  # an all-zero state evolves the centre column
@@ -273,9 +258,10 @@ def evolve_rows(
     grow, shifts = 2 // s, reach(0, rows[0], steps)
     lo, c = a0, (a1 - 1 - a0) // s + 1  # the views' first lattice column and width
     initial = up[:, a0:a1:s], down[:, a0:a1:s]
-    real = not any(a.imag.any() for a in initial) and all(
-        not is_stochastic_spec(spec) and _table(spec, n).dtype == np.float64
-        for spec in {spec for row in rows for spec in coin_specs(row)})
+    real = not any(a.imag.any() for a in initial) and all(  # a tanh field is real
+        isinstance(spec, SiteTanhRotation)
+        or not is_stochastic_spec(spec) and _fixed_matrix(spec).dtype == np.float64
+        for spec in specs)
     dtype, e = (np.float64, 2) if real else (np.complex128, 1)  # e: floats per amplitude
     buffers = np.zeros((2, len(rows), c + grow * shifts), dtype)
     ua, da = buffers.shape[2] - c, 0  # where the up and the down view start
@@ -351,10 +337,11 @@ def apply_coin(state: WalkerState, spec: CoinSpec, t: int | None = None) -> Walk
     ``t`` defaults to the state's own time index and selects the per-step
     phase draw for random-phase specs, which need a seed.
     """
-    if t is not None and t < 0:
+    if isinstance(t, (int, np.integer)) and t < 0:  # before _check_count: its older message
         raise ValueError(f"t must be nonnegative, got {t}")
-    _check_seeds([Single(spec)])
     n, t = state.geometry.n_sites, state.time_step if t is None else t
+    _check_count("t", t, 0)
+    _check_seeds([Single(spec)])
     (coin,) = _plan([Single(spec)], n, t, t + 1)[t % 2]
     psi = np.array([state.amp_up, state.amp_down])[:, None]
     _mix(psi, coin(0, slice(None)), np.empty(4 * n, np.complex128))

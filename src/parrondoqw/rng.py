@@ -10,7 +10,8 @@ Per-step draws are defined block-wise: draw ``t`` of a stream is entry
 ``t % 256`` of the 256-value uniform block produced by
 ``default_rng([seed, tag, t // 256])``. The block is an implementation detail
 of the derivation rule, not a statefulness: the value at ``t`` is fixed by
-``(seed, tag, t)`` alone.
+``(seed, tag, t)`` alone. ``_draws``, the one reader of the blocks, gives every
+draw: the kernel's phases and picks, ``StepStream``'s and so ``realize``'s.
 """
 
 from __future__ import annotations
@@ -52,6 +53,13 @@ def _uniform_block(seed: int, tag: int, block: int) -> np.ndarray:
     return values
 
 
+def _draws(seeds, tag: int, t: int, stop: int) -> np.ndarray:
+    """Draws t to stop - 1, all of one block, of each seed's stream: (R, stop - t)."""
+    index, j = divmod(t, _BLOCK)
+    return np.array([_uniform_block(int(seed), tag, index)[j : j + stop - t]
+                     for seed in seeds])
+
+
 class StepStream:
     """Per-time-step scalar draws derived from ``(seed, tag, t)``.
 
@@ -67,7 +75,7 @@ class StepStream:
     def uniform(self, t: int) -> float:
         """Uniform draw on [0, 1) for step ``t``."""
         t = int(t)
-        return float(_uniform_block(self.seed, self.tag, t // _BLOCK)[t % _BLOCK])
+        return float(_draws((self.seed,), self.tag, t, t + 1)[0, 0])
 
     def angle(self, t: int) -> float:
         """Uniform draw on [0, 2*pi) for step ``t``."""

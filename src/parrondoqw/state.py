@@ -100,6 +100,8 @@ class WalkerState:
                 f"amplitude arrays must have shape ({n},), got "
                 f"{self.amp_up.shape} and {self.amp_down.shape}"
             )
+        if not isinstance(self.time_step, (int, np.integer)):
+            raise ValueError(f"time_step must be an integer >= 0, got {self.time_step!r}")
         if self.time_step < 0:
             raise ValueError(f"time_step must be nonnegative, got {self.time_step}")
 

@@ -20,14 +20,16 @@ from typing import Mapping, Union
 import numpy as np
 
 from .coins import SiteTanhRotation, UniformRotation
-from .errors import ConfigError
+from .errors import ConfigError, GeometryTooSmallError
 from .evolution import (
     Composite,
     Single,
     StrategySchedule,
+    _check_seeds,
     evolve_rows,
     is_stochastic_schedule,
     map_batches,
+    reach,
     with_derived_seeds,
 )
 from .rng import RNG_ALGORITHM
@@ -184,7 +186,8 @@ def check_grid(grid: GridSpec) -> None:
     initial state rejects fails here too: axis values lie between the corners
     and every parameter's valid range is an interval. Raises ConfigError for
     any other schedule, names and unbound parameters, ValueError for ranges
-    and a negative tie tolerance.
+    and a negative tie tolerance, and the kernel's own errors for an ``x0``
+    off the lattice, a light cone leaving it and an unseeded seed slot.
     """
     template = isinstance(grid.schedule, ScheduleTemplate)
     if callable(grid.schedule) and not template:
@@ -203,10 +206,16 @@ def check_grid(grid: GridSpec) -> None:
     for v1 in (grid.axis1.lower, grid.axis1.upper):
         for v2 in (grid.axis2.lower, grid.axis2.upper):
             try:
-                _point_inputs(grid, v1, v2, 0)
+                schedule, _ = _point_inputs(grid, v1, v2, 0)
             except (ConfigError, ValueError) as exc:
                 corner = f"{names[0]}={v1}, {names[1]}={v2}"
                 raise type(exc)(f"axis1/axis2 corner ({corner}): {exc}") from exc
+    grid.geometry.index_of(grid.x0)  # an InvalidPositionError unless x0 is a site
+    furthest, half = reach(abs(grid.x0), schedule, grid.steps), grid.geometry.half_span
+    if furthest > half:  # every point has this corner's light cone and seed slots
+        raise GeometryTooSmallError(f"from x0={grid.x0} the walker can reach |x|={furthest} "
+                                    f"in {grid.steps} steps, beyond the edge at |x|={half}")
+    _check_seeds([schedule])
 
 
 def _execute(grid: GridSpec, workers: int) -> SweepResult:

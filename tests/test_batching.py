@@ -224,17 +224,42 @@ def test_phase_draws_come_a_block_at_a_time_with_unchanged_values():
                                          np.broadcast_to(beta, phases.shape)[k])
             assert coins[(slice(None), slice(None)) + k].tobytes() == scalar.tobytes()
     # and a random-phase walk past a block boundary matches realize() per step
-    spec = RandomPhaseAlpha(seed=5)
-    initial, steps = start(601, SYMMETRIC), 290
-    s = initial
-    for t in range(steps):
-        u = realize(spec, 0, t)
-        up = u[0, 0] * s.amp_up + u[0, 1] * s.amp_down
-        down = u[1, 0] * s.amp_up + u[1, 1] * s.amp_down
-        s = evolution.shift(WalkerState(s.geometry, up, down, t))
-    final = run(initial, Single(spec), steps).final_state
-    assert final.amp_up.tobytes() == s.amp_up.tobytes()
-    assert final.amp_down.tobytes() == s.amp_down.tobytes()
+    for spec in (RandomPhaseAlpha(seed=5), RandomPhaseBeta(seed=5)):
+        initial, steps = start(601, SYMMETRIC), 290
+        s = initial
+        for t in range(steps):
+            u = realize(spec, 0, t)
+            up = u[0, 0] * s.amp_up + u[0, 1] * s.amp_down
+            down = u[1, 0] * s.amp_up + u[1, 1] * s.amp_down
+            s = evolution.shift(WalkerState(s.geometry, up, down, t))
+        final = run(initial, Single(spec), steps).final_state
+        assert final.amp_up.tobytes() == s.amp_up.tobytes()
+        assert final.amp_down.tobytes() == s.amp_down.tobytes()
+
+
+MIXED_SHAPES = {
+    # from spin down, read as a Single, the composite row would give -2.453, alone +2.503
+    "type": [Single(COIN_A), Composite(COIN_A, SiteTanhRotation(-0.3, 0.9), 2, 1)],
+    # from SYMMETRIC, as an alpha coin, the beta row would give -0.268, alone -0.169
+    "phase_coin_class": [Single(RandomPhaseAlpha(seed=1)), Single(RandomPhaseBeta(seed=2))],
+    "m": [Composite(COIN_A, COIN_B, 2, 1), Composite(COIN_A, COIN_B, 1, 1)],
+    "n": [Composite(COIN_A, COIN_B, 1, 2), Composite(COIN_A, COIN_B, 1, 1)],
+    "interleaved": [Composite(COIN_A, COIN_B, 1, 1), Composite(COIN_A, COIN_B, 1, 1, True)],
+    "coin_class": [AlternatingEvenOdd(COIN_A, COIN_B), AlternatingEvenOdd(COIN_B, COIN_A)],
+    "later_row": [Single(COIN_A), Single(COIN_A), Single(GeneralCoin(0.5, 0.0, 0.0))],
+}
+
+
+@pytest.mark.parametrize("name", MIXED_SHAPES)
+def test_rows_of_different_shapes_fail_before_the_first_step(name, monkeypatch):
+    def no_mix(*args, **kwargs):
+        raise AssertionError("evolution started")
+
+    monkeypatch.setattr(evolution, "_mix", no_mix)
+    rows, initial = MIXED_SHAPES[name], start(41, SYMMETRIC if "phase" in name else SPIN_DOWN)
+    with pytest.raises(ValueError, match=f"^row {len(rows) - 1} .* in shape from row 0"):
+        evolve_rows(initial.amp_up[None], initial.amp_down[None], rows, 0, 10,
+                    initial.geometry)
 
 
 def test_seeds_are_derived_only_for_slots_that_read_them(monkeypatch):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,19 @@ def test_random_phase_structure():
     # beta spec: alpha pinned to 0, so the (1,2) entry stays real positive
     m = realize(RandomPhaseBeta(seed=3), 0, 11)
     assert m[0, 1] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+
+
+def test_random_phase_pair_keeps_its_value_semantics():
+    # sidecars print the reprs under trajectory.schedule; pool workers pickle the specs
+    alpha, beta = RandomPhaseAlpha(seed=3), RandomPhaseBeta(seed=3)
+    assert alpha != beta and alpha == RandomPhaseAlpha(seed=3)
+    assert (repr(alpha), repr(beta)) == ("RandomPhaseAlpha(seed=3)", "RandomPhaseBeta(seed=3)")
+    assert repr(RandomPhaseBeta()) == "RandomPhaseBeta(seed=None)"
+    for spec in (alpha, beta, RandomPhaseAlpha()):
+        copy = pickle.loads(pickle.dumps(spec))
+        assert type(copy) is type(spec) and copy == spec
+        if spec.seed is not None:
+            assert realize(copy, 0, 300).tobytes() == realize(spec, 0, 300).tobytes()
 
 
 def test_random_phase_without_seed_or_stream_raises():

@@ -465,6 +465,12 @@ RUN = functools.partial(run, down_at_origin(), Single(UniformRotation(1.0)))
     pytest.param("iterations", lambda: ENSEMBLE(2, 3.0), id="ensemble_iterations"),
     pytest.param("workers", lambda: ENSEMBLE(2, 3, workers=2.0), id="ensemble_workers"),
     pytest.param("steps", lambda: classical_walk(2.5), id="classical"),
+    pytest.param("time_step", lambda: WalkerState(LatticeGeometry(7), np.zeros(7), np.zeros(7),
+                                                  time_step=1.5), id="time_step"),
+    pytest.param("t", lambda: apply_coin(down_at_origin(), RandomPhaseAlpha(seed=1), t=1.5),
+                 id="apply_coin_phase"),
+    pytest.param("t", lambda: apply_coin(down_at_origin(), UniformRotation(1.0), t=2.5),
+                 id="apply_coin_uniform"),
 ])
 def test_a_non_integer_count_raises_a_value_error_naming_it(name, call):
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= [01], got "):

@@ -7,10 +7,14 @@ from parrondoqw import (
     SPIN_DOWN,
     WINNING,
     AlternatingEvenOdd,
+    Composite,
     ConfigError,
+    GeometryTooSmallError,
     GridAxis,
     GridSpec,
+    InvalidPositionError,
     LatticeGeometry,
+    MissingRandomnessError,
     RandomPhaseAlpha,
     RandomPhaseBeta,
     ScheduleTemplate,
@@ -228,3 +232,31 @@ def test_axis_the_template_never_reads_fails_before_any_point_runs(monkeypatch):
     grid.fixed = {"theta_b_minus": 0.5}
     with pytest.raises(ConfigError, match="two of \\('theta_b_minus', 'theta_b_plus'\\)"):
         sweep_coin_params(grid)
+
+
+
+FIXED_INTERLEAVED = Composite(UniformRotation(1.0), UniformRotation(0.5), 2, 1, True)
+SINGLE_B = ScheduleTemplate("single_b")
+
+
+@pytest.mark.parametrize("grid, sweep, error", [
+    pytest.param(coin_grid(SINGLE_B, steps=30, n=41), sweep_coin_params, GeometryTooSmallError,
+                 id="light_cone"),
+    pytest.param(bloch_grid(FIXED_INTERLEAVED, steps=8, n=41), sweep_initial_state,
+                 GeometryTooSmallError, id="interleaved_light_cone"),
+    pytest.param(coin_grid(SINGLE_B, n=41, x0=0.5), sweep_coin_params, InvalidPositionError,
+                 id="x0_not_an_integer"),
+    pytest.param(coin_grid(SINGLE_B, n=41, x0=30), sweep_coin_params, InvalidPositionError,
+                 id="x0_off_the_lattice"),
+    pytest.param(bloch_grid(Single(RandomPhaseAlpha())), sweep_initial_state,
+                 MissingRandomnessError, id="no_master_seed"),
+])
+def test_a_grid_whose_walks_cannot_run_fails_before_any_point_runs(grid, sweep, error,
+                                                                   monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr("parrondoqw.sweep.evolve_rows", no_run)
+    for check in (check_grid, sweep):
+        with pytest.raises(error):
+            check(grid)
