@@ -17,14 +17,13 @@ import numpy as np
 from .errors import DegenerateEnsembleWarning, InsufficientDataError
 from .evolution import (
     StrategySchedule,
-    _check_count,
     _seed_slots,
     evolve_rows,
     is_stochastic_schedule,
     map_batches,
     with_derived_seeds,
 )
-from .rng import RNG_ALGORITHM
+from .rng import RNG_ALGORITHM, _check_count
 from .state import WalkerState
 
 

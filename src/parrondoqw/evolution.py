@@ -18,7 +18,8 @@ sweeps pass it batches of rows. Draws become coins only in ``_plan``: the
 kernel calls it at its first step and at the first step of each 256-step
 block, for the steps up to the end of that block or of the run, and gets
 stateless tables (fixed or tanh coins, the window's random-phase coins, the
-choice's picks) that each step reads by its offset into that window.
+choice's picks as indices into a stack of its two coins) that each step reads
+by its offset into that window.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from .errors import (
     GeometryTooSmallError,
     MissingRandomnessError,
 )
-from .rng import _BLOCK, RNG_ALGORITHM, TAG_CHOICE, _check_seed, _draws, child_seed
+from .rng import _BLOCK, RNG_ALGORITHM, TAG_CHOICE, _check_count, _check_seed, _draws
+from .rng import child_seed
 from .state import LatticeGeometry, WalkerState
 
 
@@ -162,12 +164,6 @@ def _check_leak(amplitude: float) -> None:
                                    "enlarge the lattice")
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Raise a ``ValueError`` naming ``value`` unless it is an integer >= ``least``."""
-    if not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def _check_seeds(rows) -> None:
     """Raise ``MissingRandomnessError`` at the first unseeded slot, used or not."""
     for row in rows:
@@ -205,14 +201,12 @@ def _plan(rows, n_sites: int, t: int, stop: int):
     if not isinstance(first, ProbabilisticChoice):
         return [[a]] * 2  # Single
     pick = _draws([row.seed for row in rows], TAG_CHOICE, t, stop) < [[row.q] for row in rows]
-    all_a, all_b = pick.all(axis=0), ~pick.any(axis=0)
-
-    def choice(k, cols):  # coin a where the row's draw is below q, else b
-        if all_a[k] or all_b[k]:
-            return (a if all_a[k] else b[0])(k, cols)
-        return np.where(pick[:, k : k + 1], a(k, cols), b[0](k, cols))
-
-    return [[choice]] * 2
+    if any(map(is_stochastic_spec, coin_specs(first))):  # a where the draw is below q, else b
+        return [[lambda k, cols: np.where(pick[:, k : k + 1], a(k, cols), b[0](k, cols))]] * 2
+    tables = np.broadcast_arrays(a(0, slice(None)), b[0](0, slice(None)))  # fixed or tanh
+    stack, r, wide = np.concatenate(tables, 2), tables[0].shape[2], tables[0].shape[3] > 1
+    index = (~pick).T * r + np.arange(len(rows)) % r  # per step, the rows' picks in ``stack``
+    return [[lambda k, cols: (stack[..., cols] if wide else stack).take(index[k], 2)]] * 2
 
 
 def evolve_rows(
@@ -230,10 +224,13 @@ def evolve_rows(
     the up view left and the down view right by 2 / s columns. A cone leaving
     the lattice raises first, unless ``clip``: then amplitude shifted off the
     lattice is checked and dropped. A real start under real coin tables runs in
-    float64, with the bytes complex128 gives. Returns <X> and Var(X) (if
+    float64, with the bytes complex128 gives. An observed step squares the views
+    into ``work``, sums them to one contiguous P(x) row per walk and takes <X> (and
+    <X^2>) as ``np.vecdot`` of P with x (and x^2). Returns <X> and Var(X) (if
     ``variance``, else None) per row, (R, steps + 1) over t for ``observe``
     "series", (R, 1) at the end for "final", then the final (R, n) up and down
-    amplitudes. ``dists`` gets row 0's P(x, t). A row's bytes are those of its ``run``."""
+    amplitudes (after no step, the starts' own bytes). ``dists`` gets row 0's
+    P(x, t). A row's bytes are those of its ``run``."""
     _check_count("steps", steps, 0)
     specs, shape = set(), None
     for i, row in enumerate(rows):  # one pass: every row's coins (see ``real``) and shape
@@ -262,21 +259,16 @@ def evolve_rows(
         isinstance(spec, SiteTanhRotation)
         or not is_stochastic_spec(spec) and _fixed_matrix(spec).dtype == np.float64
         for spec in specs)
-    dtype, e = (np.float64, 2) if real else (np.complex128, 1)  # e: floats per amplitude
+    dtype = np.float64 if real else np.complex128
     buffers = np.zeros((2, len(rows), c + grow * shifts), dtype)
     ua, da = buffers.shape[2] - c, 0  # where the up and the down view start
     buffers[0, :, ua:], buffers[1, :, :c] = (a.real if real else a for a in initial)
     work = np.empty(2 * buffers.size + 8, dtype)  # see _mix; cut to start on a 64-byte
     work = work[-work.ctypes.data % 64 // work.itemsize :]  # line: ~6% faster mixes
-    if observe:  # x and x^2 at each float of the (re, im) pairs, a line per parity
-        x = np.repeat(np.arange(a0 - shifts, a1 + shifts) - half, 2).astype(float)
-        xs = np.array([x, x * x])[: 1 + variance].reshape(1 + variance, -1, 2)
-        lines = [xs[:, p::s].reshape(1 + variance, 1, -1) for p in range(s)]
-        # in ``work``, between mixes; a real walk's in zeros of its own: its im floats stay 0
-        shape = (3 + variance, len(rows), 2 * buffers.shape[2])
-        flat = np.zeros(np.prod(shape)) if real else work.view(np.float64)
-        squares = flat[: np.prod(shape)].reshape(shape)
-    moments = np.zeros((steps + 1 if observe == "series" else 1, len(rows), 1 + variance))
+    if observe:  # x (and x^2) at each column, a line per parity; squares go in ``work``
+        x, floats = np.arange(a0 - shifts, a1 + shifts) - float(half), work.view(np.float64)
+        lines = [np.array([x, x * x])[: 1 + variance, p::s].copy() for p in range(s)]
+    moments = np.zeros((1 + variance, steps + 1 if observe == "series" else 1, len(rows)))
     psi = _pair(buffers, ua, da, c)
     for k in range(steps + 1):
         if observe == "series" or (observe and k == steps):
@@ -284,11 +276,14 @@ def evolve_rows(
                 u, d = psi
                 dists[k, lo : lo + s * c : s] = (u.real**2 + u.imag**2
                                                  + d.real**2 + d.imag**2)[0]
-            w, (j, p) = 2 * c, divmod(lo - a0 + shifts, s)
-            sq = np.square(psi.view(np.float64), out=squares[:2, :, :w:e])
-            x, terms = lines[p][..., 2 * j : 2 * j + w : e], squares[2:, :, :w]
-            np.multiply(np.add(*sq, out=sq[0]), x, out=terms[..., ::e])
-            np.add.reduce(terms, axis=-1, out=moments[k if observe == "series" else 0].T)
+            flat, (j, p) = psi.view(np.float64), divmod(lo - a0 + shifts, s)
+            sq = np.square(flat, out=floats[: flat.size].reshape(flat.shape))
+            if not real:  # |a|^2 = re^2 + im^2: a real amplitude's im^2 would add +0.0
+                sq = np.add(sq[..., ::2], sq[..., 1::2],
+                            out=floats[flat.size : flat.size + psi.size].reshape(psi.shape))
+            prob = np.add(sq[0], sq[1], out=sq[0])  # P(x) = |up|^2 + |down|^2, per row
+            np.vecdot(prob, lines[p][:, None, j : j + c],
+                      out=moments[:, k if observe == "series" else 0])
         if k == steps:
             break
         t = t0 + k
@@ -306,10 +301,13 @@ def evolve_rows(
                     ua, da, lo, c = ua + left, da + left, lo + s * left, c - left - right
                 psi = _pair(buffers, ua, da, c)
     finals = np.zeros((len(rows), n), complex), np.zeros((len(rows), n), complex)
-    for final, view in zip(finals, psi):  # + 0.0 turns -0.0 into 0.0: zeros match
-        np.add(view, 0.0, out=final[:, lo : lo + s * c : s])  # whichever columns were computed
-    mean = moments[:, :, 0].T.copy()
-    var = np.maximum(moments[:, :, 1].T - mean * mean, 0.0) if variance else None
+    for final, view, start in zip(finals, psi, (up, down)):
+        if not steps:  # the starts' own bytes, -0.0 included
+            final[:] = start
+        else:  # + 0.0 turns -0.0 into 0.0: zeros match whichever columns were computed
+            np.add(view, 0.0, out=final[:, lo : lo + s * c : s])
+    mean = moments[0].T.copy()
+    var = np.maximum(moments[1].T - mean * mean, 0.0) if variance else None
     return mean, var, *finals
 
 

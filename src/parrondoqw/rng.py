@@ -38,6 +38,12 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise a ``ValueError`` naming ``value`` unless it is an integer >= ``least``."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def child_seed(master_seed: int, *key: int) -> int:
     """Derive a reproducible child seed from a master seed and an index key."""
     entropy = [_check_seed(master_seed)] + [_check_seed(k) for k in key]
@@ -73,7 +79,8 @@ class StepStream:
         self.tag = int(tag)
 
     def uniform(self, t: int) -> float:
-        """Uniform draw on [0, 1) for step ``t``."""
+        """Uniform draw on [0, 1) for step ``t``, an integer >= 0."""
+        _check_count("t", t, 0)
         t = int(t)
         return float(_draws((self.seed,), self.tag, t, t + 1)[0, 0])
 

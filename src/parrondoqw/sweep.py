@@ -32,7 +32,7 @@ from .evolution import (
     reach,
     with_derived_seeds,
 )
-from .rng import RNG_ALGORITHM
+from .rng import RNG_ALGORITHM, _check_count
 from .state import SPIN_DOWN, BlochCoinState, LatticeGeometry
 
 WINNING = "winning"
@@ -185,9 +185,10 @@ def check_grid(grid: GridSpec) -> None:
     corner points are then built, so an axis range the schedule or the
     initial state rejects fails here too: axis values lie between the corners
     and every parameter's valid range is an interval. Raises ConfigError for
-    any other schedule, names and unbound parameters, ValueError for ranges
-    and a negative tie tolerance, and the kernel's own errors for an ``x0``
-    off the lattice, a light cone leaving it and an unseeded seed slot.
+    any other schedule, names and unbound parameters, ValueError for ranges,
+    a negative tie tolerance and a ``steps`` that is not an integer >= 0, and the
+    kernel's own errors for an ``x0`` off the lattice, a light cone leaving it
+    and an unseeded seed slot.
     """
     template = isinstance(grid.schedule, ScheduleTemplate)
     if callable(grid.schedule) and not template:
@@ -195,6 +196,7 @@ def check_grid(grid: GridSpec) -> None:
                           f"got {grid.schedule!r}")
     if grid.tie_tolerance < 0.0:
         raise ValueError(f"tie_tolerance must be >= 0, got {grid.tie_tolerance}")
+    _check_count("steps", grid.steps, 0)
     names = (grid.axis1.name, grid.axis2.name)
     allowed = COIN_PARAMETERS if template else BLOCH_PARAMETERS
     swept = grid.schedule.required_parameters() if template else allowed

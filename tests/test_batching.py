@@ -384,3 +384,19 @@ def test_real_coin_row_in_a_complex_batch_is_its_own_run():
                         initial.geometry)[0]
     for i, row in enumerate(rows):
         assert batch[i].tobytes() == run(initial, row, 25).expectation.tobytes()
+
+
+def test_choice_rows_with_coins_of_their_own_are_their_own_runs():
+    # each row's fixed and tanh tables differ, some rows share them, row 0's are real
+    initial, steps = start(61, BlochCoinState(1.0, 0.0)), 30
+    rows = [ProbabilisticChoice(GeneralCoin(0.5, 0.4 * (i % 3), 0.0),
+                                SiteTanhRotation(-np.pi / 8 * (1 + i % 2), np.pi / 4), 0.5,
+                                seed=child_seed(4, i))
+            for i in range(7)]
+    mean, _, up, down = evolve_rows(initial.amp_up[None], initial.amp_down[None], rows, 0,
+                                    steps, initial.geometry)
+    for i, row in enumerate(rows):
+        own = run(initial, row, steps)
+        assert mean[i].tobytes() == own.expectation.tobytes()
+        assert up[i].tobytes() == own.final_state.amp_up.tobytes()
+        assert down[i].tobytes() == own.final_state.amp_down.tobytes()

@@ -21,6 +21,7 @@ from parrondoqw import (
     RandomPhaseBeta,
     Single,
     SiteTanhRotation,
+    StepStream,
     UniformRotation,
     WalkerState,
     apply_coin,
@@ -287,6 +288,68 @@ def test_run_series_lengths_and_final_norm():
     assert abs(traj.final_state.norm() - 1.0) < 1e-12
 
 
+
+def spread(n, sites, amps):
+    """A normalized start with up then down amplitudes ``amps`` over ``sites``."""
+    g = LatticeGeometry(n)
+    up, down = np.zeros((2, n), dtype=complex)
+    index = [g.index_of(x) for x in sites]
+    up[index], down[index] = np.reshape(amps, (2, len(sites))) / np.linalg.norm(amps)
+    return WalkerState(g, up, down)
+
+
+TANH = SiteTanhRotation(-np.pi / 8, np.pi / 4)
+CHOICE_SEEDED = ProbabilisticChoice(UniformRotation(np.pi / 2), TANH, 0.4, seed=5)
+# (start, schedule, steps): real and complex starts, one occupied parity (stride 2) and
+# both (stride 1), coins real and complex, and a shift after every coin
+MOMENT_WALKS = {
+    "real_stride_2": (down_at_origin(101), Composite(UniformRotation(np.pi / 2), TANH, 2, 1),
+                      40),
+    "complex_stride_2": (WalkerState.localized(LatticeGeometry(101), SYMMETRIC, 3),
+                         CHOICE_SEEDED, 40),
+    "real_stride_1": (spread(101, [-2, -1, 1], [0.3, -0.5, 0.2, 0.6, -0.1, 0.4]),
+                      CHOICE_SEEDED, 40),
+    "complex_stride_1": (spread(101, [0, 1], [0.3, 0.5j, -0.2, 0.6 + 0.1j]),
+                         AlternatingEvenOdd(RandomPhaseAlpha(seed=3), RandomPhaseBeta(seed=4)),
+                         40),
+    "interleaved": (WalkerState.localized(LatticeGeometry(101), BlochCoinState(1.0, 2.0), -1),
+                    Composite(GeneralCoin(0.4, 1.0, 0.3), TANH, 2, 1, interleaved=True), 12),
+}
+
+
+def assert_moments_of(distributions, positions, expectation, variance):
+    """<X> and Var(X) against sum x P and sum x^2 P - mean^2 of P(x, t)."""
+    mean = distributions @ positions
+    assert np.max(np.abs(expectation - mean)) < 1e-12
+    assert np.max(np.abs(variance - (distributions @ positions**2 - mean**2))) < 1e-12
+
+
+@pytest.mark.parametrize("name", MOMENT_WALKS)
+def test_moments_are_those_of_the_recorded_distributions(name):
+    initial, schedule, steps = MOMENT_WALKS[name]
+    traj = run(initial, schedule, steps, record_full=True)
+    assert_moments_of(traj.distributions, initial.geometry.positions, traj.expectation,
+                      traj.variance)
+
+
+def test_moments_of_a_clipped_walk_are_those_of_its_distributions():
+    # cos(theta / 2) = 0.05: the amplitude that leaves the 29-site lattice in 16
+    # steps stays below 1e-14, so the clipped views are checked and dropped, not raised
+    g, steps = LatticeGeometry(29), 16
+    schedule = Single(UniformRotation(2.0 * np.arccos(0.05)))
+    initial = WalkerState.localized(g, SYMMETRIC, 0)
+    with pytest.raises(GeometryTooSmallError):
+        run(initial, schedule, steps)
+    dists = np.zeros((steps + 1, g.n_sites))
+    mean, var, up, down = evolution.evolve_rows(
+        initial.amp_up[None], initial.amp_down[None], [schedule], 0, steps, g,
+        variance=True, dists=dists, clip=True)
+    assert_moments_of(dists, g.positions, mean[0], var[0])
+    state = initial
+    for _ in range(steps):
+        state = step(state, schedule)
+    assert (state.amp_up.tobytes(), state.amp_down.tobytes()) == (up.tobytes(), down.tobytes())
+
 def test_run_quarter_rotation_left_bias_long():
     # from spin-down the uniform quarter-turn walk drifts left monotonically
     traj = run(down_at_origin(201), Single(UniformRotation(np.pi / 2)), 100)
@@ -471,6 +534,8 @@ RUN = functools.partial(run, down_at_origin(), Single(UniformRotation(1.0)))
                  id="apply_coin_phase"),
     pytest.param("t", lambda: apply_coin(down_at_origin(), UniformRotation(1.0), t=2.5),
                  id="apply_coin_uniform"),
+    pytest.param("t", lambda: StepStream(7, 1).uniform(1.5), id="step_stream"),
+    pytest.param("t", lambda: StepStream(7, 1).angle(-1), id="step_stream_negative"),
 ])
 def test_a_non_integer_count_raises_a_value_error_naming_it(name, call):
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= [01], got "):

@@ -6,7 +6,7 @@ bounds of the kernel are exercised away from the usual centered start.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parrondoqw import (
@@ -83,8 +83,17 @@ def test_norm_is_conserved(walk):
     assert abs(run(initial, schedule, steps).final_state.norm() - 1.0) < 1e-12
 
 
+def zero_step_walk(up, down):
+    """A walk of no steps from a 3-site start whose amplitudes carry a -0.0."""
+    state = WalkerState(LatticeGeometry(3), np.array(up), np.array(down), 0)
+    return state, Single(UniformRotation(0.0)), 0
+
+
 @settings(max_examples=150, deadline=None)
 @given(walks(max_steps=12))
+@example(zero_step_walk([0, 0, 0], [0, -0.0 - 1j, 0]))  # -0.0 real part, complex walk
+@example(zero_step_walk([0, -0.0 - 1j, 0], [0, 0, 0]))
+@example(zero_step_walk([0, complex(1.0, -0.0), 0], [0, 0, 0]))  # -0.0 imag, real walk
 def test_step_loop_equals_run_bitwise(walk):
     initial, schedule, steps = walk
     state = initial

@@ -250,6 +250,10 @@ SINGLE_B = ScheduleTemplate("single_b")
                  id="x0_off_the_lattice"),
     pytest.param(bloch_grid(Single(RandomPhaseAlpha())), sweep_initial_state,
                  MissingRandomnessError, id="no_master_seed"),
+    pytest.param(coin_grid(SINGLE_B, steps=2.5, n=41), sweep_coin_params, ValueError,
+                 id="fractional_steps"),
+    pytest.param(coin_grid(SINGLE_B, steps=-3, n=41), sweep_coin_params, ValueError,
+                 id="negative_steps"),
 ])
 def test_a_grid_whose_walks_cannot_run_fails_before_any_point_runs(grid, sweep, error,
                                                                    monkeypatch):
