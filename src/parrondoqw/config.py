@@ -52,7 +52,6 @@ from .evolution import (
     Single,
     StrategySchedule,
     _seed_slots,
-    reach,
     run,
     with_derived_seeds,
 )
@@ -347,13 +346,13 @@ def _validate_quantum_geometry(cfg: RunConfig):
     _require(cfg.sites >= 3, f"sites={cfg.sites} is too small; need at least 3")
     # A sweep.* template never interleaves, so without a schedule a walker
     # shifts once per step.
-    furthest = reach(abs(cfg.x0), cfg.schedule, cfg.steps)
+    shifts = 1 if cfg.schedule is None else cfg.schedule.shifts
+    furthest = abs(cfg.x0) + cfg.steps * shifts
     _require(
         furthest <= (cfg.sites - 1) // 2,
         f"sites={cfg.sites} is too small: from initial.x0={cfg.x0} the walker can "
         f"reach |x|={furthest} in steps={cfg.steps}"
-        + (" of m+n sites each (schedule.interleaved)" if furthest > abs(cfg.x0) + cfg.steps
-           else ""),
+        + (" of m+n sites each (schedule.interleaved)" if shifts > 1 else ""),
     )
 
 

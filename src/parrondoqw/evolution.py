@@ -2,13 +2,10 @@
 
 A time step applies a schedule-determined composition of coins to the spin
 degree of freedom, then one spin-conditioned shift (spin-up amplitude moves
-one site right, spin-down one site left). Four schedules are supported:
-
-- ``Single``: one coin per step.
-- ``Composite``: coin A m times, then coin B n times, then one shift; with
-  ``interleaved=True``, a non-standard variant, a shift follows every coin.
-- ``AlternatingEvenOdd``: A twice on even step indices (0 is even), B on odd.
-- ``ProbabilisticChoice``: per step, coin A with probability q, else coin B.
+one site right, spin-down one site left). Each of the four schedules,
+``Single``, ``Composite``, ``AlternatingEvenOdd`` and ``ProbabilisticChoice``,
+states once what its step does (see ``_Schedule``); nothing else dispatches on
+which of them it holds but for the choice, the one whose coin is drawn.
 
 ``evolve_rows``, the kernel, advances R walks of one shape from the rows of
 (R, n) starts, or one (1, n) start for all, on the occupied sublattice of
@@ -44,15 +41,28 @@ from .rng import child_seed
 from .state import LatticeGeometry, WalkerState
 
 
+class _Schedule:
+    """What a step of a schedule does, stated once per class: ``coins``, its coin
+    specs in seed-slot order (each a leading field); ``order(p)``, the indices into
+    ``coins`` that a step of parity p applies, first to act first; and ``shifts``,
+    the shifts per step: 1, after its last coin, or one after each of its coins."""
+
+    shifts = 1
+    order = staticmethod(lambda p: (0,))  # one coin a step: a Single's, a choice's pick
+    coins = property(lambda self: (self.a, self.b))
+
+
 @dataclass(frozen=True)
-class Single:
+class Single(_Schedule):
     """Apply one coin spec every step."""
 
     spec: CoinSpec
 
+    coins = property(lambda self: (self.spec,))
+
 
 @dataclass(frozen=True)
-class Composite:
+class Composite(_Schedule):
     """Coin ``a`` m times then coin ``b`` n times per step, then one shift.
 
     With ``interleaved=True`` a shift follows every coin application; that
@@ -72,17 +82,24 @@ class Composite:
             raise ValueError(f"need integers m >= 0, n >= 0 with m + n >= 1, "
                              f"got m={self.m!r}, n={self.n!r}")
 
+    shifts = property(lambda self: self.m + self.n if self.interleaved else 1)
+
+    def order(self, p: int) -> tuple[int, ...]:
+        return (0,) * self.m + (1,) * self.n
+
 
 @dataclass(frozen=True)
-class AlternatingEvenOdd:
-    """Coin ``a`` twice on even step indices, coin ``b`` twice on odd ones."""
+class AlternatingEvenOdd(_Schedule):
+    """Coin ``a`` twice on even step indices (0 is even), coin ``b`` twice on odd ones."""
 
     a: CoinSpec
     b: CoinSpec
 
+    order = staticmethod(lambda p: (p, p))
+
 
 @dataclass(frozen=True)
-class ProbabilisticChoice:
+class ProbabilisticChoice(_Schedule):
     """Per step, coin ``a`` with probability q, else coin ``b``, applied once."""
 
     a: CoinSpec
@@ -190,20 +207,17 @@ def _coin(specs, n_sites: int, t: int, stop: int):
 def _plan(rows, n_sites: int, t: int, stop: int):
     """The coins that steps t to stop - 1, all of one block, apply, in order:
     a list for even and one for odd step indices (see ``_coin``). A coin no
-    step of the window applies is not built."""
-    first, specs = rows[0], list(zip(*map(coin_specs, rows)))
-    if isinstance(first, AlternatingEvenOdd):
-        return [[_coin(specs[p], n_sites, t, stop)] * 2 if stop - t > 1 or t % 2 == p else []
-                for p in (0, 1)]
-    a, *b = [_coin(s, n_sites, t, stop) for s in specs]
-    if isinstance(first, Composite):
-        return [[a] * first.m + b * first.n] * 2
+    step of the window applies is not built: its place holds None."""
+    first, specs = rows[0], list(zip(*(row.coins for row in rows)))
     if not isinstance(first, ProbabilisticChoice):
-        return [[a]] * 2  # Single
+        used = {i for u in range(t, min(stop, t + 2)) for i in first.order(u % 2)}
+        coins = {i: _coin(specs[i], n_sites, t, stop) for i in used}
+        return [[coins.get(i) for i in first.order(p)] for p in (0, 1)]
+    a, b = (_coin(s, n_sites, t, stop) for s in specs)  # the one coin: a where the draw
     pick = _draws([row.seed for row in rows], TAG_CHOICE, t, stop) < [[row.q] for row in rows]
-    if any(map(is_stochastic_spec, coin_specs(first))):  # a where the draw is below q, else b
-        return [[lambda k, cols: np.where(pick[:, k : k + 1], a(k, cols), b[0](k, cols))]] * 2
-    tables = np.broadcast_arrays(a(0, slice(None)), b[0](0, slice(None)))  # fixed or tanh
+    if any(map(is_stochastic_spec, first.coins)):  # is below q, else b
+        return [[lambda k, cols: np.where(pick[:, k : k + 1], a(k, cols), b(k, cols))]] * 2
+    tables = np.broadcast_arrays(a(0, slice(None)), b(0, slice(None)))  # fixed or tanh
     stack, r, wide = np.concatenate(tables, 2), tables[0].shape[2], tables[0].shape[3] > 1
     index = (~pick).T * r + np.arange(len(rows)) % r  # per step, the rows' picks in ``stack``
     return [[lambda k, cols: (stack[..., cols] if wide else stack).take(index[k], 2)]] * 2
@@ -215,7 +229,7 @@ def evolve_rows(
 ):
     """Advance walk i from row i of the (R, n) starts ``up`` and ``down``, or from
     their one (1, n) row, under schedule ``rows[i]`` (all of one shape, else a
-    ``ValueError`` before any step: type, m, n, interleaving, coin classes), on the
+    ``ValueError`` before any step: type, shifts, coin order, coin classes), on the
     occupied sublattice of the light cone only; the starts are only read. Two
     compact (R, W) buffers hold it: column j of a view stands for lattice column
     ``lo + s j``, with stride s = 2 when the columns occupied at the start share
@@ -234,10 +248,8 @@ def evolve_rows(
     _check_count("steps", steps, 0)
     specs, shape = set(), None
     for i, row in enumerate(rows):  # one pass: every row's coins (see ``real``) and shape
-        coins = coin_specs(row)
-        specs.update(coins)
-        key = (type(row), getattr(row, "m", 0), getattr(row, "n", 0),
-               getattr(row, "interleaved", False), *map(type, coins))
+        specs.update(row.coins)
+        key = (type(row), row.shifts, row.order(0), *map(type, row.coins))
         if key != (shape := shape or key):
             raise ValueError(f"row {i} ({row!r}) differs in shape from row 0 ({rows[0]!r})")
     n, half = geometry.n_sites, geometry.half_span
@@ -250,9 +262,9 @@ def evolve_rows(
             f"the walker can reach |x|={furthest} in {steps} steps, beyond the "
             f"edge of n_sites={n} at |x|={half}")
     _check_seeds(rows)
-    interleaved = isinstance(rows[0], Composite) and rows[0].interleaved
     s = 1 if occupied[a0 + 1 : a1 : 2].any() else 2
-    grow, shifts = 2 // s, reach(0, rows[0], steps)
+    grow, per_step = 2 // s, rows[0].shifts
+    shifts = steps * per_step
     lo, c = a0, (a1 - 1 - a0) // s + 1  # the views' first lattice column and width
     initial = up[:, a0:a1:s], down[:, a0:a1:s]
     real = not any(a.imag.any() for a in initial) and all(  # a tanh field is real
@@ -272,16 +284,14 @@ def evolve_rows(
     psi = _pair(buffers, ua, da, c)
     for k in range(steps + 1):
         if observe == "series" or (observe and k == steps):
-            if dists is not None:  # summed in this order, P(x, t) keeps its old bytes
-                u, d = psi
-                dists[k, lo : lo + s * c : s] = (u.real**2 + u.imag**2
-                                                 + d.real**2 + d.imag**2)[0]
             flat, (j, p) = psi.view(np.float64), divmod(lo - a0 + shifts, s)
             sq = np.square(flat, out=floats[: flat.size].reshape(flat.shape))
             if not real:  # |a|^2 = re^2 + im^2: a real amplitude's im^2 would add +0.0
                 sq = np.add(sq[..., ::2], sq[..., 1::2],
                             out=floats[flat.size : flat.size + psi.size].reshape(psi.shape))
             prob = np.add(sq[0], sq[1], out=sq[0])  # P(x) = |up|^2 + |down|^2, per row
+            if dists is not None:
+                dists[k, lo : lo + s * c : s] = prob[0]
             np.vecdot(prob, lines[p][:, None, j : j + c],
                       out=moments[:, k if observe == "series" else 0])
         if k == steps:
@@ -292,7 +302,7 @@ def evolve_rows(
         coins = plan[t % 2]
         for i, coin in enumerate(coins):
             _mix(psi, coin(t - start, slice(lo, lo + s * c, s)), work)
-            if interleaved or i == len(coins) - 1:  # the shift
+            if per_step > 1 or i == len(coins) - 1:  # the shift: after each coin or the last
                 ua, lo, c = ua - grow, lo - 1, c + grow
                 left, right = lo < 0, lo + s * (c - 1) >= n  # off the lattice: clip only
                 if left or right:
@@ -335,8 +345,6 @@ def apply_coin(state: WalkerState, spec: CoinSpec, t: int | None = None) -> Walk
     ``t`` defaults to the state's own time index and selects the per-step
     phase draw for random-phase specs, which need a seed.
     """
-    if isinstance(t, (int, np.integer)) and t < 0:  # before _check_count: its older message
-        raise ValueError(f"t must be nonnegative, got {t}")
     n, t = state.geometry.n_sites, state.time_step if t is None else t
     _check_count("t", t, 0)
     _check_seeds([Single(spec)])
@@ -398,19 +406,10 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-def coin_specs(schedule: StrategySchedule) -> tuple[CoinSpec, ...]:
-    """The schedule's coins: ``(spec,)`` for Single, ``(a, b)`` otherwise."""
-    if isinstance(schedule, Single):
-        return (schedule.spec,)
-    return (schedule.a, schedule.b)
-
-
 def reach(extent: int, schedule, steps: int) -> int:
-    """Largest |x| a walker can occupy after ``steps`` steps of ``schedule``
-    when it starts within |x| <= ``extent`` (|x0| for a localized start).
-    An interleaved composite shifts m+n times per step, any other schedule once."""
-    interleaved = isinstance(schedule, Composite) and schedule.interleaved
-    return extent + steps * (schedule.m + schedule.n if interleaved else 1)
+    """Largest |x| a walker can occupy after ``steps`` steps of ``schedule``, of
+    ``schedule.shifts`` shifts each, from within |x| <= ``extent`` (|x0| if localized)."""
+    return extent + steps * schedule.shifts
 
 
 def is_stochastic_schedule(schedule: StrategySchedule) -> bool:
@@ -427,9 +426,8 @@ def _seed_slots(schedule: StrategySchedule) -> list[tuple[int, str, int | None]]
     TAG_CHOICE), slot 1 coin ``a`` (``spec`` of a Single) and slot 2 coin
     ``b``, each when it is a random-phase coin (TAG_ALPHA or TAG_BETA)."""
     slots = [(0, "seed", schedule.seed)] if isinstance(schedule, ProbabilisticChoice) else []
-    for slot, name in enumerate(("spec",) if isinstance(schedule, Single) else ("a", "b"), 1):
-        spec = getattr(schedule, name)
-        if is_stochastic_spec(spec):
+    for slot, (name, spec) in enumerate(zip(schedule.__dataclass_fields__, schedule.coins), 1):
+        if is_stochastic_spec(spec):  # the coins lead the fields
             slots.append((slot, name, spec.seed))
     return slots
 

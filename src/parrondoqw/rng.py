@@ -32,10 +32,10 @@ _BLOCK = 256
 
 
 def _check_seed(seed: int) -> int:
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    return seed
+    """``seed`` as an int, unless it is not an integer >= 0: then a ``ValueError``."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
 
 
 def _check_count(name: str, value, least: int) -> None:

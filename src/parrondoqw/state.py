@@ -13,6 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidPositionError
+from .rng import _check_count
 
 
 @dataclass(frozen=True)
@@ -100,10 +101,7 @@ class WalkerState:
                 f"amplitude arrays must have shape ({n},), got "
                 f"{self.amp_up.shape} and {self.amp_down.shape}"
             )
-        if not isinstance(self.time_step, (int, np.integer)):
-            raise ValueError(f"time_step must be an integer >= 0, got {self.time_step!r}")
-        if self.time_step < 0:
-            raise ValueError(f"time_step must be nonnegative, got {self.time_step}")
+        _check_count("time_step", self.time_step, 0)
 
     @classmethod
     def localized(

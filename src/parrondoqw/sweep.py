@@ -26,8 +26,8 @@ from .evolution import (
     Single,
     StrategySchedule,
     _check_seeds,
+    _seed_slots,
     evolve_rows,
-    is_stochastic_schedule,
     map_batches,
     reach,
     with_derived_seeds,
@@ -159,7 +159,7 @@ def _point_inputs(grid: GridSpec, v1: float, v2: float, index: int):
         # 2*pi is the same physical phase as 0; wrap so closed grids are allowed.
         phi = float(params["phi"]) % _TWO_PI
         bloch = BlochCoinState(theta=float(params["theta"]), phi=phi)
-    if grid.master_seed is not None and is_stochastic_schedule(schedule):
+    if grid.master_seed is not None and _seed_slots(schedule):
         schedule = with_derived_seeds(schedule, grid.master_seed, index)
     return schedule, bloch
 

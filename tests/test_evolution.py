@@ -25,6 +25,7 @@ from parrondoqw import (
     UniformRotation,
     WalkerState,
     apply_coin,
+    child_seed,
     classical_walk,
     collect_seeds,
     ensemble_expectation,
@@ -37,7 +38,7 @@ from parrondoqw import (
 )
 from parrondoqw import evolution
 
-from pathsum import path_sum_arrays
+from pathsum import _stages, path_sum_arrays
 
 
 def down_at_origin(n=7):
@@ -89,7 +90,7 @@ def test_degenerate_tanh_equals_uniform():
 
 @pytest.mark.parametrize("spec", [UniformRotation(1.0), RandomPhaseAlpha(seed=3)])
 def test_apply_coin_rejects_negative_t(spec):
-    with pytest.raises(ValueError, match=r"^t must be nonnegative, got -1$"):
+    with pytest.raises(ValueError, match=r"^t must be an integer >= 0, got -1$"):
         apply_coin(down_at_origin(), spec, t=-1)
 
 
@@ -237,13 +238,61 @@ def test_randomness_enters_only_through_seeds():
         assert "rng" not in inspect.signature(fn).parameters
 
 
-@pytest.mark.parametrize("make", [
+SEEDED = [
     RandomPhaseAlpha, RandomPhaseBeta,
     functools.partial(ProbabilisticChoice, UniformRotation(0.1), UniformRotation(0.2), 0.5),
-])
+]
+
+
+@pytest.mark.parametrize("make", SEEDED)
 def test_negative_seed_is_rejected_at_construction(make):
     with pytest.raises(ValueError, match="^seed must be a nonnegative integer"):
         make(seed=-3)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
+def test_a_seed_that_is_not_an_integer_is_rejected(seed):
+    # truncated, 1.5 would run as seed 1 while the run's metadata reports 1.5
+    for make in SEEDED:
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer"):
+            make(seed=seed)
+    for key in ((seed, 1), (2, seed)):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer"):
+            child_seed(*key)
+    with pytest.raises(ValueError, match="^seed must be a nonnegative integer"):
+        ensemble_expectation(down_at_origin(21), Single(RandomPhaseAlpha()), 5, 2, seed)
+
+
+def test_a_numpy_integer_seed_is_accepted():
+    assert StepStream(np.int64(3), 1).uniform(4) == StepStream(3, 1).uniform(4)
+    assert child_seed(np.uint32(2), np.int64(1)) == child_seed(2, 1)
+    runs = [run(down_at_origin(21), Single(RandomPhaseAlpha(seed=seed)), 8).expectation
+            for seed in (np.int64(5), 5)]
+    assert np.array_equal(*runs)
+
+
+DESCRIBED_A, DESCRIBED_B = UniformRotation(0.3), SiteTanhRotation(-0.2, 0.7)
+
+
+@pytest.mark.parametrize("schedule", [
+    Single(DESCRIBED_B),
+    Composite(DESCRIBED_A, DESCRIBED_B, 2, 1),
+    Composite(DESCRIBED_A, DESCRIBED_B, 0, 2),
+    Composite(DESCRIBED_A, DESCRIBED_B, 3, 0),
+    Composite(DESCRIBED_A, DESCRIBED_B, 2, 1, interleaved=True),
+    Composite(DESCRIBED_A, DESCRIBED_B, 0, 1, interleaved=True),
+    Composite(DESCRIBED_A, DESCRIBED_B, 1, 0, interleaved=True),
+    AlternatingEvenOdd(DESCRIBED_A, DESCRIBED_B),
+], ids=["single", "composite_2_1", "composite_0_2", "composite_3_0", "interleaved_2_1",
+        "interleaved_0_1", "interleaved_1_0", "alternating"])
+@pytest.mark.parametrize("t", [0, 1])
+def test_each_schedule_describes_the_step_the_oracle_applies(schedule, t):
+    # the oracle derives its stages on its own; the kernel, reach and seed slots read
+    # coins, order and shifts
+    stages, interleaved = _stages(schedule, 1, t0=t)
+    applied = [spec for specs, _ in stages for spec in ((specs,) if interleaved else specs)]
+    assert [schedule.coins[i] for i in schedule.order(t % 2)] == applied
+    assert schedule.shifts == len(stages)
 
 
 def test_coin_application_preserves_norm():

@@ -7,6 +7,7 @@ from parrondoqw import (
     SPIN_DOWN,
     WINNING,
     AlternatingEvenOdd,
+    BlochCoinState,
     Composite,
     ConfigError,
     GeometryTooSmallError,
@@ -15,6 +16,7 @@ from parrondoqw import (
     InvalidPositionError,
     LatticeGeometry,
     MissingRandomnessError,
+    ProbabilisticChoice,
     RandomPhaseAlpha,
     RandomPhaseBeta,
     ScheduleTemplate,
@@ -25,6 +27,7 @@ from parrondoqw import (
     run,
     sweep_coin_params,
     sweep_initial_state,
+    with_derived_seeds,
 )
 from parrondoqw.sweep import check_grid
 
@@ -167,6 +170,24 @@ def test_initial_sweep_stochastic_points_reproducible():
     assert np.array_equal(r1.expectation, r2.expectation)
     # neighboring points use distinct derived streams
     assert r1.expectation[1, 0] != r1.expectation[1, 1]
+
+
+@pytest.mark.parametrize("schedule", [
+    # q = 0: the choice and the random-phase coin a are seed slots no step reads
+    ProbabilisticChoice(RandomPhaseAlpha(), UniformRotation(np.pi / 2), 0.0),
+    # q = 1: the random-phase coin b is a seed slot no step reads
+    ProbabilisticChoice(UniformRotation(np.pi / 2), RandomPhaseBeta(), 1.0),
+])
+def test_initial_sweep_derives_seeds_for_slots_no_step_reads(schedule):
+    # as an ensemble does: every slot needs a seed, read or not
+    grid = bloch_grid(schedule, master_seed=3)
+    result = sweep_initial_state(grid)
+    count = grid.axis2.count
+    for i, value in enumerate(result.expectation.flat):
+        theta, phi = result.axis1_values[i // count], result.axis2_values[i % count]
+        start = WalkerState.localized(grid.geometry, BlochCoinState(theta, phi % (2 * np.pi)))
+        own = run(start, with_derived_seeds(schedule, 3, i), grid.steps)
+        assert value == own.expectation[-1]
 
 
 def test_mirror_property_on_coarse_coin_grid():
