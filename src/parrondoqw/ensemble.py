@@ -23,7 +23,7 @@ from .evolution import (
     map_batches,
     with_derived_seeds,
 )
-from .rng import RNG_ALGORITHM, _check_count
+from .rng import RNG_ALGORITHM, _check_count, _check_seed
 from .state import WalkerState
 
 
@@ -63,7 +63,9 @@ def ensemble_expectation(
     then identical.
     """
     _check_count("iterations", iterations, 1)
-    if master_seed is None and _seed_slots(schedule):
+    if master_seed is not None:
+        _check_seed(master_seed)
+    elif _seed_slots(schedule):
         raise ValueError("master_seed is required: each iteration's seeds derive from it")
     if not is_stochastic_schedule(schedule):
         warnings.warn(

@@ -11,12 +11,12 @@ which of them it holds but for the choice, the one whose coin is drawn.
 (R, n) starts, or one (1, n) start for all, on the occupied sublattice of
 their light cone only; it only reads the starts and returns <X>, Var and the
 final amplitudes. ``run`` and ``step`` are its one-row calls, ensembles and
-sweeps pass it batches of rows. Draws become coins only in ``_plan``: the
-kernel calls it at its first step and at the first step of each 256-step
-block, for the steps up to the end of that block or of the run, and gets
-stateless tables (fixed or tanh coins, the window's random-phase coins, the
-choice's picks as indices into a stack of its two coins) that each step reads
-by its offset into that window.
+sweeps pass it batches of rows. Coins are built only in ``_plan``: the kernel
+calls it at its first step and, when the walk draws, at the first of each
+256-step block, and gets stateless tables (fixed or tanh coins, the window's
+random-phase coins, the choice's picks into a stack of its two coins), the
+coins a step applies before its one shift multiplied into as few tables as
+hold their product, that each step reads by its offset into that window.
 """
 
 from __future__ import annotations
@@ -191,36 +191,61 @@ def _check_seeds(rows) -> None:
 
 
 def _coin(specs, n_sites: int, t: int, stop: int):
-    """One coin of the R rows of a batch for steps t to stop - 1, as a function
-    of (step - t, the lattice columns read) that gives a (2, 2, R or 1, w) array;
-    w = 1 for a site-independent coin."""
+    """One coin of a batch's R rows for steps t to stop - 1: a (2, 2, R or 1, w) table and
+    what its last axis indexes, "steps" (random-phase), "sites" (tanh) or None (fixed)."""
     first = specs[0]
     specs = specs[:1] if all(spec == first for spec in specs) else specs
     if is_stochastic_spec(first):  # a phase per row and step
-        u = first.coin(2.0 * np.pi * _draws([spec.seed for spec in specs], first.tag, t, stop))
-        return lambda k, cols: u[..., k : k + 1]
+        phases = 2.0 * np.pi * _draws([spec.seed for spec in specs], first.tag, t, stop)
+        return first.coin(phases), "steps"
     tanh = isinstance(first, SiteTanhRotation)
     table = np.stack([_tanh_field(s, n_sites) if tanh else _fixed_matrix(s) for s in specs], 2)
-    return lambda k, cols: table[..., cols] if tanh else table
+    return table, "sites" if tanh else None
+
+
+def _read(table, axis):
+    """A function of (k, cols): the coin a ``_coin`` table holds at step offset k on cols."""
+    if axis == "steps":
+        return lambda k, cols: table[..., k : k + 1]
+    return lambda k, cols: table[..., cols] if axis else table
+
+
+def _fold(coins):
+    """Adjacent (table, axis) coins, first to act first, multiplied into the fewest tables."""
+    folded = coins[:1]
+    for table, axis in coins[1:]:
+        last, was = folded[-1]
+        if axis and was and axis != was:  # a random-phase coin next to a tanh field: their
+            folded.append((table, axis))  # product would be a (steps, sites) table
+        else:  # table @ last, per row and column
+            folded[-1] = table[:, :1] * last[:1] + table[:, 1:] * last[1:], axis or was
+    return folded
 
 
 def _plan(rows, n_sites: int, t: int, stop: int):
-    """The coins that steps t to stop - 1, all of one block, apply, in order:
-    a list for even and one for odd step indices (see ``_coin``). A coin no
-    step of the window applies is not built: its place holds None."""
+    """The coins that steps t to stop - 1, or to the end of t's block (draws come a block
+    at a time), apply in order, those before one shift folded: a list per parity (see
+    ``_read``), None for a parity no step has; then True if every table is float64."""
     first, specs = rows[0], list(zip(*(row.coins for row in rows)))
+    end = min(stop, (t // _BLOCK + 1) * _BLOCK)  # the window: steps t to end - 1
     if not isinstance(first, ProbabilisticChoice):
-        used = {i for u in range(t, min(stop, t + 2)) for i in first.order(u % 2)}
-        coins = {i: _coin(specs[i], n_sites, t, stop) for i in used}
-        return [[coins.get(i) for i in first.order(p)] for p in (0, 1)]
-    a, b = (_coin(s, n_sites, t, stop) for s in specs)  # the one coin: a where the draw
-    pick = _draws([row.seed for row in rows], TAG_CHOICE, t, stop) < [[row.q] for row in rows]
-    if any(map(is_stochastic_spec, first.coins)):  # is below q, else b
-        return [[lambda k, cols: np.where(pick[:, k : k + 1], a(k, cols), b(k, cols))]] * 2
-    tables = np.broadcast_arrays(a(0, slice(None)), b(0, slice(None)))  # fixed or tanh
-    stack, r, wide = np.concatenate(tables, 2), tables[0].shape[2], tables[0].shape[3] > 1
-    index = (~pick).T * r + np.arange(len(rows)) % r  # per step, the rows' picks in ``stack``
-    return [[lambda k, cols: (stack[..., cols] if wide else stack).take(index[k], 2)]] * 2
+        orders = {first.order(u % 2) for u in range(t, min(stop, t + 2))}
+        coins = {i: _coin(specs[i], n_sites, t, end) for i in set().union(*orders)}
+        fold = _fold if first.shifts == 1 else list
+        plans = {o: [_read(*coin) for coin in fold([coins[i] for i in o])] for o in orders}
+        real = all(table.dtype == np.float64 for table, _ in coins.values())
+        return [plans.get(first.order(p)) for p in (0, 1)], real
+    (a, ax), (b, bx) = (_coin(s, n_sites, t, end) for s in specs)
+    real = np.result_type(a, b) == np.float64
+    # the one coin: a where the draw is below q, else b; with a random-phase coin, a blend
+    pick = _draws([row.seed for row in rows], TAG_CHOICE, t, end) < [[row.q] for row in rows]
+    if "steps" in (ax, bx):
+        a, b = _read(a, ax), _read(b, bx)
+        return [[lambda k, cols: np.where(pick[:, k, None], a(k, cols), b(k, cols))]] * 2, real
+    tables = np.broadcast_arrays(a, b)  # fixed or tanh: stacked, and the rows' picks taken
+    both, r, wide = np.concatenate(tables, 2), tables[0].shape[2], "sites" in (ax, bx)
+    index = (~pick).T * r + np.arange(len(rows)) % r  # per step, the rows' picks in ``both``
+    return [[lambda k, cols: (both[..., cols] if wide else both).take(index[k], 2)]] * 2, real
 
 
 def evolve_rows(
@@ -246,11 +271,9 @@ def evolve_rows(
     amplitudes (after no step, the starts' own bytes). ``dists`` gets row 0's
     P(x, t). A row's bytes are those of its ``run``."""
     _check_count("steps", steps, 0)
-    specs, shape = set(), None
-    for i, row in enumerate(rows):  # one pass: every row's coins (see ``real``) and shape
-        specs.update(row.coins)
+    for i, row in enumerate(rows):
         key = (type(row), row.shifts, row.order(0), *map(type, row.coins))
-        if key != (shape := shape or key):
+        if key != (shape := shape if i else key):
             raise ValueError(f"row {i} ({row!r}) differs in shape from row 0 ({rows[0]!r})")
     n, half = geometry.n_sites, geometry.half_span
     occupied = up.any(axis=0) | down.any(axis=0)
@@ -262,21 +285,19 @@ def evolve_rows(
             f"the walker can reach |x|={furthest} in {steps} steps, beyond the "
             f"edge of n_sites={n} at |x|={half}")
     _check_seeds(rows)
+    start, (plan, real) = t0, _plan(rows, n, t0, t0 + steps)
     s = 1 if occupied[a0 + 1 : a1 : 2].any() else 2
     grow, per_step = 2 // s, rows[0].shifts
     shifts = steps * per_step
     lo, c = a0, (a1 - 1 - a0) // s + 1  # the views' first lattice column and width
     initial = up[:, a0:a1:s], down[:, a0:a1:s]
-    real = not any(a.imag.any() for a in initial) and all(  # a tanh field is real
-        isinstance(spec, SiteTanhRotation)
-        or not is_stochastic_spec(spec) and _fixed_matrix(spec).dtype == np.float64
-        for spec in specs)
+    real = real and not any(a.imag.any() for a in initial)
     dtype = np.float64 if real else np.complex128
     buffers = np.zeros((2, len(rows), c + grow * shifts), dtype)
     ua, da = buffers.shape[2] - c, 0  # where the up and the down view start
     buffers[0, :, ua:], buffers[1, :, :c] = (a.real if real else a for a in initial)
     work = np.empty(2 * buffers.size + 8, dtype)  # see _mix; cut to start on a 64-byte
-    work = work[-work.ctypes.data % 64 // work.itemsize :]  # line: ~6% faster mixes
+    work = work[-work.ctypes.data % 64 // work.itemsize :]  # line: mixes ran faster there
     if observe:  # x (and x^2) at each column, a line per parity; squares go in ``work``
         x, floats = np.arange(a0 - shifts, a1 + shifts) - float(half), work.view(np.float64)
         lines = [np.array([x, x * x])[: 1 + variance, p::s].copy() for p in range(s)]
@@ -297,8 +318,8 @@ def evolve_rows(
         if k == steps:
             break
         t = t0 + k
-        if k == 0 or t % _BLOCK == 0:  # draws become coins a block of steps at a time
-            start, plan = t, _plan(rows, n, t, min(t0 + steps, (t // _BLOCK + 1) * _BLOCK))
+        if k and t % _BLOCK == 0 and _seed_slots(rows[0]):  # draws come a block at a time
+            start, (plan, _) = t, _plan(rows, n, t, t0 + steps)
         coins = plan[t % 2]
         for i, coin in enumerate(coins):
             _mix(psi, coin(t - start, slice(lo, lo + s * c, s)), work)
@@ -348,9 +369,8 @@ def apply_coin(state: WalkerState, spec: CoinSpec, t: int | None = None) -> Walk
     n, t = state.geometry.n_sites, state.time_step if t is None else t
     _check_count("t", t, 0)
     _check_seeds([Single(spec)])
-    (coin,) = _plan([Single(spec)], n, t, t + 1)[t % 2]
-    psi = np.array([state.amp_up, state.amp_down])[:, None]
-    _mix(psi, coin(0, slice(None)), np.empty(4 * n, np.complex128))
+    psi = np.array([state.amp_up, state.amp_down])[:, None]  # a one-step table is its coin
+    _mix(psi, _coin([spec], n, t, t + 1)[0], np.empty(4 * n, np.complex128))
     return WalkerState(state.geometry, psi[0, 0], psi[1, 0], state.time_step)
 
 

@@ -32,15 +32,15 @@ _BLOCK = 256
 
 
 def _check_seed(seed: int) -> int:
-    """``seed`` as an int, unless it is not an integer >= 0: then a ``ValueError``."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    """``seed`` as an int, unless it is a bool or not an integer >= 0: a ``ValueError``."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     return int(seed)
 
 
 def _check_count(name: str, value, least: int) -> None:
-    """Raise a ``ValueError`` naming ``value`` unless it is an integer >= ``least``."""
-    if not isinstance(value, (int, np.integer)) or value < least:
+    """Raise a ``ValueError`` naming ``value`` unless it is a non-bool integer >= ``least``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 

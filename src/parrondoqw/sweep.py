@@ -32,7 +32,7 @@ from .evolution import (
     reach,
     with_derived_seeds,
 )
-from .rng import RNG_ALGORITHM, _check_count
+from .rng import RNG_ALGORITHM, _check_count, _check_seed
 from .state import SPIN_DOWN, BlochCoinState, LatticeGeometry
 
 WINNING = "winning"
@@ -186,9 +186,10 @@ def check_grid(grid: GridSpec) -> None:
     initial state rejects fails here too: axis values lie between the corners
     and every parameter's valid range is an interval. Raises ConfigError for
     any other schedule, names and unbound parameters, ValueError for ranges,
-    a negative tie tolerance and a ``steps`` that is not an integer >= 0, and the
-    kernel's own errors for an ``x0`` off the lattice, a light cone leaving it
-    and an unseeded seed slot.
+    a negative tie tolerance, a ``steps`` that is not an integer >= 0 and a
+    ``master_seed`` that is neither None nor a seed, and the kernel's own
+    errors for an ``x0`` off the lattice, a light cone leaving it and an
+    unseeded seed slot.
     """
     template = isinstance(grid.schedule, ScheduleTemplate)
     if callable(grid.schedule) and not template:
@@ -197,6 +198,8 @@ def check_grid(grid: GridSpec) -> None:
     if grid.tie_tolerance < 0.0:
         raise ValueError(f"tie_tolerance must be >= 0, got {grid.tie_tolerance}")
     _check_count("steps", grid.steps, 0)
+    if grid.master_seed is not None:
+        _check_seed(grid.master_seed)
     names = (grid.axis1.name, grid.axis2.name)
     allowed = COIN_PARAMETERS if template else BLOCH_PARAMETERS
     swept = grid.schedule.required_parameters() if template else allowed

@@ -213,3 +213,9 @@ def test_bad_arguments_fail_before_any_walk(monkeypatch):
             ensemble_expectation(down(), schedule, 5, 3, master_seed=1, workers=workers)
         with pytest.raises(ValueError, match="workers"):
             sweep_coin_params(grid, workers=workers)
+
+
+@pytest.mark.parametrize("master_seed", [2.5, -1, True])
+def test_a_master_seed_is_checked_without_seed_slots_too(master_seed):
+    with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got "):
+        ensemble_expectation(down(), Single(COIN_A), 5, 3, master_seed=master_seed)

@@ -250,7 +250,7 @@ def test_negative_seed_is_rejected_at_construction(make):
         make(seed=-3)
 
 
-@pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", True, False])
 def test_a_seed_that_is_not_an_integer_is_rejected(seed):
     # truncated, 1.5 would run as seed 1 while the run's metadata reports 1.5
     for make in SEEDED:
@@ -483,6 +483,8 @@ ORACLE_SCHEDULES = SCHEDULE_POOL + [
         UniformRotation(np.pi / 2), SiteTanhRotation(-np.pi / 8, np.pi / 4), 2, 2
     ),
     Composite(UniformRotation(0.9), SiteTanhRotation(0.2, -0.7), 2, 1, interleaved=True),
+    # a random-phase coin next to a tanh field: their product is no one table
+    Composite(RandomPhaseAlpha(seed=9), SiteTanhRotation(-0.4, 1.1), 2, 1),
 ]
 
 
@@ -585,6 +587,10 @@ RUN = functools.partial(run, down_at_origin(), Single(UniformRotation(1.0)))
                  id="apply_coin_uniform"),
     pytest.param("t", lambda: StepStream(7, 1).uniform(1.5), id="step_stream"),
     pytest.param("t", lambda: StepStream(7, 1).angle(-1), id="step_stream_negative"),
+    pytest.param("steps", lambda: RUN(True), id="run_bool"),
+    pytest.param("steps", lambda: ENSEMBLE(False, 3), id="ensemble_steps_bool"),
+    pytest.param("iterations", lambda: ENSEMBLE(2, True), id="ensemble_iterations_bool"),
+    pytest.param("workers", lambda: ENSEMBLE(2, 3, workers=True), id="ensemble_workers_bool"),
 ])
 def test_a_non_integer_count_raises_a_value_error_naming_it(name, call):
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= [01], got "):
@@ -616,3 +622,100 @@ def test_run_checks_reach_before_evolving(x0, schedule, steps):
     with pytest.raises(GeometryTooSmallError, match="reach"):
         run(init, schedule, steps)
     run(init, schedule, steps - 1)  # one step less stays on the lattice
+
+
+# ---------------------------------------------------------------------------
+# a step's coins folded into as few tables as hold their product
+# ---------------------------------------------------------------------------
+
+FOLD_A, FOLD_B = GeneralCoin(0.3, 1.0, 2.0), SiteTanhRotation(-0.4, 1.1)
+ALPHA, BETA = RandomPhaseAlpha(seed=4), RandomPhaseBeta(seed=5)
+
+
+def complex_start(t, n=15, margin=2):
+    s = random_state(LatticeGeometry(n), np.random.default_rng(t), margin)
+    return WalkerState(s.geometry, s.amp_up, s.amp_down, t)
+
+
+@pytest.mark.parametrize("schedule, coins", [
+    (Composite(FOLD_A, FOLD_B, 2, 1), {2: [FOLD_A, FOLD_A, FOLD_B]}),
+    (Composite(ALPHA, BETA, 2, 1), {2: [ALPHA, ALPHA, BETA]}),
+    (Composite(ALPHA, FOLD_B, 1, 2), {2: [ALPHA, FOLD_B, FOLD_B]}),
+    (AlternatingEvenOdd(FOLD_B, BETA), {2: [FOLD_B, FOLD_B], 3: [BETA, BETA]}),
+], ids=["fixed_tanh", "phases", "phase_tanh", "alternating"])
+def test_a_folded_step_is_its_coins_then_its_shift(schedule, coins):
+    for t, specs in coins.items():
+        s = manual = complex_start(t)
+        for spec in specs:
+            manual = apply_coin(manual, spec)
+        manual, stepped = shift(manual), step(s, schedule)
+        assert np.max(np.abs(stepped.amp_up - manual.amp_up)) <= 1e-15
+        assert np.max(np.abs(stepped.amp_down - manual.amp_down)) <= 1e-15
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_an_interleaved_step_is_its_coin_and_shift_sequence_bit_for_bit(t):
+    s = manual = complex_start(t, margin=3)
+    for spec in (FOLD_A, FOLD_A, FOLD_B):
+        manual = shift(apply_coin(manual, spec))
+    stepped = step(s, Composite(FOLD_A, FOLD_B, 2, 1, interleaved=True))
+    assert stepped.amp_up.tobytes() == manual.amp_up.tobytes()
+    assert stepped.amp_down.tobytes() == manual.amp_down.tobytes()
+
+
+def count_mixes(monkeypatch):
+    """The spin pairs' dtypes, one per ``_mix`` call from now on."""
+    dtypes, mix = [], evolution._mix
+
+    def counted(psi, coin, work):
+        dtypes.append(psi.dtype)
+        mix(psi, coin, work)
+
+    monkeypatch.setattr(evolution, "_mix", counted)
+    return dtypes
+
+
+@pytest.mark.parametrize("schedule, mixes", [
+    (Single(FOLD_B), 1),
+    (Composite(UniformRotation(0.7), FOLD_B, 2, 1), 1),
+    (Composite(FOLD_A, FOLD_B, 2, 2), 1),
+    (Composite(FOLD_B, UniformRotation(0.7), 1, 3), 1),
+    (Composite(ALPHA, BETA, 2, 1), 1),
+    (Composite(ALPHA, UniformRotation(0.7), 2, 2), 1),
+    (AlternatingEvenOdd(FOLD_A, FOLD_B), 1),
+    (AlternatingEvenOdd(ALPHA, BETA), 1),
+    (AlternatingEvenOdd(ALPHA, FOLD_B), 1),
+    (ProbabilisticChoice(FOLD_A, FOLD_B, 0.5, seed=3), 1),
+    (ProbabilisticChoice(ALPHA, FOLD_B, 0.5, seed=3), 1),
+    (Composite(ALPHA, FOLD_B, 2, 1), 2),  # a phase per step next to a field per site
+    (Composite(FOLD_B, ALPHA, 1, 1), 2),
+    (Composite(FOLD_A, FOLD_B, 2, 1, interleaved=True), 3),
+])
+def test_a_step_mixes_once_per_table_its_coins_fold_into(schedule, mixes, monkeypatch):
+    # from t = 250 the walk crosses a block boundary, where the coins are planned anew
+    start = WalkerState.localized(LatticeGeometry(81), SYMMETRIC, 0)
+    start = WalkerState(start.geometry, start.amp_up, start.amp_down, 250)
+    dtypes = count_mixes(monkeypatch)
+    run(start, schedule, 12)
+    assert len(dtypes) == 12 * mixes
+
+
+@pytest.mark.parametrize("a, b", [
+    (UniformRotation(0.7), GeneralCoin(0.4, 1.0, 0.3)),
+    (GeneralCoin(0.4, 1.0, 0.3), UniformRotation(0.7)),
+    (UniformRotation(0.7), BETA),
+    (ALPHA, UniformRotation(0.7)),
+], ids=["real_a_complex_b", "complex_a_real_b", "real_a_phase_b", "phase_a_real_b"])
+def test_a_walk_from_a_one_step_window_runs_in_the_arithmetic_of_all_its_coins(a, b,
+                                                                               monkeypatch):
+    # from t0 = 255 the first block has one (odd) step, which applies coin b only
+    schedule, start = AlternatingEvenOdd(a, b), down_at_origin(21)
+    start = WalkerState(start.geometry, start.amp_up, start.amp_down, 255)
+    dtypes = count_mixes(monkeypatch)
+    final = run(start, schedule, 6).final_state
+    assert dtypes == [np.dtype(np.complex128)] * 6
+    s = start
+    for _ in range(6):
+        s = step(s, schedule)
+    assert (final.amp_up.tobytes(), final.amp_down.tobytes()) == (s.amp_up.tobytes(),
+                                                                  s.amp_down.tobytes())

@@ -275,6 +275,13 @@ SINGLE_B = ScheduleTemplate("single_b")
                  id="fractional_steps"),
     pytest.param(coin_grid(SINGLE_B, steps=-3, n=41), sweep_coin_params, ValueError,
                  id="negative_steps"),
+    # a master seed is checked even where no point derives a seed from it
+    pytest.param(coin_grid(SINGLE_B, n=41, master_seed=2.5), sweep_coin_params, ValueError,
+                 id="fractional_master_seed"),
+    pytest.param(bloch_grid(FIXED_INTERLEAVED, steps=3, master_seed=-1), sweep_initial_state,
+                 ValueError, id="negative_master_seed"),
+    pytest.param(bloch_grid(Single(RandomPhaseAlpha()), master_seed=True), sweep_initial_state,
+                 ValueError, id="bool_master_seed"),
 ])
 def test_a_grid_whose_walks_cannot_run_fails_before_any_point_runs(grid, sweep, error,
                                                                    monkeypatch):
