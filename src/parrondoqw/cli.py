@@ -11,6 +11,7 @@ prints as one ``warning: <message>`` line on stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 import warnings
@@ -31,6 +32,7 @@ _FLAGS = {
 }
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parrondoqw",

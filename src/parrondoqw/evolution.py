@@ -77,7 +77,8 @@ class Composite(_Schedule):
     interleaved: bool = False
 
     def __post_init__(self):
-        counts = all(isinstance(v, (int, np.integer)) for v in (self.m, self.n))
+        counts = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                     for v in (self.m, self.n))
         if not counts or self.m < 0 or self.n < 0 or self.m + self.n < 1:
             raise ValueError(f"need integers m >= 0, n >= 0 with m + n >= 1, "
                              f"got m={self.m!r}, n={self.n!r}")
@@ -108,7 +109,7 @@ class ProbabilisticChoice(_Schedule):
     seed: int | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.q <= 1.0:
+        if isinstance(self.q, bool) or not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {self.q}")
         if self.seed is not None:
             _check_seed(self.seed)
@@ -285,7 +286,8 @@ def evolve_rows(
             f"the walker can reach |x|={furthest} in {steps} steps, beyond the "
             f"edge of n_sites={n} at |x|={half}")
     _check_seeds(rows)
-    start, (plan, real) = t0, _plan(rows, n, t0, t0 + steps)
+    # a 0-step call reads no plan: it draws nothing and takes its dtype from the starts
+    start, (plan, real) = t0, _plan(rows, n, t0, t0 + steps) if steps else (None, True)
     s = 1 if occupied[a0 + 1 : a1 : 2].any() else 2
     grow, per_step = 2 // s, rows[0].shifts
     shifts = steps * per_step

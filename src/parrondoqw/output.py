@@ -38,7 +38,9 @@ _NUMBER = "%.17g"  # integers print without a decimal point, and -0 stays -0
 def _emit(kind, out_dir, basename, tables: dict, config_echo, extra: dict) -> OutputBundle:
     """Write ``{basename}{suffix}.csv`` for each ``suffix: (header, labels, matrix)``
     (the first is the primary data file), then the JSON sidecar. Row i is
-    ``labels[i]`` then ``matrix[i]``; every number, in the header too, prints as _NUMBER."""
+    ``labels[i]`` then ``matrix[i]``; every number, in the header too, prints as _NUMBER.
+    A matrix cell that is an exact +0.0 or int 0, as most P(x, t) cells are (off the
+    light cone's sublattice), is written as the "0" that gives, without formatting it."""
     if out_dir is None or str(out_dir) == "":
         raise OutputError("output directory path is empty")
     out = Path(out_dir)
@@ -53,12 +55,15 @@ def _emit(kind, out_dir, basename, tables: dict, config_echo, extra: dict) -> Ou
     try:
         for path, (header, labels, matrix) in zip(paths.values(), tables.values()):
             head = ",".join(h if isinstance(h, str) else _NUMBER % h for h in header)
-            cell = "%s" if matrix.dtype.kind in "OSU" else _NUMBER  # text, e.g. "winning"
-            line = ",".join([_NUMBER] + [cell] * matrix.shape[1]) + "\n"
+            text = matrix.dtype.kind in "OSU"  # e.g. "winning"
+            cell = "%s" if text else _NUMBER
+            # the cells formatted: all text; every number but an exact +0.0 (-0.0 is kept)
+            keeps = np.full(matrix.shape, True) if text else (matrix != 0) | np.signbit(matrix)
             with open(path, "w", newline="") as fh:
                 fh.write(head + "\n")
-                for label, row in zip(labels, matrix):
-                    fh.write(line % (label, *row))
+                for label, row, keep in zip(labels, matrix, keeps):
+                    line = ",".join([_NUMBER, *[cell if k else "0" for k in keep.tolist()]])
+                    fh.write(line % (label, *row[keep].tolist()) + "\n")
         path = sidecar
         with open(sidecar, "w") as fh:
             json.dump(metadata, fh, indent=2, sort_keys=True, default=str)

@@ -3,14 +3,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from parrondoqw import (
     SPIN_DOWN,
+    AlternatingEvenOdd,
     ClassicalWalkResult,
     GridAxis,
     GridSpec,
     LatticeGeometry,
     OutputError,
+    RandomPhaseAlpha,
+    RandomPhaseBeta,
     ScheduleTemplate,
     Single,
     SweepResult,
@@ -25,6 +31,7 @@ from parrondoqw import (
     sweep_coin_params,
 )
 from parrondoqw.cli import main
+from parrondoqw.output import _emit
 
 
 def rectangular(path):
@@ -139,6 +146,53 @@ def test_emit_classical_with_distribution(tmp_path):
     rows = rectangular(bundle.extra_paths["distribution"])
     assert len(rows) == 6  # header + 5 time rows
     assert len(rows[0]) == 1 + 9  # t column + positions -4..4
+
+
+def one_template_csv(header, labels, matrix):
+    """A table as one "%.17g" (or, for text, "%s") row template formats every cell."""
+    head = ",".join(h if isinstance(h, str) else "%.17g" % h for h in header)
+    cell = "%s" if matrix.dtype.kind in "OSU" else "%.17g"
+    line = ",".join(["%.17g"] + [cell] * matrix.shape[1]) + "\n"
+    return head + "\n" + "".join(line % (label, *row) for label, row in zip(labels, matrix))
+
+
+def emitted_csv(directory, header, labels, matrix):
+    bundle = _emit("table", directory, "table", {"": (header, labels, matrix)}, None, {})
+    return bundle.data_path.read_text()
+
+
+EDGE_CELLS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-300, 1.0, -0.5]
+SHAPES = st.tuples(st.integers(0, 5), st.integers(0, 7))
+MATRICES = st.one_of(
+    hnp.arrays(np.float64, SHAPES, elements=st.sampled_from(EDGE_CELLS) | st.floats()),
+    hnp.arrays(np.int64, SHAPES, elements=st.sampled_from([0, -1, 7]) | st.integers(
+        -2**63, 2**63 - 1)),
+    hnp.arrays("<U7", SHAPES, elements=st.sampled_from(["winning", "losing", "neutral"])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MATRICES)
+@example(np.zeros((3, 4)))  # all-zero rows
+@example(np.full((2, 3), -0.0))
+@example(np.array([[0.0, -0.0, 5e-324], [1e-300, np.nan, -np.inf]]))
+@example(np.array([[np.inf, 1.0, -2.5]]))  # a row with no zero
+def test_emitted_cells_match_one_template_per_table(tmp_path_factory, matrix):
+    # an exact +0.0 is written as a literal 0; -0.0, NaN, inf and subnormals are formatted
+    header, labels = ("t", *range(matrix.shape[1])), np.arange(len(matrix))
+    expected = one_template_csv(header, labels, matrix)
+    assert emitted_csv(tmp_path_factory.getbasetemp(), header, labels, matrix) == expected
+
+
+def test_an_emitted_distribution_matches_one_template_per_table(tmp_path):
+    walk = run(WalkerState.localized(LatticeGeometry(61), SPIN_DOWN, 0),
+               AlternatingEvenOdd(RandomPhaseAlpha(seed=3), RandomPhaseBeta(seed=4)), 30,
+               record_full=True)
+    table = walk.distributions
+    assert (table == 0).mean() > 0.5 and (table != 0).any()  # both kinds of cell
+    header = ("t", *walk.final_state.geometry.positions)
+    expected = one_template_csv(header, walk.times, table)
+    assert emitted_csv(tmp_path, header, walk.times, table) == expected
 
 
 # ---------------------------------------------------------------------------

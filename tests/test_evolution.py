@@ -233,6 +233,23 @@ def test_unseeded_slot_fails_before_the_first_step(q, monkeypatch):
         apply_coin(down_at_origin(), RandomPhaseAlpha())
 
 
+def test_a_zero_step_call_builds_no_plan(monkeypatch):
+    # no step reads the plan, so a 0-step call draws no phases or picks and stacks no table
+    rows = [ProbabilisticChoice(RandomPhaseAlpha(seed=i), UniformRotation(1.0), 0.5, seed=i)
+            for i in range(3)]
+    start = down_at_origin(41)
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr(evolution, "_plan", no_plan)
+    mean, var, up, down = evolution.evolve_rows(start.amp_up[None], start.amp_down[None],
+                                                rows, 0, 0, start.geometry, variance=True)
+    assert mean.shape == var.shape == (3, 1) and not mean.any() and not var.any()
+    assert (up == start.amp_up).all() and (down == start.amp_down).all()
+    assert run(start, rows[0], 0).final_state.amp_down.tobytes() == start.amp_down.tobytes()
+
+
 def test_randomness_enters_only_through_seeds():
     for fn in (run, step, apply_coin, realize):
         assert "rng" not in inspect.signature(fn).parameters
@@ -558,11 +575,17 @@ def test_composite_requires_at_least_one_application():
         Composite(UniformRotation(0.1), UniformRotation(0.2), 0, 0)
 
 
-@pytest.mark.parametrize("m, n", [(1.5, 1), (1, 2.0)])
+@pytest.mark.parametrize("m, n", [(1.5, 1), (1, 2.0), (True, 1), (1, False)])
 def test_composite_rejects_non_integer_counts(m, n):
     with pytest.raises(ValueError, match=r"need integers m >= 0, n >= 0"):
         Composite(UniformRotation(1.0), UniformRotation(2.0), m, n)
     assert Composite(UniformRotation(1.0), UniformRotation(2.0), np.int64(2), 1).m == 2
+
+
+@pytest.mark.parametrize("q", [-0.1, 1.5, True, False])
+def test_choice_rejects_a_q_that_is_not_a_probability(q):
+    with pytest.raises(ValueError, match=r"^q must lie in \[0, 1\]"):
+        ProbabilisticChoice(UniformRotation(1.0), UniformRotation(2.0), q)
 
 
 CHOICE = ProbabilisticChoice(UniformRotation(1.0), SiteTanhRotation(0.1, 0.2), 0.5)
