@@ -3,13 +3,16 @@
 Every emit writes a primary CSV plus a JSON sidecar carrying the flat config
 echo, the RNG algorithm identifier, the seeds actually consumed, the package
 version, and the wall-clock runtime. The emitters only name columns and pass
-arrays; ``_emit`` alone turns numbers into text, with 17 significant digits
-and a '.' separator. Re-running the sidecar's config echo reproduces the CSV
-byte for byte; only the sidecar's runtime stamp varies.
+arrays; ``_emit`` alone turns numbers into text, each as Python's ``"%.17g"``
+would print it (17 significant digits, a '.' separator), through the numpy
+renderer in ``render``, which falls back to ``%`` cell by cell only where it
+cannot prove its digits exact. Re-running the sidecar's config echo
+reproduces the CSV byte for byte; only the sidecar's runtime stamp varies.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,15 +35,14 @@ class OutputBundle:
     extra_paths: dict
 
 
-_NUMBER = "%.17g"  # integers print without a decimal point, and -0 stays -0
-
-
 def _emit(kind, out_dir, basename, tables: dict, config_echo, extra: dict) -> OutputBundle:
     """Write ``{basename}{suffix}.csv`` for each ``suffix: (header, labels, matrix)``
     (the first is the primary data file), then the JSON sidecar. Row i is
-    ``labels[i]`` then ``matrix[i]``; every number, in the header too, prints as _NUMBER.
-    A matrix cell that is an exact +0.0 or int 0, as most P(x, t) cells are (off the
-    light cone's sublattice), is written as the "0" that gives, without formatting it."""
+    ``labels[i]`` then ``matrix[i]``; every number, header and labels included, prints
+    as ``"%.17g"`` would print it. The numbers of all the tables go through
+    ``render.parts`` a batch of lines at a time, each part written in one call; an int
+    table goes as float64, whose text is that of the int, and a text table's cells join
+    with "%s"."""
     if out_dir is None or str(out_dir) == "":
         raise OutputError("output directory path is empty")
     out = Path(out_dir)
@@ -52,22 +54,17 @@ def _emit(kind, out_dir, basename, tables: dict, config_echo, extra: dict) -> Ou
     sidecar = out / f"{basename}.json"
     metadata = {"kind": kind, "version": __version__,
                 "config": dict(config_echo) if config_echo else None, **extra}
+    from . import render  # its tables load with the first emit, not with the package
+
     try:
-        for path, (header, labels, matrix) in zip(paths.values(), tables.values()):
-            head = ",".join(h if isinstance(h, str) else _NUMBER % h for h in header)
-            text = matrix.dtype.kind in "OSU"  # e.g. "winning"
-            cell = "%s" if text else _NUMBER
-            # the cells formatted: all text; every number but an exact +0.0 (-0.0 is kept)
-            keeps = np.full(matrix.shape, True) if text else (matrix != 0) | np.signbit(matrix)
-            with open(path, "w", newline="") as fh:
-                fh.write(head + "\n")
-                for label, row, keep in zip(labels, matrix, keeps):
-                    line = ",".join([_NUMBER, *[cell if k else "0" for k in keep.tolist()]])
-                    fh.write(line % (label, *row[keep].tolist()) + "\n")
+        parts = render.parts(paths.values(), tables.values())  # in the files' order
+        for path, file_parts in itertools.groupby(parts, key=lambda part: part[0]):
+            with open(path, "wb") as fh:
+                for _, part in file_parts:
+                    fh.write(part)
         path = sidecar
-        with open(sidecar, "w") as fh:
-            json.dump(metadata, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+        with open(sidecar, "w") as fh:  # one write: json.dump writes every token
+            fh.write(json.dumps(metadata, indent=2, sort_keys=True, default=str) + "\n")
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
     (_, data_path), *extras = paths.items()

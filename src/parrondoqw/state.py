@@ -44,8 +44,9 @@ class LatticeGeometry:
         return self.positions.astype(float) ** 2
 
     def index_of(self, x: int) -> int:
-        """Array index of the integer position label ``x``."""
-        if not isinstance(x, (int, np.integer)) or abs(x) > self.half_span:
+        """Array index of the integer position label ``x`` (a bool is no label)."""
+        if (not isinstance(x, (int, np.integer)) or isinstance(x, bool)
+                or abs(x) > self.half_span):
             raise InvalidPositionError(
                 f"position {x!r} is not an integer in [-{self.half_span}, {self.half_span}]"
             )

@@ -1,0 +1,127 @@
+"""The CSV renderer: the bytes of every cell are those of Python's "%.17g"."""
+
+from decimal import Decimal
+
+import numpy as np
+import pytest
+
+from parrondoqw import (
+    SPIN_DOWN,
+    AlternatingEvenOdd,
+    BlochCoinState,
+    Composite,
+    LatticeGeometry,
+    RandomPhaseAlpha,
+    RandomPhaseBeta,
+    SiteTanhRotation,
+    UniformRotation,
+    WalkerState,
+    emit_trajectory,
+    run,
+)
+from parrondoqw import render
+from parrondoqw.output import _emit
+
+WIDTH = 7
+
+
+def rows_of(values):
+    """``values`` and their negatives, padded with +0.0 into rows of WIDTH cells."""
+    cells = np.concatenate((values, -np.asarray(values, dtype=np.float64)))
+    return np.concatenate((cells, np.zeros(-cells.size % WIDTH))).reshape(-1, WIDTH)
+
+
+def assert_renders_as_percent(values):
+    block = rows_of(values)
+    expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in block.tolist())
+    stops = np.arange(WIDTH, block.size + 1, WIDTH)
+    assert render.render(block.ravel(), stops)[0].tobytes().decode() == expected
+
+
+def test_powers_of_ten_and_their_neighbours():
+    powers = 10.0 ** np.arange(-323, 309)
+    assert_renders_as_percent(np.concatenate(
+        (powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf))))
+
+
+def test_every_power_of_two():
+    assert_renders_as_percent(np.ldexp(1.0, np.arange(-1074, 1024)))
+
+
+def exact_ties(rng, count):
+    """Doubles whose exact decimal value has 18 significant digits, the last a 5: b / 2**j,
+    for odd b, has j decimals and ends in 5, so %.17g must round half to even."""
+    ties = []
+    while len(ties) < count:
+        j = int(rng.integers(2, 26))
+        value = float(int(rng.integers(1, 2**53)) | 1) * 2.0**-j
+        digits = Decimal(value).as_tuple().digits
+        if len(digits) == 18 and digits[-1] == 5:
+            ties.append(value)
+    return np.array(ties)
+
+
+def test_constructed_ties_round_half_to_even():
+    assert_renders_as_percent(exact_ties(np.random.default_rng(5), 400))
+
+
+def test_special_cells():
+    tiny = np.ldexp(np.arange(1, 200, 7.0), -1074)  # subnormals
+    assert_renders_as_percent(np.concatenate((
+        tiny, [5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 0.0, -0.0,
+               np.nan, np.inf, -np.inf, 1.7976931348623157e308,
+               np.float64(np.iinfo(np.int64).max), np.float64(np.iinfo(np.int64).min),
+               1e16, 1e17, 99999999999999999.0, 12.5, 123456.789, 0.0001, 0.00012345,
+               1e-5, 1.0, 10.0, 1e15 + 0.5])))
+
+
+def test_random_bit_patterns():
+    bits = np.random.default_rng(0).integers(0, 2**64, 10**5, dtype=np.uint64)
+    assert_renders_as_percent(bits.view(np.float64))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e12])
+def test_rounded_values_drop_their_trailing_zeros(scale):
+    values = 10 ** np.random.default_rng(1).uniform(-8, 18, 20000)
+    assert_renders_as_percent(np.round(values * scale, 3))
+
+
+def test_int64_matrix_prints_as_percent_on_python_ints(tmp_path):
+    matrix = np.array([[0, -1, 7, 2**53 + 1], [np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                                              10**17, -(10**16)]])
+    bundle = _emit("table", tmp_path, "t", {"": (("t", *"abcd"), [0, 1], matrix)}, None, {})
+    rows = bundle.data_path.read_text().splitlines()[1:]
+    assert rows == [",".join("%.17g" % v for v in (i, *row)) for i, row
+                    in enumerate(matrix.tolist())]
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the cells that reach the per-cell "%.17g" path."""
+    counted = []
+
+    def counting(cells):
+        counted.append(len(cells))
+        return fallback(cells)
+
+    fallback = render.fallback
+    monkeypatch.setattr(render, "fallback", counting)
+    return counted
+
+
+@pytest.mark.parametrize("schedule, sites, steps, start", [
+    (AlternatingEvenOdd(RandomPhaseAlpha(seed=24), RandomPhaseBeta(seed=24)), 401, 180,
+     BlochCoinState(np.pi / 2, np.pi / 2)),
+    (Composite(UniformRotation(np.pi / 2), SiteTanhRotation(-np.pi / 8, np.pi / 4), 2, 1),
+     801, 400, SPIN_DOWN),
+])
+def test_at_most_one_cell_in_a_hundred_falls_back(fallbacks, tmp_path, schedule, sites,
+                                                   steps, start):
+    walk = run(WalkerState.localized(LatticeGeometry(sites), start, 0), schedule, steps,
+               record_full=True)
+    table = walk.distributions
+    if isinstance(schedule, Composite):
+        assert 0 < table[table > 0].min() < np.finfo(np.float64).tiny  # subnormal tails
+    # every fallback cell of both files, against the distribution's nonzero cells alone
+    emit_trajectory(walk, tmp_path)
+    assert fallbacks and sum(fallbacks) <= np.count_nonzero(table) // 100
