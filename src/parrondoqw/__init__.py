@@ -40,6 +40,7 @@ from .errors import (
     BoundaryLeakageError,
     ConfigError,
     DegenerateEnsembleWarning,
+    FieldError,
     GeometryTooSmallError,
     InsufficientDataError,
     InvalidPositionError,

@@ -23,12 +23,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import MissingRandomnessError
-from .rng import TAG_ALPHA, TAG_BETA, StepStream, _check_seed
+from .rng import FINITE, PROBABILITY, SEED, TAG_ALPHA, TAG_BETA, Ruled, StepStream
+from .rng import _check, interval, optional
 
 # A 2x2 unitary acting on (amp_up, amp_down) at one site.
 LocalCoin = NDArray[np.complex128]
 
 _TWO_PI = 2.0 * np.pi
+_PHASE = interval(0.0, _TWO_PI, "[0, 2*pi]")
 
 
 def rotation_matrix(theta: float) -> LocalCoin:
@@ -63,8 +65,7 @@ def general_coin_matrix(q: float, alpha, beta) -> LocalCoin:
     gives the Fourier coin. Array phases give an array of coins, of shape
     (2, 2) + their broadcast shape.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
+    _check("q", q, PROBABILITY)
     a, b = np.sqrt(q), np.sqrt(1.0 - q)
     coins = np.empty((2, 2, *np.broadcast(alpha, beta).shape), np.complex128)
     coins[0, 0], coins[0, 1] = a, b * np.exp(1j * alpha)  # filled in place: cheap for one coin
@@ -73,50 +74,37 @@ def general_coin_matrix(q: float, alpha, beta) -> LocalCoin:
 
 
 @dataclass(frozen=True)
-class UniformRotation:
+class UniformRotation(Ruled):
     """Same rotation angle at every site and step."""
 
     theta: float
 
-    def __post_init__(self):
-        if not -_TWO_PI <= self.theta < _TWO_PI:
-            raise ValueError(f"theta must lie in [-2*pi, 2*pi), got {self.theta}")
+    rules = {"theta": interval(-_TWO_PI, _TWO_PI, "[-2*pi, 2*pi)")}
 
 
 @dataclass(frozen=True)
-class SiteTanhRotation:
+class SiteTanhRotation(Ruled):
     """Site-dependent rotation angle, tanh-interpolated between two endpoint values."""
 
     theta_minus: float
     theta_plus: float
 
-    def __post_init__(self):
-        if not (np.isfinite(self.theta_minus) and np.isfinite(self.theta_plus)):
-            raise ValueError(
-                f"theta_minus and theta_plus must be finite, got "
-                f"{self.theta_minus}, {self.theta_plus}"
-            )
+    rules = {"theta_minus": FINITE, "theta_plus": FINITE}
 
 
 @dataclass(frozen=True)
-class GeneralCoin:
+class GeneralCoin(Ruled):
     """Fixed (q, alpha, beta) coin."""
 
     q: float
     alpha: float
     beta: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q must lie in [0, 1], got {self.q}")
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= _TWO_PI:
-                raise ValueError(f"{name} must lie in [0, 2*pi], got {v}")
+    rules = {"q": PROBABILITY, "alpha": _PHASE, "beta": _PHASE}
 
 
 @dataclass(frozen=True)
-class _RandomPhase:
+class _RandomPhase(Ruled):
     """q = 1/2 coin with one phase drawn uniformly on [0, 2*pi) per time step. A
     subclass states the stream ``tag`` of the draws and ``coin``, which places
     the phase (or an array of phases) in ``general_coin_matrix``.
@@ -127,9 +115,7 @@ class _RandomPhase:
 
     seed: int | None = None
 
-    def __post_init__(self):
-        if self.seed is not None:
-            _check_seed(self.seed)
+    rules = {"seed": optional(SEED)}
 
 
 @dataclass(frozen=True)

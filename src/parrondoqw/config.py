@@ -11,7 +11,9 @@ coin specs, ``initial.*`` into a ``BlochCoinState``, ``grid.axisN.*`` into a
 ``GridAxis`` and ``sweep.*`` into a ``ScheduleTemplate``. A section's ``kind``
 key picks the class from its family's table; every other key names a field
 of that class and is parsed by the field's annotation. Keys the chosen class
-does not have are rejected.
+does not have are rejected. Each class, ``RunConfig`` too, checks the rule of each
+field as it is built (``rng.Ruled``); the ``FieldError`` of a value a rule rejects
+names its field, and so the key the ``ConfigError`` names.
 
 ``MODES`` describes each run mode once: its help line, the keys it reads and
 the function that runs it. Validation rejects every other key (``seed`` in a
@@ -44,7 +46,7 @@ from .coins import (
     SiteTanhRotation,
     UniformRotation,
 )
-from .errors import ConfigError
+from .errors import ConfigError, FieldError
 from .evolution import (
     AlternatingEvenOdd,
     Composite,
@@ -52,9 +54,11 @@ from .evolution import (
     Single,
     StrategySchedule,
     _seed_slots,
+    reach,
     run,
     with_derived_seeds,
 )
+from .rng import ODD_SITES, PROBABILITY, SEED, TOLERANCE, Ruled, at_least, optional
 from .state import SPIN_DOWN, BlochCoinState, LatticeGeometry, WalkerState
 from .sweep import GridAxis, GridSpec, ScheduleTemplate
 
@@ -145,7 +149,7 @@ _SCALARS = {
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Ruled):
     mode: str
     sites: int | None = None
     steps: int = 0
@@ -167,6 +171,10 @@ class RunConfig:
     given: tuple = field(default=(), init=False, compare=False, repr=False)
     # The run objects validate built, by the mode runner's argument names.
     built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # Every default passes its rule, so a key the mode does not read fails as unread.
+    rules = {"sites": optional(ODD_SITES), "steps": at_least(0), "seed": optional(SEED),
+             "iterations": at_least(1), "workers": at_least(1),
+             "tie_tolerance": TOLERANCE, "p_right": PROBABILITY}
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +263,9 @@ def _parse_section(cls, flat: dict[str, str], prefix: str, context: str = "", ba
         if base is not None:
             return dataclasses.replace(base, **values)
         return cls(**values)
+    except FieldError as exc:  # a field's rule: name its key
+        raise ConfigError(f"{_join(prefix, _KEYS.get(exc.field, exc.field))}: {exc}") from exc
     except ValueError as exc:
-        # Domain errors start with the field they reject; name its key instead.
-        head, _, tail = str(exc).partition(" ")
-        if head in (f.name for f in dataclasses.fields(cls)):
-            raise ConfigError(f"{_join(prefix, _KEYS.get(head, head))} {tail}") from exc
         raise ConfigError(f"{prefix}: {exc}") from exc
 
 
@@ -284,11 +290,8 @@ def build_coin(flat: dict[str, str], key: str) -> CoinSpec | None:
 
 
 def config_from_flat(flat: Mapping[str, str]) -> RunConfig:
-    """Parse a flat key/value mapping into a RunConfig of domain objects.
-
-    The domain constructors check their own ranges; the rules that depend
-    on the mode are left to ``validate``.
-    """
+    """Parse a flat key/value mapping into a RunConfig of domain objects; the
+    rules that depend on the mode are left to ``validate``."""
     rest = dict(flat)
     cfg = _parse_section(RunConfig, rest, "")
     if rest:
@@ -342,18 +345,12 @@ def _require(condition: bool, message: str):
 
 def _validate_quantum_geometry(cfg: RunConfig):
     _require(cfg.sites is not None, f"mode={cfg.mode} requires 'sites'")
-    _require(cfg.sites % 2 == 1, f"sites={cfg.sites} is even; the lattice must be odd")
-    _require(cfg.sites >= 3, f"sites={cfg.sites} is too small; need at least 3")
-    # A sweep.* template never interleaves, so without a schedule a walker
-    # shifts once per step.
-    shifts = 1 if cfg.schedule is None else cfg.schedule.shifts
-    furthest = abs(cfg.x0) + cfg.steps * shifts
-    _require(
-        furthest <= (cfg.sites - 1) // 2,
-        f"sites={cfg.sites} is too small: from initial.x0={cfg.x0} the walker can "
-        f"reach |x|={furthest} in steps={cfg.steps}"
-        + (" of m+n sites each (schedule.interleaved)" if shifts > 1 else ""),
-    )
+    schedule = cfg.schedule or cfg.sweep  # without either, a later check fails
+    furthest = reach(abs(cfg.x0), schedule, cfg.steps) if schedule else 0
+    if furthest > (cfg.sites - 1) // 2:
+        each = " of m+n sites each (schedule.interleaved)" if schedule.shifts > 1 else ""
+        raise ConfigError(f"sites={cfg.sites} is too small: from initial.x0={cfg.x0} the "
+                          f"walker can reach |x|={furthest} in steps={cfg.steps}{each}")
 
 
 def _slot_key(schedule: StrategySchedule, seeded: bool) -> str | None:
@@ -418,14 +415,6 @@ def validate(cfg: RunConfig) -> RunConfig:
     first, and keep the run objects the mode's runner takes in ``cfg.built``."""
     _require(cfg.mode in MODES, f"mode={cfg.mode!r}; expected one of {tuple(MODES)}")
     _require(cfg.out_dir != "", "out is empty; it must name an output directory")
-    # Every default is in range, so a key the mode does not read passes here
-    # and is rejected below.
-    _require(cfg.workers >= 1, f"workers={cfg.workers} must be >= 1")
-    _require(cfg.tie_tolerance >= 0.0, f"tie_tolerance={cfg.tie_tolerance} must be >= 0")
-    _require(cfg.seed is None or cfg.seed >= 0, f"seed={cfg.seed} must be nonnegative")
-    _require(cfg.steps >= 0, f"steps={cfg.steps} must be nonnegative")
-    _require(0.0 <= cfg.p_right <= 1.0, f"p_right={cfg.p_right} outside [0, 1]")
-    _require(cfg.iterations >= 1, f"iterations={cfg.iterations} must be >= 1")
     mode = MODES[cfg.mode]
     if "sites" in mode.reads:
         _validate_quantum_geometry(cfg)

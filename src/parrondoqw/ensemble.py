@@ -23,7 +23,7 @@ from .evolution import (
     map_batches,
     with_derived_seeds,
 )
-from .rng import RNG_ALGORITHM, _check_count, _check_seed
+from .rng import PROBABILITY, RNG_ALGORITHM, SEED, _check, at_least, optional
 from .state import WalkerState
 
 
@@ -62,10 +62,8 @@ def ensemble_expectation(
     schedule with no randomness is allowed but warns: all iterations are
     then identical.
     """
-    _check_count("iterations", iterations, 1)
-    if master_seed is not None:
-        _check_seed(master_seed)
-    elif _seed_slots(schedule):
+    _check("iterations", iterations, at_least(1))
+    if _check("seed", master_seed, optional(SEED)) is None and _seed_slots(schedule):
         raise ValueError("master_seed is required: each iteration's seeds derive from it")
     if not is_stochastic_schedule(schedule):
         warnings.warn(
@@ -116,9 +114,8 @@ def classical_walk(steps: int, p_right: float = 0.5) -> ClassicalWalkResult:
     The probability vector is propagated exactly, no sampling. For the
     unbiased walk the variance equals t at every step.
     """
-    if not 0.0 <= p_right <= 1.0:
-        raise ValueError(f"p_right must lie in [0, 1], got {p_right}")
-    _check_count("steps", steps, 0)
+    _check("p_right", p_right, PROBABILITY)
+    _check("steps", steps, at_least(0))
 
     width = 2 * steps + 1
     positions = np.arange(-steps, steps + 1)
@@ -151,8 +148,7 @@ def variance_scaling_exponent(
     steps). Slope 2 marks ballistic spreading, slope 1 diffusive.
     """
     variance = np.asarray(variance, dtype=float)
-    if t_min < 1:
-        raise ValueError(f"t_min must be >= 1 (log t undefined at 0), got {t_min}")
+    _check("t_min", t_min, at_least(1))  # log t is undefined at 0
     if t_max >= len(variance):
         raise ValueError(
             f"t_max={t_max} beyond the series (length {len(variance)})"

@@ -25,6 +25,15 @@ class InsufficientDataError(WalkError):
     """Not enough data points for the requested fit."""
 
 
+class FieldError(ValueError):
+    """A value its argument's rule rejects: ``FieldError(field, message)``, both in args."""
+
+    field = property(lambda self: self.args[0])  # the argument's name
+
+    def __str__(self):
+        return self.args[1]
+
+
 class ConfigError(WalkError):
     """A run configuration is malformed or violates a validation rule."""
 

@@ -36,12 +36,12 @@ from .errors import (
     GeometryTooSmallError,
     MissingRandomnessError,
 )
-from .rng import _BLOCK, RNG_ALGORITHM, TAG_CHOICE, _check_count, _check_seed, _draws
-from .rng import child_seed
+from .rng import _BLOCK, PROBABILITY, RNG_ALGORITHM, SEED, TAG_CHOICE, Ruled, _check, _draws
+from .rng import at_least, child_seed, optional
 from .state import LatticeGeometry, WalkerState
 
 
-class _Schedule:
+class _Schedule(Ruled):
     """What a step of a schedule does, stated once per class: ``coins``, its coin
     specs in seed-slot order (each a leading field); ``order(p)``, the indices into
     ``coins`` that a step of parity p applies, first to act first; and ``shifts``,
@@ -76,12 +76,12 @@ class Composite(_Schedule):
     n: int
     interleaved: bool = False
 
+    rules = {"m": at_least(0), "n": at_least(0)}
+
     def __post_init__(self):
-        counts = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                     for v in (self.m, self.n))
-        if not counts or self.m < 0 or self.n < 0 or self.m + self.n < 1:
-            raise ValueError(f"need integers m >= 0, n >= 0 with m + n >= 1, "
-                             f"got m={self.m!r}, n={self.n!r}")
+        super().__post_init__()
+        if self.m + self.n < 1:  # a rule across two fields
+            raise ValueError(f"m + n must be >= 1, got m={self.m!r}, n={self.n!r}")
 
     shifts = property(lambda self: self.m + self.n if self.interleaved else 1)
 
@@ -108,11 +108,7 @@ class ProbabilisticChoice(_Schedule):
     q: float
     seed: int | None = None
 
-    def __post_init__(self):
-        if isinstance(self.q, bool) or not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q must lie in [0, 1], got {self.q}")
-        if self.seed is not None:
-            _check_seed(self.seed)
+    rules = {"q": PROBABILITY, "seed": optional(SEED)}
 
 
 StrategySchedule = Union[Single, Composite, AlternatingEvenOdd, ProbabilisticChoice]
@@ -271,7 +267,7 @@ def evolve_rows(
     "series", (R, 1) at the end for "final", then the final (R, n) up and down
     amplitudes (after no step, the starts' own bytes). ``dists`` gets row 0's
     P(x, t). A row's bytes are those of its ``run``."""
-    _check_count("steps", steps, 0)
+    _check("steps", steps, at_least(0))
     for i, row in enumerate(rows):
         key = (type(row), row.shifts, row.order(0), *map(type, row.coins))
         if key != (shape := shape if i else key):
@@ -348,7 +344,7 @@ def map_batches(fn, args: tuple, count: int, workers: int = 1) -> np.ndarray:
     """``fn((*args, start, stop))`` over consecutive batches of at most 64 of
     range(count), on up to ``workers`` processes, but no more than there are
     batches or cores; concatenated."""
-    _check_count("workers", workers, 1)
+    _check("workers", workers, at_least(1))
     jobs = [(*args, i, min(i + _BATCH_ROWS, count)) for i in range(0, count, _BATCH_ROWS)]
     processes = min(workers, len(jobs), os.cpu_count() or 1)
     if processes > 1:
@@ -369,7 +365,7 @@ def apply_coin(state: WalkerState, spec: CoinSpec, t: int | None = None) -> Walk
     phase draw for random-phase specs, which need a seed.
     """
     n, t = state.geometry.n_sites, state.time_step if t is None else t
-    _check_count("t", t, 0)
+    _check("t", t, at_least(0))
     _check_seeds([Single(spec)])
     psi = np.array([state.amp_up, state.amp_down])[:, None]  # a one-step table is its coin
     _mix(psi, _coin([spec], n, t, t + 1)[0], np.empty(4 * n, np.complex128))
@@ -412,7 +408,7 @@ def run(
     seed slot (see ``with_derived_seeds``); both are checked before any
     evolution happens. This is the one-row call of the batched kernel.
     """
-    _check_count("steps", steps, 0)  # before P(x, t) is allocated
+    _check("steps", steps, at_least(0))  # before P(x, t) is allocated
     g, t0 = initial.geometry, initial.time_step
     dists = np.zeros((steps + 1, g.n_sites)) if record_full else None
     mean, var, up, down = evolve_rows(initial.amp_up[None], initial.amp_down[None], [schedule],

@@ -12,13 +12,20 @@ Per-step draws are defined block-wise: draw ``t`` of a stream is entry
 of the derivation rule, not a statefulness: the value at ``t`` is fixed by
 ``(seed, tag, t)`` alone. ``_draws``, the one reader of the blocks, gives every
 draw: the kernel's phases and picks, ``StepStream``'s and so ``realize``'s.
+
+The argument rules live here too, the seed's among them: a rule is (kinds, ok,
+wanted), and ``_check`` passes a value of ``kinds``, never a bool, for which ``ok``
+holds. Each range is stated once, below or in a ``Ruled`` class's ``rules``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+from functools import cache, lru_cache
 
 import numpy as np
+
+from .errors import FieldError
 
 # Recorded in output metadata so results can be replayed.
 RNG_ALGORITHM = "numpy-PCG64(SeedSequence), 256-draw blocks keyed by (seed, tag, t//256)"
@@ -31,22 +38,53 @@ TAG_CHOICE = 3
 _BLOCK = 256
 
 
-def _check_seed(seed: int) -> int:
-    """``seed`` as an int, unless it is a bool or not an integer >= 0: a ``ValueError``."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    return int(seed)
+_INTEGERS, _REALS = (int, np.integer), (int, float, np.integer, np.floating)
+SEED = _INTEGERS, lambda v: v >= 0, "be a nonnegative integer"
+ODD_SITES = _INTEGERS, lambda v: v >= 3 and v % 2 == 1, "be an odd integer >= 3"
+FINITE = _REALS, math.isfinite, "be finite"
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Raise a ``ValueError`` naming ``value`` unless it is a non-bool integer >= ``least``."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check(name: str, value, rule):
+    """``value`` if ``rule`` passes it, else a ``FieldError`` naming ``name``."""
+    kinds, ok, wanted = rule
+    if isinstance(value, bool) or not isinstance(value, kinds) or not ok(value):
+        raise FieldError(name, f"{name} must {wanted}, got {value!r}")
+    return value
+
+
+@cache
+def at_least(least: int):
+    return _INTEGERS, lambda v: v >= least, f"be an integer >= {least}"
+
+
+def interval(lo: float, hi: float, shown: str):
+    """A real in ``shown``: "[lo, hi]", or "[lo, hi)" without hi."""
+    closed = shown.endswith("]")
+    return _REALS, lambda v: lo <= v and (v <= hi if closed else v < hi), f"lie in {shown}"
+
+
+def optional(rule):
+    kinds, ok, wanted = rule
+    return (*kinds, type(None)), lambda v: v is None or ok(v), wanted
+
+
+PROBABILITY = interval(0.0, 1.0, "[0, 1]")
+TOLERANCE = interval(0.0, np.inf, "[0, inf)")
+
+
+class Ruled:
+    """A dataclass whose fields' ``rules`` (field -> rule) are checked when it is built."""
+
+    rules = {}
+
+    def __post_init__(self):
+        for name, rule in self.rules.items():
+            _check(name, getattr(self, name), rule)
 
 
 def child_seed(master_seed: int, *key: int) -> int:
     """Derive a reproducible child seed from a master seed and an index key."""
-    entropy = [_check_seed(master_seed)] + [_check_seed(k) for k in key]
+    entropy = [int(_check("seed", k, SEED)) for k in (master_seed, *key)]
     ss = np.random.SeedSequence(entropy)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -75,13 +113,12 @@ class StepStream:
     """
 
     def __init__(self, seed: int, tag: int = 0):
-        self.seed = _check_seed(seed)
+        self.seed = int(_check("seed", seed, SEED))
         self.tag = int(tag)
 
     def uniform(self, t: int) -> float:
         """Uniform draw on [0, 1) for step ``t``, an integer >= 0."""
-        _check_count("t", t, 0)
-        t = int(t)
+        t = int(_check("t", t, at_least(0)))
         return float(_draws((self.seed,), self.tag, t, t + 1)[0, 0])
 
     def angle(self, t: int) -> float:

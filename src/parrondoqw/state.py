@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidPositionError
-from .rng import _check_count
+from .rng import ODD_SITES, Ruled, _check, at_least, interval
 
 
 @dataclass(frozen=True)
@@ -23,10 +23,7 @@ class LatticeGeometry:
     n_sites: int
 
     def __post_init__(self):
-        n = self.n_sites
-        if not isinstance(n, (int, np.integer)) or n < 3 or n % 2 == 0:
-            raise ValueError(f"n_sites must be an odd integer >= 3, got {n!r}")
-        object.__setattr__(self, "n_sites", int(n))
+        object.__setattr__(self, "n_sites", int(_check("n_sites", self.n_sites, ODD_SITES)))
 
     @property
     def half_span(self) -> int:
@@ -54,17 +51,14 @@ class LatticeGeometry:
 
 
 @dataclass(frozen=True)
-class BlochCoinState:
+class BlochCoinState(Ruled):
     """Initial spin state cos(theta/2)|up> + e^{i phi} sin(theta/2)|down>."""
 
     theta: float
     phi: float = 0.0
 
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= np.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi < 2.0 * np.pi:
-            raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
+    rules = {"theta": interval(0.0, np.pi, "[0, pi]"),
+             "phi": interval(0.0, 2.0 * np.pi, "[0, 2*pi)")}
 
     def spinor(self) -> tuple[complex, complex]:
         """Unit spinor (amplitude_up, amplitude_down)."""
@@ -102,7 +96,7 @@ class WalkerState:
                 f"amplitude arrays must have shape ({n},), got "
                 f"{self.amp_up.shape} and {self.amp_down.shape}"
             )
-        _check_count("time_step", self.time_step, 0)
+        _check("time_step", self.time_step, at_least(0))
 
     @classmethod
     def localized(

@@ -32,7 +32,8 @@ from .evolution import (
     reach,
     with_derived_seeds,
 )
-from .rng import RNG_ALGORITHM, _check_count, _check_seed
+from .rng import FINITE, RNG_ALGORITHM, SEED, TOLERANCE, Ruled, _check, at_least
+from .rng import optional
 from .state import SPIN_DOWN, BlochCoinState, LatticeGeometry
 
 WINNING = "winning"
@@ -47,8 +48,7 @@ _TWO_PI = 2.0 * np.pi
 
 def classify(expectation: float, tie_tolerance: float = 1e-9) -> str:
     """Sign of the final position expectation, with a dead zone for ties."""
-    if tie_tolerance < 0.0:
-        raise ValueError(f"tie_tolerance must be >= 0, got {tie_tolerance}")
+    _check("tie_tolerance", tie_tolerance, TOLERANCE)
     if expectation > tie_tolerance:
         return WINNING
     if expectation < -tie_tolerance:
@@ -57,7 +57,7 @@ def classify(expectation: float, tie_tolerance: float = 1e-9) -> str:
 
 
 @dataclass(frozen=True)
-class GridAxis:
+class GridAxis(Ruled):
     """Closed-interval axis: ``count`` evenly spaced values including both ends."""
 
     name: str
@@ -65,19 +65,14 @@ class GridAxis:
     upper: float
     count: int
 
-    def __post_init__(self):
-        if not isinstance(self.count, (int, np.integer)) or self.count < 2:
-            raise ValueError(f"axis '{self.name}' needs an integer count >= 2, "
-                             f"got {self.count!r}")
-        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
-            raise ValueError(f"axis '{self.name}' bounds must be finite")
+    rules = {"lower": FINITE, "upper": FINITE, "count": at_least(2)}
 
     def values(self) -> np.ndarray:
         return np.linspace(self.lower, self.upper, self.count)
 
 
 @dataclass(frozen=True)
-class ScheduleTemplate:
+class ScheduleTemplate(Ruled):
     """Builds the uniform-A / site-tanh-B game family from named coin parameters.
 
     Kinds: ``single_b`` (site-dependent coin alone), ``composite`` (A m
@@ -89,10 +84,8 @@ class ScheduleTemplate:
     n: int = 0
 
     _KINDS = ("single_b", "composite")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"kind must be one of {self._KINDS}, got {self.kind!r}")
+    rules = {"kind": ((str,), _KINDS.__contains__, f"be one of {_KINDS}")}
+    shifts = 1  # none of its games interleaves: a shift a step, as ``reach`` reads
 
     def required_parameters(self) -> tuple[str, ...]:
         if self.kind == "single_b":
@@ -126,6 +119,8 @@ class GridSpec:
     fixed: dict = field(default_factory=dict)
     master_seed: int | None = None
     tie_tolerance: float = 1e-9
+
+    rules = {"steps": at_least(0), "master_seed": optional(SEED), "tie_tolerance": TOLERANCE}
 
 
 @dataclass
@@ -186,20 +181,15 @@ def check_grid(grid: GridSpec) -> None:
     initial state rejects fails here too: axis values lie between the corners
     and every parameter's valid range is an interval. Raises ConfigError for
     any other schedule, names and unbound parameters, ValueError for ranges,
-    a negative tie tolerance, a ``steps`` that is not an integer >= 0 and a
-    ``master_seed`` that is neither None nor a seed, and the kernel's own
-    errors for an ``x0`` off the lattice, a light cone leaving it and an
-    unseeded seed slot.
+    a ``FieldError`` for a ``steps``, ``master_seed`` or ``tie_tolerance`` the
+    grid's ``rules`` reject, and the kernel's own errors for an ``x0`` off the
+    lattice, a light cone leaving it and an unseeded seed slot.
     """
     template = isinstance(grid.schedule, ScheduleTemplate)
     if callable(grid.schedule) and not template:
         raise ConfigError(f"the schedule must be a ScheduleTemplate or a fixed schedule, "
                           f"got {grid.schedule!r}")
-    if grid.tie_tolerance < 0.0:
-        raise ValueError(f"tie_tolerance must be >= 0, got {grid.tie_tolerance}")
-    _check_count("steps", grid.steps, 0)
-    if grid.master_seed is not None:
-        _check_seed(grid.master_seed)
+    Ruled.__post_init__(grid)  # GridSpec's rules: its fields may change after construction
     names = (grid.axis1.name, grid.axis2.name)
     allowed = COIN_PARAMETERS if template else BLOCH_PARAMETERS
     swept = grid.schedule.required_parameters() if template else allowed
@@ -212,9 +202,9 @@ def check_grid(grid: GridSpec) -> None:
         for v2 in (grid.axis2.lower, grid.axis2.upper):
             try:
                 schedule, _ = _point_inputs(grid, v1, v2, 0)
-            except (ConfigError, ValueError) as exc:
+            except ValueError as exc:  # a range the schedule or the initial state rejects
                 corner = f"{names[0]}={v1}, {names[1]}={v2}"
-                raise type(exc)(f"axis1/axis2 corner ({corner}): {exc}") from exc
+                raise ValueError(f"axis1/axis2 corner ({corner}): {exc}") from exc
     grid.geometry.index_of(grid.x0)  # an InvalidPositionError unless x0 is a site
     furthest, half = reach(abs(grid.x0), schedule, grid.steps), grid.geometry.half_span
     if furthest > half:  # every point has this corner's light cone and seed slots

@@ -100,7 +100,7 @@ def test_valid_walk_config():
 
 
 def test_even_sites_rejected():
-    with pytest.raises(ConfigError, match="even"):
+    with pytest.raises(ConfigError, match="^sites: sites must be an odd integer >= 3"):
         validate(config_from_flat(walk_flat(sites="200")))
 
 
@@ -383,6 +383,23 @@ INVALID = {
     # values their field's type cannot parse
     "steps_not_integer": (walk_flat(steps="abc"), "steps"),
     "record_full_not_boolean": (walk_flat(record_full="maybe"), "record_full"),
+    # values a field's rule rejects: the key comes from the field the error names
+    "workers_zero": (walk_flat(mode="ensemble", seed="1", workers="0"), "workers"),
+    "iterations_zero": (walk_flat(mode="ensemble", seed="1", iterations="0"), "iterations"),
+    "p_right_above_one": (CLASSICAL | {"p_right": "1.5"}, "p_right"),
+    "tie_tolerance_negative": (sweep_coin_flat(tie_tolerance="-1"), "tie_tolerance"),
+    "seed_negative": (walk_flat(seed="-1"), "seed"),
+    "choice_q_above_one": (walk_flat(seed="1", **{
+        "schedule.kind": "probabilistic", "schedule.q": "1.5",
+        "schedule.b.kind": "uniform", "schedule.b.theta": "pi/4"}), "schedule.q"),
+    "general_coin_q_two": (without(walk_flat(**{
+        "schedule.a.kind": "general", "schedule.a.q": "2", "schedule.a.alpha": "0",
+        "schedule.a.beta": "0"}), "schedule.a.theta"), "schedule.a.q"),
+    "composite_m_negative": (walk_flat(**{
+        "schedule.kind": "composite", "schedule.m": "-1", "schedule.n": "1",
+        "schedule.b.kind": "uniform", "schedule.b.theta": "pi/4"}), "schedule.m"),
+    "axis_count_one": (sweep_coin_flat(**{"grid.axis1.count": "1"}), "grid.axis1.count"),
+    "initial_phi_above_two_pi": (walk_flat(**{"initial.phi": "7"}), "initial.phi"),
 }
 
 # What each mode reads besides mode and out; a name covers the keys below it.

@@ -1,5 +1,7 @@
 import functools
 import inspect
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,13 +14,18 @@ from parrondoqw import (
     BlochCoinState,
     BoundaryLeakageError,
     Composite,
+    FieldError,
     GeneralCoin,
     GeometryTooSmallError,
+    GridAxis,
+    GridSpec,
     LatticeGeometry,
     MissingRandomnessError,
     ProbabilisticChoice,
     RandomPhaseAlpha,
     RandomPhaseBeta,
+    RunConfig,
+    ScheduleTemplate,
     Single,
     SiteTanhRotation,
     StepStream,
@@ -27,16 +34,20 @@ from parrondoqw import (
     apply_coin,
     child_seed,
     classical_walk,
+    classify,
     collect_seeds,
     ensemble_expectation,
+    general_coin_matrix,
     is_stochastic_schedule,
     realize,
     run,
     shift,
     step,
+    variance_scaling_exponent,
     with_derived_seeds,
 )
 from parrondoqw import evolution
+from parrondoqw.sweep import check_grid
 
 from pathsum import _stages, path_sum_arrays
 
@@ -577,7 +588,7 @@ def test_composite_requires_at_least_one_application():
 
 @pytest.mark.parametrize("m, n", [(1.5, 1), (1, 2.0), (True, 1), (1, False)])
 def test_composite_rejects_non_integer_counts(m, n):
-    with pytest.raises(ValueError, match=r"need integers m >= 0, n >= 0"):
+    with pytest.raises(FieldError, match=r"^[mn] must be an integer >= 0, got "):
         Composite(UniformRotation(1.0), UniformRotation(2.0), m, n)
     assert Composite(UniformRotation(1.0), UniformRotation(2.0), np.int64(2), 1).m == 2
 
@@ -593,7 +604,7 @@ ENSEMBLE = functools.partial(ensemble_expectation, down_at_origin(), CHOICE, mas
 RUN = functools.partial(run, down_at_origin(), Single(UniformRotation(1.0)))
 
 
-@pytest.mark.parametrize("name, call", [
+COUNTS = [
     pytest.param("steps", lambda: RUN(2.0), id="run"),
     pytest.param("steps", lambda: RUN(1.5, record_full=True), id="run_record_full"),
     pytest.param("steps", lambda: evolution.evolve_rows(*np.zeros((2, 1, 7)), [CHOICE], 0, 1.5,
@@ -614,10 +625,70 @@ RUN = functools.partial(run, down_at_origin(), Single(UniformRotation(1.0)))
     pytest.param("steps", lambda: ENSEMBLE(False, 3), id="ensemble_steps_bool"),
     pytest.param("iterations", lambda: ENSEMBLE(2, True), id="ensemble_iterations_bool"),
     pytest.param("workers", lambda: ENSEMBLE(2, 3, workers=True), id="ensemble_workers_bool"),
+]
+
+# Valid arguments of each class whose fields have rules. Each ruled field of these, of a
+# GridSpec (which check_grid checks) and each ruled argument below rejects every MISUSED
+# value with a FieldError naming it.
+A, B = UniformRotation(1.0), UniformRotation(2.0)
+VALID = {
+    UniformRotation: dict(theta=1.0),
+    SiteTanhRotation: dict(theta_minus=0.1, theta_plus=0.2),
+    GeneralCoin: dict(q=0.5, alpha=1.0, beta=2.0),
+    RandomPhaseAlpha: {},
+    RandomPhaseBeta: {},
+    Composite: dict(a=A, b=B, m=1, n=1),
+    ProbabilisticChoice: dict(a=A, b=B, q=0.5),
+    BlochCoinState: dict(theta=1.0),
+    GridAxis: dict(name="theta_a", lower=0.0, upper=1.0, count=3),
+    ScheduleTemplate: dict(kind="single_b"),
+    RunConfig: dict(mode="walk"),
+}
+GRID = GridSpec(GridAxis("theta_b_minus", -1.0, 1.0, 2),
+                GridAxis("theta_b_plus", -1.0, 1.0, 2),
+                ScheduleTemplate("single_b"), 2, LatticeGeometry(7))
+RULED = [  # (id, name, a call that passes it one value)
+    *[(f"{cls.__name__}.{name}", name,
+       lambda v, cls=cls, name=name: cls(**{**VALID[cls], name: v}))
+      for cls in VALID for name in cls.rules],
+    *[(f"GridSpec.{name}", name, lambda v, name=name: check_grid(replace(GRID, **{name: v})))
+      for name in GridSpec.rules],
+    ("LatticeGeometry", "n_sites", LatticeGeometry),
+    ("WalkerState", "time_step",
+     lambda v: WalkerState(LatticeGeometry(7), np.zeros(7), np.zeros(7), v)),
+    ("general_coin_matrix", "q", lambda v: general_coin_matrix(v, 0.0, 0.0)),
+    ("classical_walk.p_right", "p_right", lambda v: classical_walk(2, v)),
+    ("classical_walk.steps", "steps", classical_walk),
+    ("classify", "tie_tolerance", lambda v: classify(5.0, v)),
+    ("variance_scaling_exponent", "t_min",
+     lambda v: variance_scaling_exponent(np.ones(20), v, 10)),
+    ("run", "steps", RUN),
+    ("evolve_rows", "steps", lambda v: evolution.evolve_rows(*np.zeros((2, 1, 7)), [CHOICE], 0,
+                                                             v, LatticeGeometry(7))),
+    ("ensemble.steps", "steps", lambda v: ENSEMBLE(v, 3)),
+    ("ensemble.iterations", "iterations", lambda v: ENSEMBLE(2, v)),
+    ("ensemble.workers", "workers", lambda v: ENSEMBLE(2, 3, workers=v)),
+    ("ensemble.master_seed", "seed", lambda v: ENSEMBLE(2, 3, master_seed=v)),
+    ("apply_coin", "t", lambda v: apply_coin(down_at_origin(), UniformRotation(1.0), t=v)),
+    ("StepStream", "seed", lambda v: StepStream(v, 1)),
+    ("StepStream.uniform", "t", lambda v: StepStream(7, 1).uniform(v)),
+    ("child_seed", "seed", lambda v: child_seed(1, v)),
+]
+MISUSED = {"bool": True, "np_bool": np.True_, "str": "1", "complex": 1j, "nan": np.nan}
+
+
+@pytest.mark.parametrize("name, call, must", [
+    pytest.param(*p.values, "be an integer >= [01], got ", id=p.id) for p in COUNTS
+] + [
+    pytest.param(name, functools.partial(call, value), f".+, got {re.escape(repr(value))}$",
+                 id=f"{at}-{kind}")
+    for at, name, call in RULED for kind, value in MISUSED.items()
 ])
-def test_a_non_integer_count_raises_a_value_error_naming_it(name, call):
-    with pytest.raises(ValueError, match=f"^{name} must be an integer >= [01], got "):
+def test_a_non_integer_count_raises_a_value_error_naming_it(name, call, must):
+    # each count, then each ruled field and argument, given values no rule passes
+    with pytest.raises(FieldError, match=f"^{name} must {must}") as caught:
         call()
+    assert caught.value.field == name
 
 
 def test_real_coins_have_float64_tables():

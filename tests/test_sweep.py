@@ -10,6 +10,7 @@ from parrondoqw import (
     BlochCoinState,
     Composite,
     ConfigError,
+    FieldError,
     GeometryTooSmallError,
     GridAxis,
     GridSpec,
@@ -39,6 +40,9 @@ def test_classify_signs():
     assert classify(5e-10, 1e-9) == NEUTRAL
     with pytest.raises(ValueError):
         classify(1.0, -1.0)
+    for tolerance in (np.nan, np.inf):  # nan once called every point neutral
+        with pytest.raises(FieldError, match="^tie_tolerance must lie in"):
+            classify(5.0, tolerance)
 
 
 def test_grid_axis_closed_endpoints():
@@ -50,7 +54,7 @@ def test_grid_axis_closed_endpoints():
 
 
 def test_grid_axis_rejects_a_non_integer_count():
-    with pytest.raises(ValueError, match=r"'theta_b_minus' needs an integer count"):
+    with pytest.raises(FieldError, match=r"^count must be an integer >= 2, got 3.0$"):
         GridAxis("theta_b_minus", -1, 1, 3.0)
     assert GridAxis("theta_b_minus", -1, 1, np.int64(3)).values().tolist() == [-1, 0, 1]
 
@@ -282,6 +286,11 @@ SINGLE_B = ScheduleTemplate("single_b")
                  ValueError, id="negative_master_seed"),
     pytest.param(bloch_grid(Single(RandomPhaseAlpha()), master_seed=True), sweep_initial_state,
                  ValueError, id="bool_master_seed"),
+    # a tolerance no expectation can exceed, or none can fall within
+    pytest.param(coin_grid(SINGLE_B, n=41, tie_tolerance=np.nan), sweep_coin_params,
+                 FieldError, id="nan_tie_tolerance"),
+    pytest.param(bloch_grid(FIXED_INTERLEAVED, steps=3, tie_tolerance=np.inf),
+                 sweep_initial_state, FieldError, id="inf_tie_tolerance"),
 ])
 def test_a_grid_whose_walks_cannot_run_fails_before_any_point_runs(grid, sweep, error,
                                                                    monkeypatch):
