@@ -63,12 +63,7 @@ from .evolution import (
     step,
     with_derived_seeds,
 )
-from .output import (
-    emit_classical,
-    emit_ensemble,
-    emit_sweep,
-    emit_trajectory,
-)
+from .output import emit_classical, emit_ensemble, emit_sweep, emit_trajectory
 from .rng import RNG_ALGORITHM, StepStream, child_seed
 from .state import (
     SPIN_DOWN,

@@ -8,12 +8,15 @@ would print it (17 significant digits, a '.' separator), through the numpy
 renderer in ``render``, which falls back to ``%`` cell by cell only where it
 cannot prove its digits exact. Re-running the sidecar's config echo
 reproduces the CSV byte for byte; only the sidecar's runtime stamp varies.
+Each file is rewritten in place and cut where its text ends, as a fresh run would
+leave it; files a run does not write are left as they are.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +45,7 @@ def _emit(kind, out_dir, basename, tables: dict, config_echo, extra: dict) -> Ou
     as ``"%.17g"`` would print it. The numbers of all the tables go through
     ``render.parts`` a batch of lines at a time, each part written in one call; an int
     table goes as float64, whose text is that of the int, and a text table's cells join
-    with "%s"."""
+    with "%s". Each file, the sidecar too, is written in place and cut at its end."""
     if out_dir is None or str(out_dir) == "":
         raise OutputError("output directory path is empty")
     out = Path(out_dir)
@@ -56,15 +59,16 @@ def _emit(kind, out_dir, basename, tables: dict, config_echo, extra: dict) -> Ou
                 "config": dict(config_echo) if config_echo else None, **extra}
     from . import render  # its tables load with the first emit, not with the package
 
+    parts = itertools.chain(render.parts(paths.values(), tables.values()), [(sidecar, (
+        json.dumps(metadata, indent=2, sort_keys=True, default=str) + "\n").encode())])
     try:
-        parts = render.parts(paths.values(), tables.values())  # in the files' order
         for path, file_parts in itertools.groupby(parts, key=lambda part: part[0]):
-            with open(path, "wb") as fh:
-                for _, part in file_parts:
-                    fh.write(part)
-        path = sidecar
-        with open(sidecar, "w") as fh:  # one write: json.dump writes every token
-            fh.write(json.dumps(metadata, indent=2, sort_keys=True, default=str) + "\n")
+            # in place: a rewritten file keeps its cached pages, which O_TRUNC would free
+            with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+                try:  # no byte of an old, longer file stays after the new ones
+                    fh.writelines(part for _, part in file_parts)
+                finally:
+                    fh.truncate()
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
     (_, data_path), *extras = paths.items()

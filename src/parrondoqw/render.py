@@ -3,9 +3,9 @@
 ``parts`` is what ``output._emit`` writes: every number of its tables, header
 cells and row labels included, as Python's ``"%.17g" % v`` would print it.
 ``render`` makes those bytes for a batch of cells at a time, and hands to
-``fallback`` (that ``%``) only the cells it cannot prove exact. ``output``
-imports this module on its first emit, so a program that writes no CSV does
-not build its tables.
+``fallback`` (that ``%``) only the cells it cannot prove exact; ``_ascii8`` makes
+digits eight at a time. ``output`` imports this module on its first emit, so a
+program that writes no CSV does not build its tables.
 """
 
 from __future__ import annotations
@@ -31,27 +31,26 @@ _SPLIT = 2.0**27 + 1
 
 def _decimal_table():
     """Per k + 324: the exponent after "e", its sign then two digits or three,
-    left-aligned in four bytes, and the form (below); and each two-digit pair."""
+    left-aligned in four bytes, and the form (below)."""
     k = np.arange(-324, 309)
     e = np.abs(k)
     exp = np.stack((np.where(k < 0, ord("-"), ord("+")),
                     e // 100 + 48, e // 10 % 10 + 48, e % 10 + 48), 1).astype(np.uint8)
     exp = np.where(e[:, None] >= 100, exp, exp[:, [0, 2, 3, 3]])
     form = np.where((k >= -4) & (k <= 16), k + 4, 21 + (e >= 100))
-    i = np.arange(100)
-    pairs = np.stack((i // 10 + 48, i % 10 + 48), 1).astype(np.uint8)
-    return exp.view(np.uint32).ravel(), form, pairs.view(np.uint16).ravel()
+    return exp.view(np.uint32).ravel(), form
 
 
-_EXP, _FORM, _PAIRS = _decimal_table()
+_EXP, _FORM = _decimal_table()
 
 # The text. A cell's text is some of the bytes of one row: sign, "0.000", an 18-byte
 # digit area, "e" and the exponent, and a comma written right after the text. The area
 # holds d0 "." d1 ... d16; d0 ... dk "." ... in %g's fixed form for k >= 1 when a fraction
 # follows, and d0 ... d16 for k < 0. One keep mask per (form, digit count n, sign) class
 # picks the bytes: form is k + 4 in the fixed form (-4 <= k <= 16), else 21 or 22 for an
-# exponent of two or three digits. Dropping the zeros D ends in is choosing n.
-_ROW = np.frombuffer(b"-0.0000.0000000000000000e+000,", np.uint8)
+# exponent of two or three digits. Dropping the zeros D ends in is choosing n. The row is
+# padded to 32 bytes, four little-endian words: d1 ... d8 are word 1 and d9 ... d16 word 2.
+_ROW = np.frombuffer(b"-0.0000.0000000000000000e+000,  ", np.uint8)
 _AREA = 6  # first column of the digit area
 _DEEP = np.array([[0, *range(2, k + 2), 1, *range(k + 2, 18)] for k in range(17)]) + _AREA
 
@@ -117,6 +116,17 @@ def _digits(a):
     return ok, k, d
 
 
+def _ascii8(x):
+    """The "%08d" text of each int64 x in [0, 10**8), first digit in the low byte: x splits
+    into 4-digit lanes of 32 bits, 2-digit ones of 16 and digits of 8, by exact shifts."""
+    hi = (x * 109951163) >> 40  # x // 10**4
+    x = hi | (x - hi * 10**4) << 32
+    hi = (x * 5243) >> 19 & 0x7F0000007F  # // 100 per lane
+    x = hi | (x - hi * 100) << 16
+    hi = (x * 103) >> 10 & 0xF000F000F000F  # // 10 per lane
+    return (hi | (x - hi * 10) << 8) + 0x3030303030303030
+
+
 def _texts(k, d, neg):
     """The rendered cells' bytes, each cell's text and a comma in turn, and the size of
     each: D's digits and k's exponent fill the cells' rows, and a keep mask per class
@@ -124,19 +134,12 @@ def _texts(k, d, neg):
     m = d.size
     lead = d // 10**8
     first = lead // 10**8
-    x = np.empty((m, 2), np.int64)  # the two 8-digit halves after the first digit
-    x[:, 0] = lead - first * 10**8
-    x[:, 1] = d - lead * 10**8
-    y = np.empty((m, 2, 2), np.int32)
-    y[..., 0] = (x * 3518437209) >> 45  # x // 10**4 for x < 3e10
-    y[..., 1] = x - y[..., 0] * 10**4
-    z = np.empty((m, 2, 2, 2), np.int32)
-    z[..., 0] = (y * 5243) >> 19  # y // 100 for y < 43690
-    z[..., 1] = y - z[..., 0] * 100
     row = np.empty((m, _ROW.size), np.uint8)
-    row[:] = _ROW
+    words = row.view("<u8")
+    words[:] = _ROW.view("<u8")
+    words[:, 1] = _ascii8(lead - first * 10**8)  # d1 ... d8
+    words[:, 2] = _ascii8(d - lead * 10**8)  # d9 ... d16
     row[:, _AREA] = first + ord("0")
-    row[:, _AREA + 2:_AREA + 18] = _PAIRS.take(z.reshape(m, 8)).view(np.uint8)
     n = np.full(m, 17)  # significant digits: D without the zeros it ends in
     zeros = (row[:, _AREA + 17] == ord("0")).nonzero()[0]
     if zeros.size:  # the point stops the search back from d16

@@ -40,7 +40,10 @@ WINNING = "winning"
 LOSING = "losing"
 NEUTRAL = "neutral"
 
-COIN_PARAMETERS = ("theta_a", "theta_b_minus", "theta_b_plus")
+# Each coin parameter and the rule of the coin field it binds, which a fixed value passes.
+COIN_PARAMETERS = {"theta_a": UniformRotation.rules["theta"],
+                   "theta_b_minus": SiteTanhRotation.rules["theta_minus"],
+                   "theta_b_plus": SiteTanhRotation.rules["theta_plus"]}
 BLOCH_PARAMETERS = ("theta", "phi")
 
 _TWO_PI = 2.0 * np.pi
@@ -84,13 +87,14 @@ class ScheduleTemplate(Ruled):
     n: int = 0
 
     _KINDS = ("single_b", "composite")
-    rules = {"kind": ((str,), _KINDS.__contains__, f"be one of {_KINDS}")}
+    rules = {"kind": ((str,), _KINDS.__contains__, f"be one of {_KINDS}"),
+             "m": at_least(0), "n": at_least(0)}
     shifts = 1  # none of its games interleaves: a shift a step, as ``reach`` reads
 
     def required_parameters(self) -> tuple[str, ...]:
         if self.kind == "single_b":
             return ("theta_b_minus", "theta_b_plus")
-        return COIN_PARAMETERS
+        return tuple(COIN_PARAMETERS)
 
     def __call__(self, params: Mapping[str, float]) -> StrategySchedule:
         missing = [p for p in self.required_parameters() if p not in params]
@@ -181,9 +185,9 @@ def check_grid(grid: GridSpec) -> None:
     initial state rejects fails here too: axis values lie between the corners
     and every parameter's valid range is an interval. Raises ConfigError for
     any other schedule, names and unbound parameters, ValueError for ranges,
-    a ``FieldError`` for a ``steps``, ``master_seed`` or ``tie_tolerance`` the
-    grid's ``rules`` reject, and the kernel's own errors for an ``x0`` off the
-    lattice, a light cone leaving it and an unseeded seed slot.
+    a ``FieldError`` for a ``steps``, ``master_seed`` or ``tie_tolerance`` the grid's
+    ``rules`` reject or a fixed value its coin field's rule rejects, and the kernel's own
+    errors for an ``x0`` off the lattice, a light cone leaving it and an unseeded seed slot.
     """
     template = isinstance(grid.schedule, ScheduleTemplate)
     if callable(grid.schedule) and not template:
@@ -198,6 +202,7 @@ def check_grid(grid: GridSpec) -> None:
     for name in grid.fixed:
         if name not in set(allowed) - set(names):
             raise ConfigError(f"fixed.{name} is not a coin parameter left free by the axes")
+        _check(f"fixed.{name}", grid.fixed[name], COIN_PARAMETERS[name])
     for v1 in (grid.axis1.lower, grid.axis1.upper):
         for v2 in (grid.axis2.lower, grid.axis2.upper):
             try:

@@ -30,6 +30,7 @@ from parrondoqw import (
     run,
     sweep_coin_params,
 )
+from parrondoqw import render
 from parrondoqw.cli import main
 from parrondoqw.output import _emit
 
@@ -434,3 +435,36 @@ def test_cli_record_full_flag_writes_distribution(mode, basename, mapping, tmp_p
     assert len(rows) == len(rectangular(out / f"{basename}.csv"))
     sidecar = json.loads((out / f"{basename}.json").read_text())
     assert sidecar["config"]["record_full"] == "true"
+
+
+def test_a_shorter_rerun_rewrites_every_file_as_a_fresh_run(tmp_path):
+    cfg = write_cfg(tmp_path, "walk.cfg", WALK_CFG)
+    walk = ["walk", "--config", str(cfg), "--record-full"]
+    assert main([*walk, "--out", str(tmp_path / "o")]) == 0
+    assert main([*walk, "--steps", "5", "--out", str(tmp_path / "o")]) == 0
+    assert main([*walk, "--steps", "5", "--out", str(tmp_path / "fresh")]) == 0
+    csvs = sorted(p.name for p in (tmp_path / "fresh").glob("*.csv"))
+    assert csvs == ["trajectory.csv", "trajectory_distribution.csv"]
+    for name in csvs:
+        assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    sidecar = json.loads((tmp_path / "o" / "trajectory.json").read_text())
+    assert sidecar["config"]["steps"] == "5"
+
+
+def test_a_failed_rewrite_leaves_no_byte_of_the_old_file(tmp_path, monkeypatch):
+    tables = {"": (("t", "x"), np.arange(50), np.ones((50, 1)))}
+    bundle = _emit("table", tmp_path, "t", tables, None, {})
+    old = bundle.data_path.read_bytes()
+    parts, written = render.parts, []
+
+    def failing(paths, tables):
+        written.append(next(parts(paths, tables)))
+        yield written[0]
+        raise RuntimeError("render failed")
+
+    monkeypatch.setattr(render, "parts", failing)
+    with pytest.raises(RuntimeError, match="render failed"):
+        _emit("table", tmp_path, "t", tables, None, {})
+    (path, first), = written
+    assert path == bundle.data_path and len(old) > len(first)
+    assert path.read_bytes() == bytes(first)

@@ -332,6 +332,10 @@ INVALID = {
                         "grid.fixed.theta_b_plus"),
     "fixed_in_initial_sweep": (bloch_flat(**{"grid.fixed.theta_a": "1"}),
                                "grid.fixed.theta_a"),
+    # a template's own fields and fixed values, before any corner is built
+    "sweep_negative_m": (sweep_coin_flat(**{"sweep.m": "-1"}), "sweep.m"),
+    "fixed_out_of_range": (sweep_coin_flat(**{"grid.fixed.theta_a": "7"}),
+                           "grid.fixed.theta_a"),
     # keys the chosen kind does not have
     "coin_bogus_key": (walk_flat(**{"schedule.a.bogus": "1"}), "schedule.a.bogus"),
     "single_with_m": (walk_flat(**{"schedule.m": "2"}), "schedule.m"),

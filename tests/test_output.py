@@ -86,6 +86,14 @@ def test_rounded_values_drop_their_trailing_zeros(scale):
     assert_renders_as_percent(np.round(values * scale, 3))
 
 
+def test_eight_digit_words_are_percent_08d():
+    scaled = np.arange(1, 10)[:, None] * 10 ** np.arange(8)  # every 10**j and d * 10**j
+    x = np.concatenate(([0, 10**8 - 1], scaled.ravel(), scaled.ravel() - 1,
+                        np.random.default_rng(2).integers(0, 10**8, 10**5)))
+    words = render._ascii8(x.astype(np.int64)).astype("<u8")
+    assert words.view("S8").tolist() == [b"%08d" % v for v in x.tolist()]
+
+
 def test_int64_matrix_prints_as_percent_on_python_ints(tmp_path):
     matrix = np.array([[0, -1, 7, 2**53 + 1], [np.iinfo(np.int64).min, np.iinfo(np.int64).max,
                                               10**17, -(10**16)]])
