@@ -17,10 +17,6 @@ from .coins import (
     RandomPhaseBeta,
     SiteTanhRotation,
     UniformRotation,
-    general_coin_matrix,
-    realize,
-    rotation_matrix,
-    site_theta,
 )
 from .config import (
     RunConfig,
@@ -56,7 +52,6 @@ from .evolution import (
     StrategySchedule,
     Trajectory,
     apply_coin,
-    collect_seeds,
     is_stochastic_schedule,
     run,
     shift,

@@ -1,8 +1,10 @@
 """Coin operators: 2x2 spin unitaries, possibly site- and/or time-dependent.
 
-A coin family is described declaratively by a ``CoinSpec``; ``realize`` turns
-a spec into the concrete 2x2 matrix acting at one lattice site and time step.
-Four families are supported:
+Each ``CoinSpec`` class states once how its specs become numbers: ``axis``
+(None, ``"sites"`` or ``"steps"``) and ``table(specs, n_sites, t, stop)``, the
+coins of R specs for steps t to stop - 1 as one (2, 2, R, w) array, float64
+when real, whose last axis indexes ``axis`` (w = 1 for None). The kernel and
+``realize``, a one-site, one-step read, only read tables. Four families:
 
 - ``UniformRotation``: one rotation angle everywhere.
 - ``SiteTanhRotation``: rotation angle interpolating between a far-left and a
@@ -17,23 +19,20 @@ Four families are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import MissingRandomnessError
-from .rng import FINITE, PROBABILITY, SEED, TAG_ALPHA, TAG_BETA, Ruled, StepStream
-from .rng import _check, interval, optional
-
-# A 2x2 unitary acting on (amp_up, amp_down) at one site.
-LocalCoin = NDArray[np.complex128]
+from .rng import FINITE, INTEGER, PROBABILITY, SEED, TAG_ALPHA, TAG_BETA, Ruled, _check
+from .rng import _draws, at_least, interval, optional
 
 _TWO_PI = 2.0 * np.pi
 _PHASE = interval(0.0, _TWO_PI, "[0, 2*pi]")
 
 
-def rotation_matrix(theta: float) -> LocalCoin:
+def rotation_matrix(theta: float) -> np.ndarray:
     """Spin rotation about the y-axis by ``theta``.
 
     Returns [[cos(theta/2), -sin(theta/2)], [sin(theta/2), cos(theta/2)]],
@@ -55,7 +54,7 @@ def site_theta(theta_minus: float, theta_plus: float, x) -> float | np.ndarray:
     return 0.5 * (theta_plus * (1.0 + w) + theta_minus * (1.0 - w))
 
 
-def general_coin_matrix(q: float, alpha, beta) -> LocalCoin:
+def general_coin_matrix(q: float, alpha, beta) -> np.ndarray:
     """Three-parameter coin, unitary for every q in [0, 1].
 
     [[sqrt(q),                sqrt(1-q) e^{i alpha}       ],
@@ -73,27 +72,53 @@ def general_coin_matrix(q: float, alpha, beta) -> LocalCoin:
     return coins
 
 
+@lru_cache(maxsize=64)  # a batch of tanh fields, as many bytes as 128 cosine/sine pairs
+def _column(spec, n_sites: int):
+    """``spec.column(n_sites)``, float64 if its imaginary part is 0; cached, read-only."""
+    coins = spec.column(n_sites)
+    return coins if coins.dtype == np.float64 or coins.imag.any() else coins.real.copy()
+
+
+class _Stacked(Ruled):
+    """A coin without draws: its table stacks each spec's (2, 2, w) ``column(n_sites)``."""
+
+    axis = None
+
+    @classmethod
+    def table(cls, specs, n_sites: int, t: int, stop: int):
+        return np.stack([_column(spec, n_sites) for spec in specs], 2)
+
+    def column(self, n_sites: int):  # a fixed coin's: its 2x2 ``matrix``, at every site
+        return self.matrix[..., None]
+
+
 @dataclass(frozen=True)
-class UniformRotation(Ruled):
+class UniformRotation(_Stacked):
     """Same rotation angle at every site and step."""
 
     theta: float
 
     rules = {"theta": interval(-_TWO_PI, _TWO_PI, "[-2*pi, 2*pi)")}
+    matrix = property(lambda self: rotation_matrix(self.theta))
 
 
 @dataclass(frozen=True)
-class SiteTanhRotation(Ruled):
+class SiteTanhRotation(_Stacked):
     """Site-dependent rotation angle, tanh-interpolated between two endpoint values."""
 
     theta_minus: float
     theta_plus: float
 
     rules = {"theta_minus": FINITE, "theta_plus": FINITE}
+    axis = "sites"
+
+    def column(self, n_sites: int):  # a y-rotation at each site, so real
+        x = np.arange(-(n_sites // 2), n_sites // 2 + 1)  # the site labels
+        return rotation_matrix(site_theta(self.theta_minus, self.theta_plus, x)).real.copy()
 
 
 @dataclass(frozen=True)
-class GeneralCoin(Ruled):
+class GeneralCoin(_Stacked):
     """Fixed (q, alpha, beta) coin."""
 
     q: float
@@ -101,6 +126,7 @@ class GeneralCoin(Ruled):
     beta: float
 
     rules = {"q": PROBABILITY, "alpha": _PHASE, "beta": _PHASE}
+    matrix = property(lambda self: general_coin_matrix(self.q, self.alpha, self.beta))
 
 
 @dataclass(frozen=True)
@@ -116,6 +142,14 @@ class _RandomPhase(Ruled):
     seed: int | None = None
 
     rules = {"seed": optional(SEED)}
+    axis = "steps"
+
+    @classmethod
+    def table(cls, specs, n_sites: int, t: int, stop: int):
+        seeds = [spec.seed for spec in specs]
+        if None in seeds:
+            raise MissingRandomnessError(f"{cls.__name__} needs a seed")
+        return cls.coin(2.0 * np.pi * _draws(seeds, cls.tag, t, stop))  # in one draw block
 
 
 @dataclass(frozen=True)
@@ -139,25 +173,11 @@ CoinSpec = Union[
 ]
 
 
-def is_stochastic_spec(spec: CoinSpec) -> bool:
-    return isinstance(spec, _RandomPhase)
-
-
-def realize(spec: CoinSpec, x: int, t: int) -> LocalCoin:
-    """Concrete 2x2 coin for lattice site ``x`` at time step ``t``.
-
-    Random-phase specs draw their phase once per time step (the same value
-    for every site at that step) from ``(spec.seed, spec.tag, t)`` and place it
-    by ``spec.coin``; an unset seed raises ``MissingRandomnessError``.
-    """
-    if isinstance(spec, UniformRotation):
-        return rotation_matrix(spec.theta)
-    if isinstance(spec, SiteTanhRotation):
-        return rotation_matrix(site_theta(spec.theta_minus, spec.theta_plus, x))
-    if isinstance(spec, GeneralCoin):
-        return general_coin_matrix(spec.q, spec.alpha, spec.beta)
-    if isinstance(spec, _RandomPhase):
-        if spec.seed is None:
-            raise MissingRandomnessError(f"{type(spec).__name__} needs a seed")
-        return spec.coin(StepStream(spec.seed, spec.tag).angle(t))
-    raise TypeError(f"unknown coin spec {spec!r}")
+def realize(spec: CoinSpec, x: int, t: int) -> np.ndarray:
+    """The 2x2 coin at lattice site ``x``, an integer, and time step ``t``, an integer >= 0:
+    the spec's own one-row table read there, float64 when real."""
+    _check("x", x, INTEGER)
+    _check("t", t, at_least(0))
+    half = abs(int(x)) + 1  # x on a lattice of 2 |x| + 3 sites, 3 at least
+    table = spec.table([spec], 2 * half + 1, t, t + 1)
+    return table[:, :, 0, half + x if spec.axis == "sites" else 0]

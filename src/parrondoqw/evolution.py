@@ -11,12 +11,12 @@ which of them it holds but for the choice, the one whose coin is drawn.
 (R, n) starts, or one (1, n) start for all, on the occupied sublattice of
 their light cone only; it only reads the starts and returns <X>, Var and the
 final amplitudes. ``run`` and ``step`` are its one-row calls, ensembles and
-sweeps pass it batches of rows. Coins are built only in ``_plan``: the kernel
-calls it at its first step and, when the walk draws, at the first of each
-256-step block, and gets stateless tables (fixed or tanh coins, the window's
-random-phase coins, the choice's picks into a stack of its two coins), the
-coins a step applies before its one shift multiplied into as few tables as
-hold their product, that each step reads by its offset into that window.
+sweeps pass it batches of rows. Coins are read only in ``_plan``, from the
+tables each coin class builds (see ``coins``): the kernel calls it at its
+first step and, when the walk draws, at the first of each 256-step block, and
+gets stateless tables (the coins', the choice's picks into a stack of its two
+coins), the coins a step applies before its one shift multiplied into as few
+tables as hold their product, that each step reads by its offset into that window.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
-from .coins import CoinSpec, SiteTanhRotation, is_stochastic_spec, realize, rotation_matrix
-from .coins import site_theta
+from .coins import CoinSpec
 from .errors import (
     BoundaryLeakageError,
     GeometryTooSmallError,
@@ -80,7 +78,7 @@ class Composite(_Schedule):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.m + self.n < 1:  # a rule across two fields
+        if self.m + self.n < 1:  # a rule across two fields, which ScheduleTemplate shares
             raise ValueError(f"m + n must be >= 1, got m={self.m!r}, n={self.n!r}")
 
     shifts = property(lambda self: self.m + self.n if self.interleaved else 1)
@@ -138,21 +136,6 @@ class Trajectory:
 _BATCH_ROWS = 64  # rows per kernel call when ensembles and sweeps batch walks
 
 
-@lru_cache(maxsize=64)  # a batch of fields, as many bytes as 128 cosine/sine pairs
-def _tanh_field(spec: SiteTanhRotation, n_sites: int):
-    """The coin at every site, a float64 (2, 2, n) array; cached, treat as read-only."""
-    theta = site_theta(spec.theta_minus, spec.theta_plus, LatticeGeometry(n_sites).positions)
-    return rotation_matrix(theta).real.copy()  # a y-rotation: its imaginary part is 0
-
-
-@lru_cache(maxsize=256)
-def _fixed_matrix(spec: CoinSpec):
-    """Site- and time-independent 2x2 as a (2, 2, 1) array, float64 if its imaginary
-    part is 0, else complex; cached, treat as read-only."""
-    coin = realize(spec, 0, 0).reshape(2, 2, 1)
-    return coin if coin.imag.any() else coin.real.copy()
-
-
 def _mix(psi, coin, work):
     """psi[i] <- coin[i, 0] psi[0] + coin[i, 1] psi[1] in place for the (2, R, w) spin
     pair ``psi``, a (2, 2, R or 1, w or 1) ``coin``, in two ufunc calls through the
@@ -188,16 +171,11 @@ def _check_seeds(rows) -> None:
 
 
 def _coin(specs, n_sites: int, t: int, stop: int):
-    """One coin of a batch's R rows for steps t to stop - 1: a (2, 2, R or 1, w) table and
-    what its last axis indexes, "steps" (random-phase), "sites" (tanh) or None (fixed)."""
+    """One coin of a batch's R rows for steps t to stop - 1 (one row if all hold one spec):
+    its class's (2, 2, R or 1, w) table and ``axis``, what that table's last axis indexes."""
     first = specs[0]
     specs = specs[:1] if all(spec == first for spec in specs) else specs
-    if is_stochastic_spec(first):  # a phase per row and step
-        phases = 2.0 * np.pi * _draws([spec.seed for spec in specs], first.tag, t, stop)
-        return first.coin(phases), "steps"
-    tanh = isinstance(first, SiteTanhRotation)
-    table = np.stack([_tanh_field(s, n_sites) if tanh else _fixed_matrix(s) for s in specs], 2)
-    return table, "sites" if tanh else None
+    return first.table(specs, n_sites, t, stop), first.axis
 
 
 def _read(table, axis):
@@ -445,7 +423,7 @@ def _seed_slots(schedule: StrategySchedule) -> list[tuple[int, str, int | None]]
     ``b``, each when it is a random-phase coin (TAG_ALPHA or TAG_BETA)."""
     slots = [(0, "seed", schedule.seed)] if isinstance(schedule, ProbabilisticChoice) else []
     for slot, (name, spec) in enumerate(zip(schedule.__dataclass_fields__, schedule.coins), 1):
-        if is_stochastic_spec(spec):  # the coins lead the fields
+        if spec.axis == "steps":  # a random-phase coin; the coins lead the fields
             slots.append((slot, name, spec.seed))
     return slots
 

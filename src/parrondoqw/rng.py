@@ -11,7 +11,7 @@ Per-step draws are defined block-wise: draw ``t`` of a stream is entry
 ``default_rng([seed, tag, t // 256])``. The block is an implementation detail
 of the derivation rule, not a statefulness: the value at ``t`` is fixed by
 ``(seed, tag, t)`` alone. ``_draws``, the one reader of the blocks, gives every
-draw: the kernel's phases and picks, ``StepStream``'s and so ``realize``'s.
+draw: the random-phase coins' tables, the kernel's picks and ``StepStream``'s.
 
 The argument rules live here too, the seed's among them: a rule is (kinds, ok,
 wanted), and ``_check`` passes a value of ``kinds``, never a bool, for which ``ok``
@@ -39,6 +39,7 @@ _BLOCK = 256
 
 
 _INTEGERS, _REALS = (int, np.integer), (int, float, np.integer, np.floating)
+INTEGER = _INTEGERS, lambda v: True, "be an integer"
 SEED = _INTEGERS, lambda v: v >= 0, "be a nonnegative integer"
 ODD_SITES = _INTEGERS, lambda v: v >= 3 and v % 2 == 1, "be an odd integer >= 3"
 FINITE = _REALS, math.isfinite, "be finite"

@@ -91,6 +91,11 @@ class ScheduleTemplate(Ruled):
              "m": at_least(0), "n": at_least(0)}
     shifts = 1  # none of its games interleaves: a shift a step, as ``reach`` reads
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.kind == "composite":  # Composite's rule across m and n, where it is stated
+            Composite(UniformRotation(0.0), UniformRotation(0.0), self.m, self.n)
+
     def required_parameters(self) -> tuple[str, ...]:
         if self.kind == "single_b":
             return ("theta_b_minus", "theta_b_plus")

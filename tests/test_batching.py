@@ -28,18 +28,16 @@ from parrondoqw import (
     UniformRotation,
     WalkerState,
     child_seed,
-    collect_seeds,
     ensemble_expectation,
-    general_coin_matrix,
-    realize,
     run,
     sweep_coin_params,
     sweep_initial_state,
     with_derived_seeds,
 )
 from parrondoqw import evolution
+from parrondoqw.coins import general_coin_matrix, realize
 from parrondoqw.config import _slot_key
-from parrondoqw.evolution import evolve_rows, reach
+from parrondoqw.evolution import collect_seeds, evolve_rows, reach
 
 from pathsum import path_sum_arrays
 

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from parrondoqw import (
+    FieldError,
     GeneralCoin,
     MissingRandomnessError,
     RandomPhaseAlpha,
     RandomPhaseBeta,
     SiteTanhRotation,
     UniformRotation,
-    general_coin_matrix,
-    realize,
-    rotation_matrix,
-    site_theta,
 )
+from parrondoqw.coins import general_coin_matrix, realize, rotation_matrix, site_theta
+
+from pathsum import _spec_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -167,3 +167,48 @@ def test_uniform_rotation_range_check():
 def test_site_tanh_rejects_non_finite(angles):
     with pytest.raises(ValueError, match="finite"):
         SiteTanhRotation(*angles)
+
+
+FAMILIES = {  # a batch of distinct specs per coin family
+    "uniform": [UniformRotation(theta) for theta in (-2 * np.pi, -1.0, 0.0, 0.7, 3.0)],
+    "tanh": [SiteTanhRotation(lo, hi)
+             for lo, hi in ((-1.0, 2.0), (0.3, 0.3), (np.pi, -np.pi / 8), (-7.0, 5.5))],
+    "general": [GeneralCoin(q, alpha, beta) for q, alpha, beta in (
+        (0.5, 0.0, 0.0), (0.0, 1.0, 2.0), (1.0, 6.0, 0.5), (0.3, np.pi / 2, 2 * np.pi))],
+    "random_alpha": [RandomPhaseAlpha(seed) for seed in (0, 1, 24, 2**63)],
+    "random_beta": [RandomPhaseBeta(seed) for seed in (0, 1, 24, 2**63)],
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_family_table_matches_the_oracle_and_realize(family):
+    # every site of an 11-site lattice at steps 0-300, so draws cross a 256-step block
+    specs, n = FAMILIES[family], 11
+    cls, axis = type(specs[0]), specs[0].axis
+    sites = range(-(n // 2), n // 2 + 1)
+    for t, stop in ((0, 256), (256, 301)):  # a random-phase table spans one draw block
+        table = cls.table(specs, n, t, stop)
+        w = {None: 1, "sites": n, "steps": stop - t}[axis]
+        assert table.shape == (2, 2, len(specs), w)
+        for r, spec in enumerate(specs):
+            own = cls.table([spec], n, t, stop)  # the one-row table realize reads
+            assert np.array_equal(own[:, :, 0], table[:, :, r])
+            for step in range(t, stop):
+                for col, x in enumerate(sites):
+                    entry = own[:, :, 0, {None: 0, "sites": col, "steps": step - t}[axis]]
+                    assert np.abs(entry - np.array(_spec_matrix(spec, x, step))).max() < 1e-15
+                    if x == 0 or step in (0, 1, 255, 256, 300):
+                        assert realize(spec, x, step).tobytes() == entry.tobytes()
+
+
+@pytest.mark.parametrize("spec", [specs[0] for specs in FAMILIES.values()], ids=list(FAMILIES))
+@pytest.mark.parametrize("x, t, name", [
+    (0, -3, "t"), (0, 1.5, "t"), (0, True, "t"), (True, 0, "x"), (0.5, 0, "x"),
+    (np.True_, 0, "x"),
+])
+def test_realize_checks_its_site_and_step_for_every_family(spec, x, t, name):
+    with pytest.raises(FieldError, match=f"^{name} must be an integer") as caught:
+        realize(spec, x, t)
+    assert caught.value.field == name
+    # numpy integers are integers
+    assert realize(spec, np.int64(-2), np.int64(3)).tobytes() == realize(spec, -2, 3).tobytes()

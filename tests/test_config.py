@@ -334,6 +334,8 @@ INVALID = {
                                "grid.fixed.theta_a"),
     # a template's own fields and fixed values, before any corner is built
     "sweep_negative_m": (sweep_coin_flat(**{"sweep.m": "-1"}), "sweep.m"),
+    "sweep_composite_of_no_coins": (sweep_coin_flat(**{"sweep.m": "0", "sweep.n": "0"}),
+                                    "sweep: m + n must be >= 1"),
     "fixed_out_of_range": (sweep_coin_flat(**{"grid.fixed.theta_a": "7"}),
                            "grid.fixed.theta_a"),
     # keys the chosen kind does not have

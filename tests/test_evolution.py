@@ -35,11 +35,8 @@ from parrondoqw import (
     child_seed,
     classical_walk,
     classify,
-    collect_seeds,
     ensemble_expectation,
-    general_coin_matrix,
     is_stochastic_schedule,
-    realize,
     run,
     shift,
     step,
@@ -47,6 +44,8 @@ from parrondoqw import (
     with_derived_seeds,
 )
 from parrondoqw import evolution
+from parrondoqw.coins import general_coin_matrix, realize, rotation_matrix
+from parrondoqw.evolution import collect_seeds
 from parrondoqw.sweep import check_grid
 
 from pathsum import _stages, path_sum_arrays
@@ -657,6 +656,8 @@ RULED = [  # (id, name, a call that passes it one value)
     ("WalkerState", "time_step",
      lambda v: WalkerState(LatticeGeometry(7), np.zeros(7), np.zeros(7), v)),
     ("general_coin_matrix", "q", lambda v: general_coin_matrix(v, 0.0, 0.0)),
+    ("realize.x", "x", lambda v: realize(SiteTanhRotation(0.1, 0.5), v, 0)),
+    ("realize.t", "t", lambda v: realize(UniformRotation(1.0), 0, v)),
     ("classical_walk.p_right", "p_right", lambda v: classical_walk(2, v)),
     ("classical_walk.steps", "steps", classical_walk),
     ("classify", "tie_tolerance", lambda v: classify(5.0, v)),
@@ -692,12 +693,16 @@ def test_a_non_integer_count_raises_a_value_error_naming_it(name, call, must):
 
 
 def test_real_coins_have_float64_tables():
-    assert evolution._fixed_matrix(UniformRotation(1.0)).dtype == np.float64
-    assert evolution._fixed_matrix(GeneralCoin(0.5, 0.0, 0.0)).dtype == np.float64
-    assert evolution._tanh_field(SiteTanhRotation(-1.0, 2.0), 21).dtype == np.float64
-    assert evolution._fixed_matrix(GeneralCoin(0.5, 1.0, 0.0)).dtype == np.complex128
-    for spec in (UniformRotation(1.0), GeneralCoin(0.5, 0.0, 0.0)):  # the same numbers
-        assert np.array_equal(evolution._fixed_matrix(spec)[..., 0], realize(spec, 0, 0))
+    def table(spec):  # the spec's own one-row table on 21 sites at step 0
+        return spec.table([spec], 21, 0, 1)
+
+    assert table(UniformRotation(1.0)).dtype == np.float64
+    assert table(GeneralCoin(0.5, 0.0, 0.0)).dtype == np.float64
+    assert table(SiteTanhRotation(-1.0, 2.0)).dtype == np.float64
+    assert table(GeneralCoin(0.5, 1.0, 0.0)).dtype == np.complex128
+    for spec, coin in ((UniformRotation(1.0), rotation_matrix(1.0)),  # the same numbers
+                       (GeneralCoin(0.5, 0.0, 0.0), general_coin_matrix(0.5, 0.0, 0.0))):
+        assert np.array_equal(table(spec)[..., 0, 0], coin)
 
 
 def test_collect_seeds_empty_for_deterministic():
