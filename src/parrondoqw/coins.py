@@ -148,7 +148,7 @@ class _RandomPhase(Ruled):
     def table(cls, specs, n_sites: int, t: int, stop: int):
         seeds = [spec.seed for spec in specs]
         if None in seeds:
-            raise MissingRandomnessError(f"{cls.__name__} needs a seed")
+            raise MissingRandomnessError("seed", f"{cls.__name__} needs a seed")
         return cls.coin(2.0 * np.pi * _draws(seeds, cls.tag, t, stop))  # in one draw block
 
 

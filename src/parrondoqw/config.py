@@ -13,7 +13,8 @@ key picks the class from its family's table; every other key names a field
 of that class and is parsed by the field's annotation. Keys the chosen class
 does not have are rejected. Each class, ``RunConfig`` too, checks the rule of each
 field as it is built (``rng.Ruled``); the ``FieldError`` of a value a rule rejects
-names its field, and so the key the ``ConfigError`` names.
+names its field, and so the key the ``ConfigError`` names. So does the error of the
+walk's one pre-run check (``evolution._check_walk``: light cone, start and seeds).
 
 ``MODES`` describes each run mode once: its help line, the keys it reads and
 the function that runs it. Validation rejects every other key (``seed`` in a
@@ -46,15 +47,15 @@ from .coins import (
     SiteTanhRotation,
     UniformRotation,
 )
-from .errors import ConfigError, FieldError
+from .errors import ConfigError, FieldError, MissingRandomnessError
 from .evolution import (
     AlternatingEvenOdd,
     Composite,
     ProbabilisticChoice,
     Single,
     StrategySchedule,
+    _check_walk,
     _seed_slots,
-    reach,
     run,
     with_derived_seeds,
 )
@@ -205,6 +206,11 @@ def _join(prefix: str, name: str) -> str:
     return f"{prefix}.{name}" if prefix else name
 
 
+def _key(path: str, prefix: str = "") -> str:
+    """The key of the field, or dotted field path, ``path`` below ``prefix``."""
+    return _join(prefix, ".".join(_KEYS.get(name, name) for name in path.split(".")))
+
+
 @functools.cache
 def _fields(cls) -> tuple:
     """(name, key suffix, type, default) per dataclass field; the default is
@@ -264,7 +270,7 @@ def _parse_section(cls, flat: dict[str, str], prefix: str, context: str = "", ba
             return dataclasses.replace(base, **values)
         return cls(**values)
     except FieldError as exc:  # a field's rule: name its key
-        raise ConfigError(f"{_join(prefix, _KEYS.get(exc.field, exc.field))}: {exc}") from exc
+        raise ConfigError(f"{_key(exc.field, prefix)}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{prefix}: {exc}") from exc
 
@@ -343,43 +349,33 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
-def _validate_quantum_geometry(cfg: RunConfig):
-    _require(cfg.sites is not None, f"mode={cfg.mode} requires 'sites'")
-    schedule = cfg.schedule or cfg.sweep  # without either, a later check fails
-    furthest = reach(abs(cfg.x0), schedule, cfg.steps) if schedule else 0
-    if furthest > (cfg.sites - 1) // 2:
-        each = " of m+n sites each (schedule.interleaved)" if schedule.shifts > 1 else ""
-        raise ConfigError(f"sites={cfg.sites} is too small: from initial.x0={cfg.x0} the "
-                          f"walker can reach |x|={furthest} in steps={cfg.steps}{each}")
-
-
-def _slot_key(schedule: StrategySchedule, seeded: bool) -> str | None:
-    """Key of the first seed slot in the schedule that has a seed (``seeded``)
-    or has none."""
-    for slot, name, seed in _seed_slots(schedule):
-        if (seed is not None) == seeded:
-            return f"schedule.{_KEYS.get(name, name)}" + (".seed" if slot else "")
-    return None
+def _check_run(cfg: RunConfig, schedule):
+    """``schedule`` if ``evolution._check_walk`` passes it, else a ConfigError naming the
+    key of the error's field (a seed slot's below ``schedule``) and of each ``name=``."""
+    try:
+        _check_walk([schedule], build_geometry(cfg), cfg.steps, cfg.x0)
+    except FieldError as exc:
+        prefix = "schedule" if isinstance(exc, MissingRandomnessError) else ""
+        text = re.sub(r"\b(\w+)=", lambda match: f"{_key(match[1])}=", str(exc))
+        raise ConfigError(f"{_key(exc.field, prefix)}: {text}") from exc
+    return schedule
 
 
 def build_schedule(cfg: RunConfig) -> StrategySchedule:
-    """The configured schedule, ready to run: with a top-level seed, every
-    stochastic seed slot is derived from it, and none may be set."""
+    """The configured schedule: with a top-level seed, every stochastic seed slot
+    is derived from it, and none may be set."""
     _require(cfg.schedule is not None, f"mode={cfg.mode} requires a schedule section")
-    if cfg.seed is not None:
-        given = _slot_key(cfg.schedule, seeded=True)
-        _require(given is None, f"{given} and the top-level seed exclude each other: "
-                                "every seed slot is derived from seed; remove one")
-        return with_derived_seeds(cfg.schedule, cfg.seed, 0)
-    missing = _slot_key(cfg.schedule, seeded=False)
-    _require(
-        missing is None,
-        f"the schedule draws random numbers and needs {missing} or a top-level seed",
-    )
-    return cfg.schedule
+    if cfg.seed is None:
+        return cfg.schedule
+    for slot, name, seed in _seed_slots(cfg.schedule):
+        given = _key(f"{name}.seed" if slot else name, "schedule")
+        _require(seed is None, f"{given} and the top-level seed exclude each other: "
+                               "every seed slot is derived from seed; remove one")
+    return with_derived_seeds(cfg.schedule, cfg.seed, 0)
 
 
 def build_geometry(cfg: RunConfig) -> LatticeGeometry:
+    _require(cfg.sites is not None, f"mode={cfg.mode} requires 'sites'")
     return LatticeGeometry(cfg.sites)
 
 
@@ -403,6 +399,7 @@ def build_grid_spec(cfg: RunConfig) -> GridSpec:
         master_seed=cfg.seed,
         tie_tolerance=cfg.tie_tolerance,
     )
+    _check_run(cfg, grid.schedule)
     try:
         sweep.check_grid(grid)
     except (ConfigError, ValueError) as exc:
@@ -416,14 +413,13 @@ def validate(cfg: RunConfig) -> RunConfig:
     _require(cfg.mode in MODES, f"mode={cfg.mode!r}; expected one of {tuple(MODES)}")
     _require(cfg.out_dir != "", "out is empty; it must name an output directory")
     mode = MODES[cfg.mode]
-    if "sites" in mode.reads:
-        _validate_quantum_geometry(cfg)
+    if "iterations" in mode.reads:  # each iteration's seeds derive from the master seed
+        _require(cfg.seed is not None, f"seed: mode={cfg.mode} requires a master seed")
     if "grid" in mode.reads:
         cfg.built = {"grid": build_grid_spec(cfg)}
     elif "schedule" in mode.reads:
-        cfg.built = {"schedule": build_schedule(cfg), "initial": build_initial_state(cfg)}
-    if "iterations" in mode.reads:  # each iteration's seeds derive from the master seed
-        _require(cfg.seed is not None, f"mode={cfg.mode} requires a master seed")
+        cfg.built = {"schedule": _check_run(cfg, build_schedule(cfg)),
+                     "initial": build_initial_state(cfg)}
     unread = mode.unread(cfg.given)
     if unread:
         raise ConfigError(f"{unread[0]} is not read in mode={cfg.mode}; remove it")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEnsembleWarning, InsufficientDataError
+from .errors import DegenerateEnsembleWarning, FieldError, InsufficientDataError
 from .evolution import (
     StrategySchedule,
     _seed_slots,
@@ -64,7 +64,8 @@ def ensemble_expectation(
     """
     _check("iterations", iterations, at_least(1))
     if _check("seed", master_seed, optional(SEED)) is None and _seed_slots(schedule):
-        raise ValueError("master_seed is required: each iteration's seeds derive from it")
+        raise FieldError("master_seed", "master_seed is required: each iteration's seeds "
+                                        "derive from it")
     if not is_stochastic_schedule(schedule):
         warnings.warn(
             "schedule has no randomness; every ensemble iteration is identical",

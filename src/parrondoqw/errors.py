@@ -5,20 +5,8 @@ class WalkError(Exception):
     """Base class for all engine errors."""
 
 
-class InvalidPositionError(WalkError):
-    """A position label is not an integer or lies outside the lattice."""
-
-
-class GeometryTooSmallError(WalkError):
-    """The lattice cannot contain the walker's light cone for the requested steps."""
-
-
 class BoundaryLeakageError(WalkError):
     """Amplitude would be pushed past the lattice edge by the conditional shift."""
-
-
-class MissingRandomnessError(WalkError):
-    """A seed slot of a schedule, or a random-phase coin, has no seed."""
 
 
 class InsufficientDataError(WalkError):
@@ -26,12 +14,24 @@ class InsufficientDataError(WalkError):
 
 
 class FieldError(ValueError):
-    """A value its argument's rule rejects: ``FieldError(field, message)``, both in args."""
+    """A value a rule or the pre-run check rejects: ``FieldError(field, message)``, in args."""
 
     field = property(lambda self: self.args[0])  # the argument's name
 
     def __str__(self):
         return self.args[1]
+
+
+class InvalidPositionError(FieldError, WalkError):
+    """A position label is not an integer or lies outside the lattice."""
+
+
+class GeometryTooSmallError(FieldError, WalkError):
+    """The lattice cannot contain the walker's light cone for the requested steps."""
+
+
+class MissingRandomnessError(FieldError, WalkError):
+    """A seed slot of a schedule, or a random-phase coin, has no seed."""
 
 
 class ConfigError(WalkError):

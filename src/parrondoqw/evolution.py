@@ -11,7 +11,8 @@ which of them it holds but for the choice, the one whose coin is drawn.
 (R, n) starts, or one (1, n) start for all, on the occupied sublattice of
 their light cone only; it only reads the starts and returns <X>, Var and the
 final amplitudes. ``run`` and ``step`` are its one-row calls, ensembles and
-sweeps pass it batches of rows. Coins are read only in ``_plan``, from the
+sweeps pass it batches of rows. ``_check_walk``, which ``apply_coin``, sweeps and
+config call too, is the one check before a walk. Coins are read only in ``_plan``, from the
 tables each coin class builds (see ``coins``): the kernel calls it at its
 first step and, when the walk draws, at the first of each 256-step block, and
 gets stateless tables (the coins', the choice's picks into a stack of its two
@@ -29,11 +30,7 @@ from typing import Union
 import numpy as np
 
 from .coins import CoinSpec
-from .errors import (
-    BoundaryLeakageError,
-    GeometryTooSmallError,
-    MissingRandomnessError,
-)
+from .errors import BoundaryLeakageError, GeometryTooSmallError, MissingRandomnessError
 from .rng import _BLOCK, PROBABILITY, RNG_ALGORITHM, SEED, TAG_CHOICE, Ruled, _check, _draws
 from .rng import at_least, child_seed, optional
 from .state import LatticeGeometry, WalkerState
@@ -161,13 +158,25 @@ def _check_leak(amplitude: float) -> None:
                                    "enlarge the lattice")
 
 
-def _check_seeds(rows) -> None:
-    """Raise ``MissingRandomnessError`` at the first unseeded slot, used or not."""
+def _check_walk(rows, geometry: LatticeGeometry, steps: int, x0=0, clip=False) -> None:
+    """Before any coin: ``steps`` passes its rule, the start ``x0`` is a site (else an
+    ``InvalidPositionError``), unless ``clip`` the light cone of ``steps`` steps of
+    ``rows[0]`` from it fits (a ``GeometryTooSmallError`` naming ``sites``), and every seed
+    slot of every row has a seed (a ``MissingRandomnessError`` naming its field path)."""
+    _check("steps", steps, at_least(0))
+    geometry.index_of(x0, "x0")
+    furthest, half = reach(abs(x0), rows[0], steps), geometry.half_span
+    if furthest > half and not clip:
+        each = " of m+n sites each (schedule.interleaved)" if rows[0].shifts > 1 else ""
+        raise GeometryTooSmallError("sites", (
+            f"sites={geometry.n_sites} is too small: from x0={x0} the walker can reach "
+            f"|x|={furthest} in steps={steps}{each}, beyond the edge at |x|={half}"))
     for row in rows:
         for slot, name, seed in _seed_slots(row):
             if seed is None:
-                raise MissingRandomnessError(f"seed slot {slot} ({type(row).__name__}.{name}) "
-                                             "has no seed; set it or use with_derived_seeds")
+                raise MissingRandomnessError(f"{name}.seed" if slot else name, (
+                    f"seed slot {slot} ({type(row).__name__}.{name}) has no seed; set it, "
+                    "or derive every slot's seed from a master seed"))
 
 
 def _coin(specs, n_sites: int, t: int, stop: int):
@@ -235,17 +244,16 @@ def evolve_rows(
     ``lo + s j``, with stride s = 2 when the columns occupied at the start share
     one parity (every shift flips it), else 1. Up amplitudes sit right-aligned
     and down ones left-aligned, so the coins mix in place and a shift only grows
-    the up view left and the down view right by 2 / s columns. A cone leaving
-    the lattice raises first, unless ``clip``: then amplitude shifted off the
-    lattice is checked and dropped. A real start under real coin tables runs in
-    float64, with the bytes complex128 gives. An observed step squares the views
-    into ``work``, sums them to one contiguous P(x) row per walk and takes <X> (and
-    <X^2>) as ``np.vecdot`` of P with x (and x^2). Returns <X> and Var(X) (if
-    ``variance``, else None) per row, (R, steps + 1) over t for ``observe``
-    "series", (R, 1) at the end for "final", then the final (R, n) up and down
-    amplitudes (after no step, the starts' own bytes). ``dists`` gets row 0's
-    P(x, t). A row's bytes are those of its ``run``."""
-    _check("steps", steps, at_least(0))
+    the up view left and the down view right by 2 / s columns. ``_check_walk``
+    runs first, from the occupied site furthest from the centre; with ``clip``,
+    amplitude shifted off the lattice is checked and dropped instead of the cone.
+    A real start under real coin tables runs in float64, with the bytes complex128
+    gives. An observed step squares the views into ``work``, sums them to one
+    contiguous P(x) row per walk and takes <X> (and <X^2>) as ``np.vecdot`` of P
+    with x (and x^2). Returns <X> and Var(X) (if ``variance``, else None) per row,
+    (R, steps + 1) over t for ``observe`` "series", (R, 1) at the end for "final",
+    then the final (R, n) up and down amplitudes (after no step, the starts' own
+    bytes). ``dists`` gets row 0's P(x, t). A row's bytes are those of its ``run``."""
     for i, row in enumerate(rows):
         key = (type(row), row.shifts, row.order(0), *map(type, row.coins))
         if key != (shape := shape if i else key):
@@ -254,12 +262,7 @@ def evolve_rows(
     occupied = up.any(axis=0) | down.any(axis=0)
     occupied[half] |= not occupied.any()  # an all-zero state evolves the centre column
     a0, a1 = int(occupied.argmax()), n - int(occupied[::-1].argmax())
-    furthest = reach(max(half - a0, a1 - 1 - half), rows[0], steps)
-    if furthest > half and not clip:
-        raise GeometryTooSmallError(
-            f"the walker can reach |x|={furthest} in {steps} steps, beyond the "
-            f"edge of n_sites={n} at |x|={half}")
-    _check_seeds(rows)
+    _check_walk(rows, geometry, steps, max(a0 - half, a1 - 1 - half, key=abs), clip)
     # a 0-step call reads no plan: it draws nothing and takes its dtype from the starts
     start, (plan, real) = t0, _plan(rows, n, t0, t0 + steps) if steps else (None, True)
     s = 1 if occupied[a0 + 1 : a1 : 2].any() else 2
@@ -344,7 +347,7 @@ def apply_coin(state: WalkerState, spec: CoinSpec, t: int | None = None) -> Walk
     """
     n, t = state.geometry.n_sites, state.time_step if t is None else t
     _check("t", t, at_least(0))
-    _check_seeds([Single(spec)])
+    _check_walk([Single(spec)], state.geometry, 0)  # its seed; a coin moves nothing
     psi = np.array([state.amp_up, state.amp_down])[:, None]  # a one-step table is its coin
     _mix(psi, _coin([spec], n, t, t + 1)[0], np.empty(4 * n, np.complex128))
     return WalkerState(state.geometry, psi[0, 0], psi[1, 0], state.time_step)
@@ -383,8 +386,8 @@ def run(
 
     Requires every site the walker can reach (see ``reach``) to lie on the
     lattice, so amplitude never touches the boundary, and a seed in every
-    seed slot (see ``with_derived_seeds``); both are checked before any
-    evolution happens. This is the one-row call of the batched kernel.
+    seed slot (see ``with_derived_seeds``); ``_check_walk`` checks both before
+    any evolution happens. This is the one-row call of the batched kernel.
     """
     _check("steps", steps, at_least(0))  # before P(x, t) is allocated
     g, t0 = initial.geometry, initial.time_step

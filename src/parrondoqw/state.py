@@ -40,13 +40,12 @@ class LatticeGeometry:
     def positions_squared(self) -> np.ndarray:
         return self.positions.astype(float) ** 2
 
-    def index_of(self, x: int) -> int:
-        """Array index of the integer position label ``x`` (a bool is no label)."""
+    def index_of(self, x: int, field: str = "x") -> int:
+        """Array index of the integer position label ``x`` (no bool), given as ``field``."""
         if (not isinstance(x, (int, np.integer)) or isinstance(x, bool)
                 or abs(x) > self.half_span):
-            raise InvalidPositionError(
-                f"position {x!r} is not an integer in [-{self.half_span}, {self.half_span}]"
-            )
+            raise InvalidPositionError(field, f"position {x!r} is not an integer in "
+                                              f"[-{self.half_span}, {self.half_span}]")
         return int(x) + self.half_span
 
 
@@ -106,7 +105,7 @@ class WalkerState:
         x0: int = 0,
     ) -> "WalkerState":
         """Unit-norm state with all amplitude on site ``x0`` in spin state ``coin``."""
-        i = geometry.index_of(x0)
+        i = geometry.index_of(x0, "x0")
         up = np.zeros(geometry.n_sites, dtype=np.complex128)
         down = np.zeros(geometry.n_sites, dtype=np.complex128)
         up[i], down[i] = coin.spinor()

@@ -20,16 +20,15 @@ from typing import Mapping, Union
 import numpy as np
 
 from .coins import SiteTanhRotation, UniformRotation
-from .errors import ConfigError, GeometryTooSmallError
+from .errors import ConfigError
 from .evolution import (
     Composite,
     Single,
     StrategySchedule,
-    _check_seeds,
+    _check_walk,
     _seed_slots,
     evolve_rows,
     map_batches,
-    reach,
     with_derived_seeds,
 )
 from .rng import FINITE, RNG_ALGORITHM, SEED, TOLERANCE, Ruled, _check, at_least
@@ -90,6 +89,7 @@ class ScheduleTemplate(Ruled):
     rules = {"kind": ((str,), _KINDS.__contains__, f"be one of {_KINDS}"),
              "m": at_least(0), "n": at_least(0)}
     shifts = 1  # none of its games interleaves: a shift a step, as ``reach`` reads
+    coins = ()  # none of its coins draws: no seed slot, as ``_seed_slots`` reads
 
     def __post_init__(self):
         super().__post_init__()
@@ -191,8 +191,9 @@ def check_grid(grid: GridSpec) -> None:
     and every parameter's valid range is an interval. Raises ConfigError for
     any other schedule, names and unbound parameters, ValueError for ranges,
     a ``FieldError`` for a ``steps``, ``master_seed`` or ``tie_tolerance`` the grid's
-    ``rules`` reject or a fixed value its coin field's rule rejects, and the kernel's own
-    errors for an ``x0`` off the lattice, a light cone leaving it and an unseeded seed slot.
+    ``rules`` reject or a fixed value its coin field's rule rejects, and last those of
+    ``evolution._check_walk``: ``InvalidPositionError`` (``x0``), ``GeometryTooSmallError``
+    (``sites``) and ``MissingRandomnessError`` (a slot's field path), ``FieldError``s too.
     """
     template = isinstance(grid.schedule, ScheduleTemplate)
     if callable(grid.schedule) and not template:
@@ -215,12 +216,7 @@ def check_grid(grid: GridSpec) -> None:
             except ValueError as exc:  # a range the schedule or the initial state rejects
                 corner = f"{names[0]}={v1}, {names[1]}={v2}"
                 raise ValueError(f"axis1/axis2 corner ({corner}): {exc}") from exc
-    grid.geometry.index_of(grid.x0)  # an InvalidPositionError unless x0 is a site
-    furthest, half = reach(abs(grid.x0), schedule, grid.steps), grid.geometry.half_span
-    if furthest > half:  # every point has this corner's light cone and seed slots
-        raise GeometryTooSmallError(f"from x0={grid.x0} the walker can reach |x|={furthest} "
-                                    f"in {grid.steps} steps, beyond the edge at |x|={half}")
-    _check_seeds([schedule])
+    _check_walk([schedule], grid.geometry, grid.steps, grid.x0)  # every point's cone and slots
 
 
 def _execute(grid: GridSpec, workers: int) -> SweepResult:

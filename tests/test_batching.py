@@ -36,8 +36,7 @@ from parrondoqw import (
 )
 from parrondoqw import evolution
 from parrondoqw.coins import general_coin_matrix, realize
-from parrondoqw.config import _slot_key
-from parrondoqw.evolution import collect_seeds, evolve_rows, reach
+from parrondoqw.evolution import _check_walk, collect_seeds, evolve_rows, reach
 
 from pathsum import path_sum_arrays
 
@@ -284,9 +283,9 @@ def test_seeds_are_derived_only_for_slots_that_read_them(monkeypatch):
         calls.clear()
         derived = with_derived_seeds(schedule, 21, 7)
         assert sorted(calls) == sorted(slots)
-        # the metadata and the config's missing-seed check read the same slots
+        # the metadata and the one pre-run check read the same slots
         assert sorted(collect_seeds(derived)) == sorted(names[slot] for slot in slots)
-        assert _slot_key(derived, seeded=False) is None
+        _check_walk([derived], LatticeGeometry(3), 0)
         for name, slot in (("a", 1), ("b", 2), ("spec", 1)):
             spec = getattr(derived, name, None)
             if getattr(spec, "seed", None) is not None:

@@ -10,12 +10,16 @@ from parrondoqw import config, sweep
 from parrondoqw import (
     Composite,
     ConfigError,
+    FieldError,
+    LatticeGeometry,
     ProbabilisticChoice,
     RandomPhaseAlpha,
     Single,
     UniformRotation,
+    WalkerState,
     config_to_flat,
     dumps_config,
+    ensemble_expectation,
     parse_and_validate,
     parse_angle,
 )
@@ -184,6 +188,31 @@ def test_ensemble_requires_master_seed():
         validate(config_from_flat(flat))
     cfg = validate(config_from_flat(dict(flat, seed="3")))
     assert cfg.iterations == 10
+
+
+@pytest.mark.parametrize("mode", ["walk", "ensemble", "sweep-initial", "sweep-coin"])
+def test_a_start_off_the_lattice_names_initial_x0(mode):
+    # x0 = 30 is no site of 21: the start is at fault, not the lattice's light cone
+    flat = {"walk": walk_flat(), "ensemble": walk_flat(mode="ensemble", seed="1"),
+            "sweep-initial": without(bloch_flat(), "initial.theta"),
+            "sweep-coin": sweep_coin_flat()}[mode]
+    with pytest.raises(ConfigError, match=r"^initial\.x0: position 30 is not an integer"):
+        validate(config_from_flat(dict(flat, sites="21", steps="10", **{"initial.x0": "30"})))
+
+
+def test_an_unseeded_ensemble_is_told_the_seed_it_needs():
+    # the master-seed rule comes first: a slot seed alone would not run an ensemble
+    flat = without(walk_flat(mode="ensemble", **{"schedule.a.kind": "random-alpha"}),
+                   "schedule.a.theta")
+    for given in ({}, {"schedule.a.seed": "4"}):
+        with pytest.raises(ConfigError, match="^seed: mode=ensemble requires a master seed"):
+            validate(config_from_flat(flat | given))
+    assert validate(config_from_flat(flat | {"seed": "4"})).seed == 4
+    # the library's own master-seed rule names its argument as a field rule does
+    start = WalkerState.localized(LatticeGeometry(21))
+    with pytest.raises(FieldError, match="^master_seed is required") as raised:
+        ensemble_expectation(start, Single(RandomPhaseAlpha()), 5, 3, master_seed=None)
+    assert raised.value.field == "master_seed" and isinstance(raised.value, ValueError)
 
 
 def sweep_coin_flat(**extra):

@@ -14,11 +14,13 @@ from parrondoqw import (
     BlochCoinState,
     BoundaryLeakageError,
     Composite,
+    ConfigError,
     FieldError,
     GeneralCoin,
     GeometryTooSmallError,
     GridAxis,
     GridSpec,
+    InvalidPositionError,
     LatticeGeometry,
     MissingRandomnessError,
     ProbabilisticChoice,
@@ -40,11 +42,14 @@ from parrondoqw import (
     run,
     shift,
     step,
+    sweep_coin_params,
+    sweep_initial_state,
     variance_scaling_exponent,
     with_derived_seeds,
 )
 from parrondoqw import evolution
 from parrondoqw.coins import general_coin_matrix, realize, rotation_matrix
+from parrondoqw.config import config_from_flat, validate
 from parrondoqw.evolution import collect_seeds
 from parrondoqw.sweep import check_grid
 
@@ -241,6 +246,87 @@ def test_unseeded_slot_fails_before_the_first_step(q, monkeypatch):
         run(down_at_origin(41), schedule, 15)
     with pytest.raises(MissingRandomnessError, match="slot 1"):
         apply_coin(down_at_origin(), RandomPhaseAlpha())
+
+
+# One defect each: (sites, steps, x0, seed of the walk's random-phase coin a), then the
+# error and field every library path gives and the key a config's error starts with.
+DEFECTS = {
+    "light_cone": ((21, 11, 0, 1), GeometryTooSmallError, "sites", "sites"),
+    "unseeded_slot": ((21, 5, 0, None), MissingRandomnessError, "spec.seed",
+                      "schedule.a.seed"),
+    "x0_off_the_lattice": ((21, 5, 30, 1), InvalidPositionError, "x0", "initial.x0"),
+}
+
+
+def _localized(g, x0):
+    return WalkerState.localized(g, SPIN_DOWN, x0)
+
+
+def _plane(g, steps, x0, schedule, bloch):
+    names, ends = (("theta", "phi"), (np.pi, 2 * np.pi)) if bloch else (
+        ("theta_b_minus", "theta_b_plus"), (np.pi, np.pi))
+    axes = [GridAxis(name, 0.0, end, 2) for name, end in zip(names, ends)]
+    return GridSpec(*axes, schedule, steps, g, x0=x0)
+
+
+# Each path from (geometry, steps, x0, coin); the library's take the start as a state
+# localized at x0 or as a grid's x0.
+DEFECT_PATHS = {
+    "run": lambda g, steps, x0, coin: run(_localized(g, x0), Single(coin), steps),
+    "step": lambda g, steps, x0, coin: step(_localized(g, x0), Single(coin)),
+    "ensemble_expectation": lambda g, steps, x0, coin: ensemble_expectation(
+        _localized(g, x0), Single(coin), steps, 3, master_seed=1),
+    "sweep_coin_params": lambda g, steps, x0, coin: sweep_coin_params(
+        _plane(g, steps, x0, ScheduleTemplate("single_b"), bloch=False)),
+    "sweep_initial_state": lambda g, steps, x0, coin: sweep_initial_state(
+        _plane(g, steps, x0, Single(coin), bloch=True)),
+    "apply_coin": lambda g, steps, x0, coin: apply_coin(_localized(g, x0), coin),
+}
+# Where a defect cannot arise: step clips its one step to the lattice and a coin moves
+# nothing; an ensemble derives every slot's seed from its master seed, and no template
+# coin draws; an ensemble config needs the top-level seed that derives every slot's.
+NOT_A_PATH = {("light_cone", "step"), ("light_cone", "apply_coin"),
+              ("unseeded_slot", "ensemble_expectation"),
+              ("unseeded_slot", "sweep_coin_params"),
+              ("unseeded_slot", "ensemble"), ("unseeded_slot", "sweep-coin")}
+
+
+def _defect_flat(mode, sites, steps, x0, seed):
+    flat = {"mode": mode, "sites": str(sites), "steps": str(steps), "initial.x0": str(x0)}
+    if mode == "sweep-coin":
+        return flat | {"sweep.family": "single_b", "grid.axis1.name": "theta_b_minus",
+                       "grid.axis1.min": "0", "grid.axis1.max": "pi", "grid.axis1.count": "2",
+                       "grid.axis2.name": "theta_b_plus", "grid.axis2.min": "0",
+                       "grid.axis2.max": "pi", "grid.axis2.count": "2"}
+    flat |= {"schedule.kind": "single", "schedule.a.kind": "random-alpha"}
+    flat |= {} if seed is None else {"seed": str(seed)}
+    if mode == "sweep-initial":
+        flat |= {"grid.axis1.name": "theta", "grid.axis1.min": "0", "grid.axis1.max": "pi",
+                 "grid.axis1.count": "2", "grid.axis2.name": "phi", "grid.axis2.min": "0",
+                 "grid.axis2.max": "pi", "grid.axis2.count": "2"}
+    return flat | ({"iterations": "3"} if mode == "ensemble" else {})
+
+
+@pytest.mark.parametrize("defect,path", [
+    (defect, path) for defect in DEFECTS
+    for path in (*DEFECT_PATHS, "walk", "ensemble", "sweep-coin", "sweep-initial")
+    if (defect, path) not in NOT_A_PATH])
+def test_one_defect_gives_one_error_and_field_on_every_path(defect, path, monkeypatch):
+    # every path raises before the first coin is applied, a start off the lattice where
+    # the start is built (localized) and every other defect in the one pre-run check
+    def no_mix(*args, **kwargs):
+        raise AssertionError("evolution started")
+
+    monkeypatch.setattr(evolution, "_mix", no_mix)
+    (sites, steps, x0, seed), error, field, key = DEFECTS[defect]
+    if path in DEFECT_PATHS:
+        with pytest.raises(error) as raised:
+            DEFECT_PATHS[path](LatticeGeometry(sites), steps, x0, RandomPhaseAlpha(seed))
+        assert type(raised.value) is error and raised.value.field == field
+        assert isinstance(raised.value, FieldError)
+    else:
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+            validate(config_from_flat(_defect_flat(path, sites, steps, x0, seed)))
 
 
 def test_a_zero_step_call_builds_no_plan(monkeypatch):
