@@ -364,7 +364,7 @@ def _check_run(cfg: RunConfig, schedule):
 def build_schedule(cfg: RunConfig) -> StrategySchedule:
     """The configured schedule: with a top-level seed, every stochastic seed slot
     is derived from it, and none may be set."""
-    _require(cfg.schedule is not None, f"mode={cfg.mode} requires a schedule section")
+    _require(cfg.schedule is not None, f"schedule.kind: mode={cfg.mode} requires a schedule")
     if cfg.seed is None:
         return cfg.schedule
     for slot, name, seed in _seed_slots(cfg.schedule):
@@ -375,7 +375,7 @@ def build_schedule(cfg: RunConfig) -> StrategySchedule:
 
 
 def build_geometry(cfg: RunConfig) -> LatticeGeometry:
-    _require(cfg.sites is not None, f"mode={cfg.mode} requires 'sites'")
+    _require(cfg.sites is not None, f"sites: mode={cfg.mode} requires it")
     return LatticeGeometry(cfg.sites)
 
 
@@ -384,10 +384,10 @@ def build_initial_state(cfg: RunConfig) -> WalkerState:
 
 
 def build_grid_spec(cfg: RunConfig) -> GridSpec:
-    _require(cfg.axis1 is not None and cfg.axis2 is not None,
-             f"mode={cfg.mode} requires grid.axis1 and grid.axis2")
+    for name, axis in (("axis1", cfg.axis1), ("axis2", cfg.axis2)):
+        _require(axis is not None, f"grid.{name}: mode={cfg.mode} requires two grid axes")
     coins = "sweep" in MODES[cfg.mode].reads
-    _require(cfg.sweep is not None or not coins, f"mode={cfg.mode} requires sweep.family")
+    _require(cfg.sweep is not None or not coins, f"sweep.family: mode={cfg.mode} requires it")
     grid = GridSpec(
         axis1=cfg.axis1, axis2=cfg.axis2,
         schedule=cfg.sweep if coins else build_schedule(cfg),
@@ -402,6 +402,8 @@ def build_grid_spec(cfg: RunConfig) -> GridSpec:
     _check_run(cfg, grid.schedule)
     try:
         sweep.check_grid(grid)
+    except FieldError as exc:  # a field's rule: name its key
+        raise ConfigError(f"{_key(exc.field, 'grid')}: {exc}") from exc
     except (ConfigError, ValueError) as exc:
         raise ConfigError(f"grid.{exc}") from exc
     return grid

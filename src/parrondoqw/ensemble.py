@@ -1,10 +1,11 @@
 """Ensemble averaging of stochastic schedules and the classical baseline.
 
 Ensembles run independent trajectories whose seeds are derived from a
-master seed and the iteration index, evolved as rows of the batched kernel
-in fixed chunks, then average the position expectation series. The
-classical random walk is evolved as an exact probability vector (no
-sampling), so its variance is noise-free for baseline comparisons.
+master seed and the iteration index, evolved as the rows of one batched walk
+per fixed chunk, read after every step, then average the position
+expectation series. The classical random walk is evolved as an exact
+probability vector (no sampling), so its variance is noise-free for baseline
+comparisons.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import DegenerateEnsembleWarning, FieldError, InsufficientDataError
 from .evolution import (
     StrategySchedule,
     _seed_slots,
-    evolve_rows,
+    _series,
     is_stochastic_schedule,
     map_batches,
     with_derived_seeds,
@@ -43,7 +44,7 @@ def _chunk(args):
     initial, schedule, steps, master_seed, start, stop = args
     rows = [with_derived_seeds(schedule, master_seed, i) for i in range(start, stop)]
     up, down = initial.amp_up[None], initial.amp_down[None]
-    return evolve_rows(up, down, rows, initial.time_step, steps, initial.geometry)[0]
+    return _series(up, down, rows, initial.time_step, steps, initial.geometry)[0]
 
 
 def ensemble_expectation(

@@ -7,17 +7,16 @@ one site right, spin-down one site left). Each of the four schedules,
 states once what its step does (see ``_Schedule``); nothing else dispatches on
 which of them it holds but for the choice, the one whose coin is drawn.
 
-``evolve_rows``, the kernel, advances R walks of one shape from the rows of
-(R, n) starts, or one (1, n) start for all, on the occupied sublattice of
-their light cone only; it only reads the starts and returns <X>, Var and the
-final amplitudes. ``run`` and ``step`` are its one-row calls, ensembles and
-sweeps pass it batches of rows. ``_check_walk``, which ``apply_coin``, sweeps and
-config call too, is the one check before a walk. Coins are read only in ``_plan``, from the
-tables each coin class builds (see ``coins``): the kernel calls it at its
-first step and, when the walk draws, at the first of each 256-step block, and
-gets stateless tables (the coins', the choice's picks into a stack of its two
-coins), the coins a step applies before its one shift multiplied into as few
-tables as hold their product, that each step reads by its offset into that window.
+``_walk``, the kernel, is one resumable walk of R rows of one shape on the occupied
+sublattice of their light cone only: set up and checked once (by ``_check_walk``, the
+one check before a walk, which ``apply_coin``, sweeps and config call too), advanced a
+step at a time and read in between: by ``run`` and ensembles after every step
+(``_series``), by sweeps at the end, by ``step`` after one. Coins are read only in
+``_plan``, from the tables each coin class builds (see ``coins``): the walk calls it at
+its first step and, when it draws, at the first of each 256-step block, and gets
+stateless tables (the coins', the choice's picks into a stack of its two coins), the
+coins a step applies before its one shift multiplied into as few tables as hold their
+product, that each step reads by its offset into that window.
 """
 
 from __future__ import annotations
@@ -127,10 +126,10 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# the batched light-cone kernel: run, step, ensembles and sweeps share it
+# the batched light-cone walk: run, step, ensembles and sweeps drive it
 # ---------------------------------------------------------------------------
 
-_BATCH_ROWS = 64  # rows per kernel call when ensembles and sweeps batch walks
+_BATCH_ROWS = 64  # rows per walk when ensembles and sweeps batch walks
 
 
 def _mix(psi, coin, work):
@@ -232,28 +231,23 @@ def _plan(rows, n_sites: int, t: int, stop: int):
     return [[lambda k, cols: (both[..., cols] if wide else both).take(index[k], 2)]] * 2, real
 
 
-def evolve_rows(
-    up, down, rows, t0: int, steps: int, geometry: LatticeGeometry,
-    observe="series", variance=False, dists=None, clip=False,
-):
-    """Advance walk i from row i of the (R, n) starts ``up`` and ``down``, or from
-    their one (1, n) row, under schedule ``rows[i]`` (all of one shape, else a
-    ``ValueError`` before any step: type, shifts, coin order, coin classes), on the
-    occupied sublattice of the light cone only; the starts are only read. Two
-    compact (R, W) buffers hold it: column j of a view stands for lattice column
-    ``lo + s j``, with stride s = 2 when the columns occupied at the start share
-    one parity (every shift flips it), else 1. Up amplitudes sit right-aligned
-    and down ones left-aligned, so the coins mix in place and a shift only grows
-    the up view left and the down view right by 2 / s columns. ``_check_walk``
-    runs first, from the occupied site furthest from the centre; with ``clip``,
-    amplitude shifted off the lattice is checked and dropped instead of the cone.
-    A real start under real coin tables runs in float64, with the bytes complex128
-    gives. An observed step squares the views into ``work``, sums them to one
-    contiguous P(x) row per walk and takes <X> (and <X^2>) as ``np.vecdot`` of P
-    with x (and x^2). Returns <X> and Var(X) (if ``variance``, else None) per row,
-    (R, steps + 1) over t for ``observe`` "series", (R, 1) at the end for "final",
-    then the final (R, n) up and down amplitudes (after no step, the starts' own
-    bytes). ``dists`` gets row 0's P(x, t). A row's bytes are those of its ``run``."""
+def _walk(up, down, rows, t0: int, steps: int, geometry: LatticeGeometry, clip=False):
+    """A generator: walk i from row i of the (R, n) starts ``up`` and ``down`` (or their one
+    (1, n) row) under schedule ``rows[i]``, all of one shape (else a ``ValueError``: type,
+    shifts, coin order, coin classes). Its first ``next`` sets the walk up and checks it, each
+    further one takes a step, and each yields ``(moments, finals)`` to read it then:
+    ``moments(out, dist=None)`` writes <X> per row into a (1, R) ``out``, or <X> and <X^2>
+    into a (2, R) one, and row 0's P(x) into ``dist``; ``finals()`` returns the (R, n) up and
+    down amplitudes (after no step, the starts' own bytes). The starts are only read.
+
+    Two compact (R, W) buffers hold the occupied sublattice of the light cone: column j of a
+    view is lattice column ``lo + s j``, with s = 2 when the columns occupied at the start
+    share one parity (every shift flips it), else 1. Up amplitudes sit right-aligned and down
+    ones left-aligned, so the coins mix in place and a shift only grows the up view left and
+    the down view right by 2 / s columns. ``_check_walk`` runs first, from the occupied site
+    furthest from the centre; with ``clip``, amplitude shifted off the lattice is checked and
+    dropped instead of the cone. A real start under real coin tables runs in float64, with
+    the bytes complex128 gives. A row's bytes are those of its ``run``."""
     for i, row in enumerate(rows):
         key = (type(row), row.shifts, row.order(0), *map(type, row.coins))
         if key != (shape := shape if i else key):
@@ -263,37 +257,50 @@ def evolve_rows(
     occupied[half] |= not occupied.any()  # an all-zero state evolves the centre column
     a0, a1 = int(occupied.argmax()), n - int(occupied[::-1].argmax())
     _check_walk(rows, geometry, steps, max(a0 - half, a1 - 1 - half, key=abs), clip)
-    # a 0-step call reads no plan: it draws nothing and takes its dtype from the starts
+    # a 0-step walk reads no plan: it draws nothing and takes its dtype from the starts
     start, (plan, real) = t0, _plan(rows, n, t0, t0 + steps) if steps else (None, True)
     s = 1 if occupied[a0 + 1 : a1 : 2].any() else 2
     grow, per_step = 2 // s, rows[0].shifts
-    shifts = steps * per_step
     lo, c = a0, (a1 - 1 - a0) // s + 1  # the views' first lattice column and width
     initial = up[:, a0:a1:s], down[:, a0:a1:s]
     real = real and not any(a.imag.any() for a in initial)
-    dtype = np.float64 if real else np.complex128
-    buffers = np.zeros((2, len(rows), c + grow * shifts), dtype)
-    ua, da = buffers.shape[2] - c, 0  # where the up and the down view start
+    dtype, line = (np.float64, 8) if real else (np.complex128, 4)  # line: 64 bytes of it
+    width = -(-(c + grow * steps * per_step) // line) * line  # whole lines: rows start on one
+    size = 2 * len(rows) * width  # the buffers'; then ``work`` (see _mix), twice as long
+    memory = np.zeros(3 * size + line, dtype)
+    cut = -memory.ctypes.data % 64  # both start on a 64-byte line: mixes ran faster there
+    buffers = np.ndarray((2, len(rows), width), dtype, memory, cut)
+    work = memory[cut // memory.itemsize + size :]
+    ua, da = width - c, 0  # where the up and the down view start
     buffers[0, :, ua:], buffers[1, :, :c] = (a.real if real else a for a in initial)
-    work = np.empty(2 * buffers.size + 8, dtype)  # see _mix; cut to start on a 64-byte
-    work = work[-work.ctypes.data % 64 // work.itemsize :]  # line: mixes ran faster there
-    if observe:  # x (and x^2) at each column, a line per parity; squares go in ``work``
-        x, floats = np.arange(a0 - shifts, a1 + shifts) - float(half), work.view(np.float64)
-        lines = [np.array([x, x * x])[: 1 + variance, p::s].copy() for p in range(s)]
-    moments = np.zeros((1 + variance, steps + 1 if observe == "series" else 1, len(rows)))
-    psi = _pair(buffers, ua, da, c)
-    for k in range(steps + 1):
-        if observe == "series" or (observe and k == steps):
-            flat, (j, p) = psi.view(np.float64), divmod(lo - a0 + shifts, s)
-            sq = np.square(flat, out=floats[: flat.size].reshape(flat.shape))
-            if not real:  # |a|^2 = re^2 + im^2: a real amplitude's im^2 would add +0.0
-                sq = np.add(sq[..., ::2], sq[..., 1::2],
-                            out=floats[flat.size : flat.size + psi.size].reshape(psi.shape))
-            prob = np.add(sq[0], sq[1], out=sq[0])  # P(x) = |up|^2 + |down|^2, per row
-            if dists is not None:
-                dists[k, lo : lo + s * c : s] = prob[0]
-            np.vecdot(prob, lines[p][:, None, j : j + c],
-                      out=moments[:, k if observe == "series" else 0])
+    psi, floats = _pair(buffers, ua, da, c), work.view(np.float64)  # floats: see moments
+    lines = []  # x and x^2, built on the first read
+
+    def moments(out, dist=None):
+        if not lines:  # a contiguous line per parity of lattice columns
+            xs = np.array([geometry.positions, geometry.positions_squared], np.float64)
+            lines.extend(xs[:, p::s].copy() for p in range(s))
+        flat, (j, p) = psi.view(np.float64), divmod(lo, s)
+        sq = np.square(flat, out=floats[: flat.size].reshape(flat.shape))
+        if not real:  # |a|^2 = re^2 + im^2: a real amplitude's im^2 would add +0.0
+            sq = np.add(sq[..., ::2], sq[..., 1::2],
+                        out=floats[flat.size : flat.size + psi.size].reshape(psi.shape))
+        prob = np.add(sq[0], sq[1], out=sq[0])  # P(x) = |up|^2 + |down|^2, per row
+        if dist is not None:
+            dist[lo : lo + s * c : s] = prob[0]
+        return np.vecdot(prob, lines[p][: len(out), None, j : j + c], out=out)
+
+    def finals():
+        pair = np.zeros((len(rows), n), complex), np.zeros((len(rows), n), complex)
+        for final, view, given in zip(pair, psi, (up, down)):
+            if not k:  # the starts' own bytes, -0.0 included
+                final[:] = given
+            else:  # + 0.0 turns -0.0 into 0.0: zeros match whichever columns were computed
+                np.add(view, 0.0, out=final[:, lo : lo + s * c : s])
+        return pair
+
+    for k in range(steps + 1):  # k: the steps taken
+        yield moments, finals
         if k == steps:
             break
         t = t0 + k
@@ -310,15 +317,20 @@ def evolve_rows(
                                     abs(buffers[0, :, ua + c - 1]).max() if right else 0.0))
                     ua, da, lo, c = ua + left, da + left, lo + s * left, c - left - right
                 psi = _pair(buffers, ua, da, c)
-    finals = np.zeros((len(rows), n), complex), np.zeros((len(rows), n), complex)
-    for final, view, start in zip(finals, psi, (up, down)):
-        if not steps:  # the starts' own bytes, -0.0 included
-            final[:] = start
-        else:  # + 0.0 turns -0.0 into 0.0: zeros match whichever columns were computed
-            np.add(view, 0.0, out=final[:, lo : lo + s * c : s])
-    mean = moments[0].T.copy()
-    var = np.maximum(moments[1].T - mean * mean, 0.0) if variance else None
-    return mean, var, *finals
+
+
+def _series(up, down, rows, t0: int, steps: int, geometry: LatticeGeometry,
+            squares=False, record_full=False):
+    """A walk's (see ``_walk``) <X> per row and t, (R, steps + 1), with ``squares`` its
+    <X^2> too, with ``record_full`` row 0's P(x, t) (else None), then its ``finals``."""
+    walk = _walk(up, down, rows, t0, steps, geometry)
+    moments, finals = next(walk)  # set up and checked before anything sized by steps
+    out = np.zeros((1 + squares, steps + 1, len(rows)))
+    dists = np.zeros((steps + 1, geometry.n_sites)) if record_full else None
+    for k in range(steps + 1):
+        moments(out[:, k], None if dists is None else dists[k])
+        next(walk, None)  # the next step; after the last, the walk's end
+    return *out.transpose(0, 2, 1).copy(), dists, finals
 
 
 def map_batches(fn, args: tuple, count: int, workers: int = 1) -> np.ndarray:
@@ -366,13 +378,12 @@ def shift(state: WalkerState) -> WalkerState:
 
 
 def step(state: WalkerState, schedule: StrategySchedule) -> WalkerState:
-    """Advance one full time step: the schedule's coin composition, then one shift.
-
-    All randomness comes from the seeds in the schedule; an unseeded slot
-    raises ``MissingRandomnessError`` before the step.
-    """
-    *_, up, down = evolve_rows(state.amp_up[None], state.amp_down[None], [schedule],
-                               state.time_step, 1, state.geometry, observe=None, clip=True)
+    """Advance one full time step, the schedule's coin composition then one shift, as a
+    one-row walk with ``clip``. All randomness comes from the schedule's seeds; an unseeded
+    slot raises ``MissingRandomnessError`` before the step."""
+    *_, (_, finals) = _walk(state.amp_up[None], state.amp_down[None], [schedule],
+                            state.time_step, 1, state.geometry, clip=True)
+    up, down = finals()
     return WalkerState(state.geometry, up[0], down[0], state.time_step + 1)
 
 
@@ -382,18 +393,15 @@ def run(
     steps: int,
     record_full: bool = False,
 ) -> Trajectory:
-    """Run ``steps`` full steps, recording position mean and variance at every t.
-
-    Requires every site the walker can reach (see ``reach``) to lie on the
-    lattice, so amplitude never touches the boundary, and a seed in every
-    seed slot (see ``with_derived_seeds``); ``_check_walk`` checks both before
-    any evolution happens. This is the one-row call of the batched kernel.
-    """
-    _check("steps", steps, at_least(0))  # before P(x, t) is allocated
+    """Run ``steps`` full steps, recording position mean and variance at every t: a walk
+    of one row, read after every step. Every site the walker can reach (see ``reach``)
+    must lie on the lattice, so amplitude never touches the boundary, and every seed slot
+    needs a seed (see ``with_derived_seeds``); ``_check_walk`` checks both first."""
     g, t0 = initial.geometry, initial.time_step
-    dists = np.zeros((steps + 1, g.n_sites)) if record_full else None
-    mean, var, up, down = evolve_rows(initial.amp_up[None], initial.amp_down[None], [schedule],
-                                      t0, steps, g, variance=True, dists=dists)
+    mean, squares, dists, finals = _series(initial.amp_up[None], initial.amp_down[None],
+                                           [schedule], t0, steps, g, True, record_full)
+    up, down = finals()
+    var = np.maximum(squares - mean * mean, 0.0)
     final = WalkerState(g, up[0], down[0], t0 + steps)
     metadata = {"schedule": repr(schedule), "seeds": collect_seeds(schedule),
                 "n_sites": g.n_sites, "steps": steps, "rng_algorithm": RNG_ALGORITHM}

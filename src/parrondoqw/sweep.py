@@ -4,11 +4,11 @@ Each grid point is one walk, of which only the final position expectation
 is computed; points are classified winning/losing/neutral by its sign. The
 schedule is a ``ScheduleTemplate`` (a coin-parameter sweep) or one fixed
 schedule (an initial-state sweep), so every point has the same schedule
-shape, and the points are rows of the batched kernel ``evolve_rows``,
-evolved together in fixed chunks of consecutive points; with ``workers > 1``
-a process pool evolves the chunks. A point's value is bit-for-bit that of
-its own ``run``, and all seeds are derived per point, so the output depends
-neither on chunking nor on the worker count.
+shape, and the points are the rows of one batched walk (``evolution._walk``)
+per fixed chunk of consecutive points, read once at its end; with
+``workers > 1`` a process pool evolves the chunks. A point's value is
+bit-for-bit that of its own ``run``, and all seeds are derived per point, so
+the output depends neither on chunking nor on the worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .evolution import (
     StrategySchedule,
     _check_walk,
     _seed_slots,
-    evolve_rows,
+    _walk,
     map_batches,
     with_derived_seeds,
 )
@@ -177,7 +177,8 @@ def _chunk(args):
     psi = np.zeros((2, len(points), grid.geometry.n_sites), dtype=np.complex128)
     psi[:, :, grid.geometry.index_of(grid.x0)] = np.array([b.spinor() for _, b in points]).T
     rows = [schedule for schedule, _ in points]
-    return evolve_rows(*psi, rows, 0, grid.steps, grid.geometry, observe="final")[0][:, 0]
+    *_, (moments, _) = _walk(*psi, rows, 0, grid.steps, grid.geometry)  # to its end
+    return moments(np.zeros((1, len(rows))))[0]
 
 
 def check_grid(grid: GridSpec) -> None:

@@ -30,15 +30,18 @@ from parrondoqw import (
     child_seed,
     ensemble_expectation,
     run,
+    step,
     sweep_coin_params,
     sweep_initial_state,
     with_derived_seeds,
 )
 from parrondoqw import evolution
+from parrondoqw import sweep as sweep_module
 from parrondoqw.coins import general_coin_matrix, realize
-from parrondoqw.evolution import _check_walk, collect_seeds, evolve_rows, reach
+from parrondoqw.evolution import _check_walk, collect_seeds, reach
 
 from pathsum import path_sum_arrays
+from walks import evolve
 
 COIN_A = UniformRotation(np.pi / 2)
 COIN_B = SiteTanhRotation(-np.pi / 8, np.pi / 4)
@@ -81,7 +84,7 @@ def test_a_row_is_the_same_bytes_in_every_batch(name):
     alone = run(initial, rows[5], steps).expectation
     up, down = initial.amp_up[None], initial.amp_down[None]
     for count in COUNTS[1:]:
-        batch = evolve_rows(up, down, rows[:count], 0, steps, initial.geometry)[0]
+        batch = evolve(up, down, rows[:count], 0, steps, initial.geometry)[0]
         assert batch[5].tobytes() == alone.tobytes()
         for i in (0, count - 1):
             assert batch[i].tobytes() == run(initial, rows[i], steps).expectation.tobytes()
@@ -199,8 +202,7 @@ def test_kernel_only_reads_its_starts_and_returns_each_rows_run(name, stacked):
     if stacked:
         up, down = (np.broadcast_to(a, (count, a.shape[1])) for a in (up, down))
     before = up.tobytes(), down.tobytes()
-    mean, var, up_final, down_final = evolve_rows(up, down, rows, 0, steps, initial.geometry,
-                                                  variance=True)
+    mean, var, up_final, down_final = evolve(up, down, rows, 0, steps, initial.geometry)
     assert (up.tobytes(), down.tobytes()) == before
     assert up_final.shape == down_final.shape == (count, initial.geometry.n_sites)
     for i in range(count):
@@ -255,8 +257,7 @@ def test_rows_of_different_shapes_fail_before_the_first_step(name, monkeypatch):
     monkeypatch.setattr(evolution, "_mix", no_mix)
     rows, initial = MIXED_SHAPES[name], start(41, SYMMETRIC if "phase" in name else SPIN_DOWN)
     with pytest.raises(ValueError, match=f"^row {len(rows) - 1} .* in shape from row 0"):
-        evolve_rows(initial.amp_up[None], initial.amp_down[None], rows, 0, 10,
-                    initial.geometry)
+        evolve(initial.amp_up[None], initial.amp_down[None], rows, 0, 10, initial.geometry)
 
 
 def test_seeds_are_derived_only_for_slots_that_read_them(monkeypatch):
@@ -331,8 +332,8 @@ EQUIVALENCE = {
 def test_sublattice_kernel_matches_path_sum_and_batches(name):
     initial, schedule, steps = EQUIVALENCE[name]
     g, rows = initial.geometry, [with_derived_seeds(schedule, 5, i) for i in range(70)]
-    batch = evolve_rows(initial.amp_up[None], initial.amp_down[None], rows,
-                        initial.time_step, steps, g)[0]
+    batch = evolve(initial.amp_up[None], initial.amp_down[None], rows,
+                   initial.time_step, steps, g)[0]
     components = [(spin, int(x), amp)
                   for spin, amps in enumerate((initial.amp_up, initial.amp_down))
                   for x, amp in zip(g.positions, amps) if amp != 0]
@@ -377,8 +378,8 @@ def test_real_and_complex_starts_share_a_sweep_byte_for_byte():
 def test_real_coin_row_in_a_complex_batch_is_its_own_run():
     initial = start(61, BlochCoinState(1.0, 0.0))
     rows = [Single(GeneralCoin(0.5, 0.0, 0.0)), Single(GeneralCoin(0.5, 1.0, 0.3))]
-    batch = evolve_rows(initial.amp_up[None], initial.amp_down[None], rows, 0, 25,
-                        initial.geometry)[0]
+    batch = evolve(initial.amp_up[None], initial.amp_down[None], rows, 0, 25,
+                   initial.geometry)[0]
     for i, row in enumerate(rows):
         assert batch[i].tobytes() == run(initial, row, 25).expectation.tobytes()
 
@@ -390,10 +391,72 @@ def test_choice_rows_with_coins_of_their_own_are_their_own_runs():
                                 SiteTanhRotation(-np.pi / 8 * (1 + i % 2), np.pi / 4), 0.5,
                                 seed=child_seed(4, i))
             for i in range(7)]
-    mean, _, up, down = evolve_rows(initial.amp_up[None], initial.amp_down[None], rows, 0,
-                                    steps, initial.geometry)
+    mean, _, up, down = evolve(initial.amp_up[None], initial.amp_down[None], rows, 0,
+                               steps, initial.geometry)
     for i, row in enumerate(rows):
         own = run(initial, row, steps)
         assert mean[i].tobytes() == own.expectation.tobytes()
         assert up[i].tobytes() == own.final_state.amp_up.tobytes()
         assert down[i].tobytes() == own.final_state.amp_down.tobytes()
+
+
+RESUMED = {
+    # the choice's picks and the phase coin's draws both cross the 256-step block
+    "choice_phase": ProbabilisticChoice(RandomPhaseAlpha(seed=3), UniformRotation(np.pi / 3),
+                                        0.4, seed=8),
+    "composite_tanh": Composite(COIN_A, COIN_B, 2, 1),
+    "composite_phase_tanh": Composite(RandomPhaseBeta(seed=5), COIN_B, 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", RESUMED)
+def test_a_walk_read_after_every_step_is_its_run_and_its_chained_steps(name):
+    # 300 steps, read between every two: the walk resumes across the 256-step draw block
+    schedule, steps, initial = RESUMED[name], 300, start(601, SYMMETRIC)
+    own, state = run(initial, schedule, steps), initial
+    walk = evolution._walk(initial.amp_up[None], initial.amp_down[None], [schedule], 0,
+                           steps, initial.geometry)
+    for t, (moments, finals) in enumerate(walk):
+        read = np.zeros((2, 1))
+        moments(read)
+        assert read[0].tobytes() == own.expectation[t : t + 1].tobytes()
+        var = np.maximum(read[1] - read[0] * read[0], 0.0)
+        assert var.tobytes() == own.variance[t : t + 1].tobytes()
+        up, down = finals()
+        assert up[0].tobytes() == state.amp_up.tobytes()
+        assert down[0].tobytes() == state.amp_down.tobytes()
+        if t < steps:
+            state = step(state, schedule)
+    assert t == steps
+    assert up[0].tobytes() == own.final_state.amp_up.tobytes()
+    assert down[0].tobytes() == own.final_state.amp_down.tobytes()
+
+
+def test_ensembles_and_sweeps_never_read_final_amplitudes(monkeypatch):
+    def no_finals():
+        raise AssertionError("final amplitudes were read")
+
+    walk = evolution._walk
+
+    def walk_without_finals(*args, **kwargs):
+        for moments, _ in walk(*args, **kwargs):
+            yield moments, no_finals
+
+    bloch = GridSpec(GridAxis("theta", 0.0, np.pi, 3), GridAxis("phi", 0.0, np.pi, 3),
+                     SCHEDULES["alternating_phase"], 10, LatticeGeometry(25), master_seed=8)
+    calls = {
+        "ensemble": lambda: ensemble_expectation(start(), SCHEDULES["choice_phase"], 16,
+                                                 iterations=70, master_seed=11),
+        "sweep_coin": lambda: sweep_coin_params(coin_grid(9)),
+        "sweep_initial": lambda: sweep_initial_state(bloch),
+    }
+    read = {name: call() for name, call in calls.items()}
+    monkeypatch.setattr(evolution, "_walk", walk_without_finals)
+    monkeypatch.setattr(sweep_module, "_walk", walk_without_finals)
+    for name, call in calls.items():
+        result, before = call(), read[name]
+        if name == "ensemble":
+            assert result.mean_expectation.tobytes() == before.mean_expectation.tobytes()
+            assert result.std_error.tobytes() == before.std_error.tobytes()
+        else:
+            assert result.expectation.tobytes() == before.expectation.tobytes()

@@ -335,6 +335,10 @@ def without(flat, *keys):
     return {k: v for k, v in flat.items() if k not in keys}
 
 
+def without_section(flat, section):
+    return {k: v for k, v in flat.items() if not k.startswith(f"{section}.")}
+
+
 CLASSICAL = {"mode": "classical", "steps": "20"}
 SINGLE_SCHEDULE = {"schedule.kind": "single", "schedule.a.kind": "uniform",
                    "schedule.a.theta": "pi/2"}
@@ -495,6 +499,27 @@ def test_invalid_input_names_key_and_exits_1(flat, key, tmp_path, capsys):
     assert code == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# A key the mode needs but the config lacks or a rule rejects, and the key each error
+# must start with.
+NAMED_FIRST = {
+    "grid_fixed_theta_a": (sweep_coin_flat(**{"grid.fixed.theta_a": "7"}),
+                           "grid.fixed.theta_a"),
+    "no_sites": (without(walk_flat(), "sites"), "sites"),
+    "no_sites_sweep": (without(sweep_coin_flat(), "sites"), "sites"),
+    "no_schedule": (without_section(walk_flat(), "schedule"), "schedule.kind"),
+    "no_axis1": (without_section(sweep_coin_flat(), "grid.axis1"), "grid.axis1"),
+    "no_axis2": (without_section(without(bloch_flat(), "initial.theta"), "grid.axis2"),
+                 "grid.axis2"),
+    "no_family": (without_section(sweep_coin_flat(), "sweep"), "sweep.family"),
+}
+
+
+@pytest.mark.parametrize("flat,key", NAMED_FIRST.values(), ids=NAMED_FIRST.keys())
+def test_a_missing_or_rejected_key_starts_its_error(flat, key):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+        validate(config_from_flat(flat))
 
 
 def test_echo_lists_only_the_chosen_kinds_fields():

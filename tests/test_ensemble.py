@@ -192,8 +192,8 @@ def test_bad_arguments_fail_before_any_walk(monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a walk ran")
 
-    monkeypatch.setattr("parrondoqw.ensemble.evolve_rows", no_run)
-    monkeypatch.setattr("parrondoqw.sweep.evolve_rows", no_run)
+    monkeypatch.setattr("parrondoqw.ensemble._series", no_run)
+    monkeypatch.setattr("parrondoqw.sweep._walk", no_run)
     schedule = Single(RandomPhaseAlpha())
     with pytest.raises(ValueError, match="master_seed"):
         ensemble_expectation(down(), schedule, 5, 3, master_seed=None)

@@ -54,6 +54,7 @@ from parrondoqw.evolution import collect_seeds
 from parrondoqw.sweep import check_grid
 
 from pathsum import _stages, path_sum_arrays
+from walks import evolve
 
 
 def down_at_origin(n=7):
@@ -339,8 +340,8 @@ def test_a_zero_step_call_builds_no_plan(monkeypatch):
         raise AssertionError("a plan was built")
 
     monkeypatch.setattr(evolution, "_plan", no_plan)
-    mean, var, up, down = evolution.evolve_rows(start.amp_up[None], start.amp_down[None],
-                                                rows, 0, 0, start.geometry, variance=True)
+    mean, var, up, down = evolve(start.amp_up[None], start.amp_down[None], rows, 0, 0,
+                                 start.geometry)
     assert mean.shape == var.shape == (3, 1) and not mean.any() and not var.any()
     assert (up == start.amp_up).all() and (down == start.amp_down).all()
     assert run(start, rows[0], 0).final_state.amp_down.tobytes() == start.amp_down.tobytes()
@@ -503,9 +504,8 @@ def test_moments_of_a_clipped_walk_are_those_of_its_distributions():
     with pytest.raises(GeometryTooSmallError):
         run(initial, schedule, steps)
     dists = np.zeros((steps + 1, g.n_sites))
-    mean, var, up, down = evolution.evolve_rows(
-        initial.amp_up[None], initial.amp_down[None], [schedule], 0, steps, g,
-        variance=True, dists=dists, clip=True)
+    mean, var, up, down = evolve(initial.amp_up[None], initial.amp_down[None], [schedule], 0,
+                                 steps, g, dists=dists, clip=True)
     assert_moments_of(dists, g.positions, mean[0], var[0])
     state = initial
     for _ in range(steps):
@@ -692,8 +692,8 @@ RUN = functools.partial(run, down_at_origin(), Single(UniformRotation(1.0)))
 COUNTS = [
     pytest.param("steps", lambda: RUN(2.0), id="run"),
     pytest.param("steps", lambda: RUN(1.5, record_full=True), id="run_record_full"),
-    pytest.param("steps", lambda: evolution.evolve_rows(*np.zeros((2, 1, 7)), [CHOICE], 0, 1.5,
-                                                        LatticeGeometry(7)), id="evolve_rows"),
+    pytest.param("steps", lambda: next(evolution._walk(*np.zeros((2, 1, 7)), [CHOICE], 0, 1.5,
+                                                       LatticeGeometry(7))), id="walk"),
     pytest.param("steps", lambda: ENSEMBLE(2.5, 3), id="ensemble_steps"),
     pytest.param("iterations", lambda: ENSEMBLE(2, 3.0), id="ensemble_iterations"),
     pytest.param("workers", lambda: ENSEMBLE(2, 3, workers=2.0), id="ensemble_workers"),
@@ -750,8 +750,8 @@ RULED = [  # (id, name, a call that passes it one value)
     ("variance_scaling_exponent", "t_min",
      lambda v: variance_scaling_exponent(np.ones(20), v, 10)),
     ("run", "steps", RUN),
-    ("evolve_rows", "steps", lambda v: evolution.evolve_rows(*np.zeros((2, 1, 7)), [CHOICE], 0,
-                                                             v, LatticeGeometry(7))),
+    ("walk", "steps", lambda v: next(evolution._walk(*np.zeros((2, 1, 7)), [CHOICE], 0, v,
+                                                     LatticeGeometry(7)))),
     ("ensemble.steps", "steps", lambda v: ENSEMBLE(v, 3)),
     ("ensemble.iterations", "iterations", lambda v: ENSEMBLE(2, v)),
     ("ensemble.workers", "workers", lambda v: ENSEMBLE(2, 3, workers=v)),

@@ -225,7 +225,7 @@ def test_bad_axis_range_fails_before_any_point_runs(monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a grid point ran")
 
-    monkeypatch.setattr("parrondoqw.sweep.evolve_rows", no_run)
+    monkeypatch.setattr("parrondoqw.sweep._walk", no_run)
     with pytest.raises(ValueError, match="theta_a=7.0"):
         sweep_coin_params(grid)
     bloch = bloch_grid(Single(UniformRotation(np.pi / 2)))
@@ -239,7 +239,7 @@ def test_a_plain_callable_schedule_fails_before_any_point_runs(monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a grid point ran")
 
-    monkeypatch.setattr("parrondoqw.sweep.evolve_rows", no_run)
+    monkeypatch.setattr("parrondoqw.sweep._walk", no_run)
     grid = coin_grid(lambda params: ScheduleTemplate("composite", m=2, n=1)(params))
     for check in (check_grid, sweep_coin_params, sweep_initial_state):
         with pytest.raises(ConfigError, match="a ScheduleTemplate or a fixed schedule"):
@@ -250,7 +250,7 @@ def test_axis_the_template_never_reads_fails_before_any_point_runs(monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a grid point ran")
 
-    monkeypatch.setattr("parrondoqw.sweep.evolve_rows", no_run)
+    monkeypatch.setattr("parrondoqw.sweep._walk", no_run)
     # single_b has no uniform coin: every theta_a would give the same walk
     grid = coin_grid(ScheduleTemplate("single_b"))
     grid.axis1 = GridAxis("theta_a", -np.pi, np.pi, 3)
@@ -297,7 +297,7 @@ def test_a_grid_whose_walks_cannot_run_fails_before_any_point_runs(grid, sweep, 
     def no_run(*args, **kwargs):
         raise AssertionError("a grid point ran")
 
-    monkeypatch.setattr("parrondoqw.sweep.evolve_rows", no_run)
+    monkeypatch.setattr("parrondoqw.sweep._walk", no_run)
     for check in (check_grid, sweep):
         with pytest.raises(error):
             check(grid)
