@@ -22,7 +22,6 @@ product, that each step reads by its offset into that window.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -341,6 +340,8 @@ def map_batches(fn, args: tuple, count: int, workers: int = 1) -> np.ndarray:
     jobs = [(*args, i, min(i + _BATCH_ROWS, count)) for i in range(0, count, _BATCH_ROWS)]
     processes = min(workers, len(jobs), os.cpu_count() or 1)
     if processes > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a run with a pool loads it
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
             return np.concatenate(list(pool.map(fn, jobs)))
     return np.concatenate([fn(job) for job in jobs])

@@ -25,8 +25,22 @@ _BLOCK = 1 << 14  # cells per render call: 16 rows of a 1001-site P(x, t), about
 # (ties, a log10 off by one, -0.0, NaN, +-inf) goes through fallback.
 _P = np.arange(-292, 341)  # p for k = 308 ... -324, at index 308 - k
 _SHIFT = np.rint((_P - 8) * np.log2(10)).astype(np.int32)  # s: |v| * 2**s near 1e8
-_POW = np.full((4, _P.size), np.nan)  # hi's Dekker halves, hi and lo; built when first seen
 _SPLIT = 2.0**27 + 1
+
+
+def _pow_table():
+    """Per p: hi's Dekker halves, hi and lo, built at import in one pass over Python ints."""
+    columns = []
+    for p, s in zip(_P.tolist(), _SHIFT.tolist()):
+        num, den = 10 ** max(p, 0) << max(-s, 0), 10 ** max(-p, 0) << max(s, 0)
+        hi = num / den  # int / int rounds correctly, and so does the remainder's
+        n, d = hi.as_integer_ratio()
+        hh = hi * _SPLIT - (hi * _SPLIT - hi)
+        columns.append((hh, hi - hh, hi, (num * d - n * den) / (den * d)))
+    return np.array(columns).T.copy()
+
+
+_POW = _pow_table()
 
 
 def _decimal_table():
@@ -92,15 +106,6 @@ def _digits(a):
     k = np.floor(np.log10(a)).astype(np.intp)
     at = 308 - k
     hh, hl, hi, lo = _POW.take(at, axis=1)
-    if np.isnan(lo).any():  # pairs from Python ints, once per exponent seen; lo goes last
-        for r in np.unique(at[np.isnan(lo)]).tolist():
-            p, s = int(_P[r]), int(_SHIFT[r])
-            num, den = 10 ** max(p, 0) << max(-s, 0), 10 ** max(-p, 0) << max(s, 0)
-            top = num / den  # int / int rounds correctly, and so does the remainder's
-            n, d = top.as_integer_ratio()
-            c = top * _SPLIT - (top * _SPLIT - top)
-            _POW[:, r] = c, top - c, top, (num * d - n * den) / (den * d)
-        hh, hl, hi, lo = _POW.take(at, axis=1)
     a = np.ldexp(a, _SHIFT.take(at))
     c = a * _SPLIT
     ah = c - (c - a)

@@ -6,6 +6,8 @@ out with exactly the bytes of its own ``run``, whichever batch it sits in and
 however many worker processes share the batches.
 """
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -108,7 +110,7 @@ def test_one_batch_starts_no_pool(monkeypatch):
 
     schedule = SCHEDULES["choice_phase"]
     one = ensemble_expectation(start(21), schedule, 10, 10, 4)
-    monkeypatch.setattr(evolution, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     two = ensemble_expectation(start(21), schedule, 10, 10, 4, workers=2)
     assert one.mean_expectation.tobytes() == two.mean_expectation.tobytes()
 
@@ -131,7 +133,7 @@ def test_pool_is_capped_at_the_core_count(monkeypatch, cores, started):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(evolution, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(evolution.os, "cpu_count", lambda: cores)
     count = 782 * 64
     rows = evolution.map_batches(lambda job: np.arange(*job), (), count, workers=1000)
