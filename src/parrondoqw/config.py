@@ -13,8 +13,9 @@ key picks the class from its family's table; every other key names a field
 of that class and is parsed by the field's annotation. Keys the chosen class
 does not have are rejected. Each class, ``RunConfig`` too, checks the rule of each
 field as it is built (``rng.Ruled``); the ``FieldError`` of a value a rule rejects
-names its field, and so the key the ``ConfigError`` names. So does the error of the
-walk's one pre-run check (``evolution._check_walk``: light cone, start and seeds).
+names its field, and ``_rejected`` makes it a ``ConfigError`` led by its key. So it
+does the error of the walk's one pre-run check (``evolution._check_walk``: light
+cone, start and seeds) on a built schedule: a walk's, or a sweep's corner point's.
 
 ``MODES`` describes each run mode once: its help line, the keys it reads and
 the function that runs it. Validation rejects every other key (``seed`` in a
@@ -47,7 +48,7 @@ from .coins import (
     SiteTanhRotation,
     UniformRotation,
 )
-from .errors import ConfigError, FieldError, MissingRandomnessError
+from .errors import ConfigError, FieldError, MissingRandomnessError, WalkError
 from .evolution import (
     AlternatingEvenOdd,
     Composite,
@@ -269,8 +270,8 @@ def _parse_section(cls, flat: dict[str, str], prefix: str, context: str = "", ba
         if base is not None:
             return dataclasses.replace(base, **values)
         return cls(**values)
-    except FieldError as exc:  # a field's rule: name its key
-        raise ConfigError(f"{_key(exc.field, prefix)}: {exc}") from exc
+    except FieldError as exc:
+        raise _rejected(exc, prefix) from exc
     except ValueError as exc:
         raise ConfigError(f"{prefix}: {exc}") from exc
 
@@ -349,16 +350,14 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
-def _check_run(cfg: RunConfig, schedule):
-    """``schedule`` if ``evolution._check_walk`` passes it, else a ConfigError naming the
-    key of the error's field (a seed slot's below ``schedule``) and of each ``name=``."""
-    try:
-        _check_walk([schedule], build_geometry(cfg), cfg.steps, cfg.x0)
-    except FieldError as exc:
-        prefix = "schedule" if isinstance(exc, MissingRandomnessError) else ""
-        text = re.sub(r"\b(\w+)=", lambda match: f"{_key(match[1])}=", str(exc))
-        raise ConfigError(f"{_key(exc.field, prefix)}: {text}") from exc
-    return schedule
+def _rejected(exc: FieldError, section: str = "") -> ConfigError:
+    """The ConfigError of a rejected value, led by its key: a pre-run error's (a ``WalkError``
+    from ``evolution._check_walk``) is a run key, a seed slot's below ``schedule``, any other's
+    its field below ``section``. Each word ``name=`` of the message is spelled by its key."""
+    if isinstance(exc, WalkError):
+        section = "schedule" if isinstance(exc, MissingRandomnessError) else ""
+    text = re.sub(r"(?<!\S)(\w+)=", lambda match: f"{_key(match[1])}=", str(exc))
+    return ConfigError(f"{_key(exc.field, section)}: {text}")
 
 
 def build_schedule(cfg: RunConfig) -> StrategySchedule:
@@ -399,11 +398,10 @@ def build_grid_spec(cfg: RunConfig) -> GridSpec:
         master_seed=cfg.seed,
         tie_tolerance=cfg.tie_tolerance,
     )
-    _check_run(cfg, grid.schedule)
     try:
-        sweep.check_grid(grid)
-    except FieldError as exc:  # a field's rule: name its key
-        raise ConfigError(f"{_key(exc.field, 'grid')}: {exc}") from exc
+        sweep.check_grid(grid)  # a built corner's walk too: its light cone, start and seeds
+    except FieldError as exc:
+        raise _rejected(exc, "grid") from exc
     except (ConfigError, ValueError) as exc:
         raise ConfigError(f"grid.{exc}") from exc
     return grid
@@ -420,8 +418,12 @@ def validate(cfg: RunConfig) -> RunConfig:
     if "grid" in mode.reads:
         cfg.built = {"grid": build_grid_spec(cfg)}
     elif "schedule" in mode.reads:
-        cfg.built = {"schedule": _check_run(cfg, build_schedule(cfg)),
-                     "initial": build_initial_state(cfg)}
+        schedule = build_schedule(cfg)
+        try:  # before the initial state, whose off-lattice x0 would lose its key
+            _check_walk([schedule], build_geometry(cfg), cfg.steps, cfg.x0)
+        except FieldError as exc:
+            raise _rejected(exc) from exc
+        cfg.built = {"schedule": schedule, "initial": build_initial_state(cfg)}
     unread = mode.unread(cfg.given)
     if unread:
         raise ConfigError(f"{unread[0]} is not read in mode={cfg.mode}; remove it")

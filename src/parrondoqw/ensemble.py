@@ -151,6 +151,7 @@ def variance_scaling_exponent(
     """
     variance = np.asarray(variance, dtype=float)
     _check("t_min", t_min, at_least(1))  # log t is undefined at 0
+    _check("t_max", t_max, at_least(1))
     if t_max >= len(variance):
         raise ValueError(
             f"t_max={t_max} beyond the series (length {len(variance)})"

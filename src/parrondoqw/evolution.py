@@ -15,8 +15,8 @@ step at a time and read in between: by ``run`` and ensembles after every step
 ``_plan``, from the tables each coin class builds (see ``coins``): the walk calls it at
 its first step and, when it draws, at the first of each 256-step block, and gets
 stateless tables (the coins', the choice's picks into a stack of its two coins), the
-coins a step applies before its one shift multiplied into as few tables as hold their
-product, that each step reads by its offset into that window.
+coins of each stage, those a step applies before one of its shifts, multiplied into as
+few tables as hold their product, that each step reads by its offset into that window.
 """
 
 from __future__ import annotations
@@ -36,12 +36,11 @@ from .state import LatticeGeometry, WalkerState
 
 class _Schedule(Ruled):
     """What a step of a schedule does, stated once per class: ``coins``, its coin
-    specs in seed-slot order (each a leading field); ``order(p)``, the indices into
-    ``coins`` that a step of parity p applies, first to act first; and ``shifts``,
-    the shifts per step: 1, after its last coin, or one after each of its coins."""
+    specs in seed-slot order (each a leading field), and ``order(p)``, the stages of a
+    step of parity p: for each of its shifts, the indices into ``coins`` it applies
+    before that shift, first to act first."""
 
-    shifts = 1
-    order = staticmethod(lambda p: (0,))  # one coin a step: a Single's, a choice's pick
+    order = staticmethod(lambda p: ((0,),))  # one coin a step: a Single's, a choice's pick
     coins = property(lambda self: (self.a, self.b))
 
 
@@ -76,10 +75,9 @@ class Composite(_Schedule):
         if self.m + self.n < 1:  # a rule across two fields, which ScheduleTemplate shares
             raise ValueError(f"m + n must be >= 1, got m={self.m!r}, n={self.n!r}")
 
-    shifts = property(lambda self: self.m + self.n if self.interleaved else 1)
-
-    def order(self, p: int) -> tuple[int, ...]:
-        return (0,) * self.m + (1,) * self.n
+    def order(self, p: int) -> tuple[tuple[int, ...], ...]:
+        coins = (0,) * self.m + (1,) * self.n
+        return tuple((i,) for i in coins) if self.interleaved else (coins,)
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ class AlternatingEvenOdd(_Schedule):
     a: CoinSpec
     b: CoinSpec
 
-    order = staticmethod(lambda p: (p, p))
+    order = staticmethod(lambda p: ((p, p),))
 
 
 @dataclass(frozen=True)
@@ -157,15 +155,15 @@ def _check_leak(amplitude: float) -> None:
 
 
 def _check_walk(rows, geometry: LatticeGeometry, steps: int, x0=0, clip=False) -> None:
-    """Before any coin: ``steps`` passes its rule, the start ``x0`` is a site (else an
-    ``InvalidPositionError``), unless ``clip`` the light cone of ``steps`` steps of
-    ``rows[0]`` from it fits (a ``GeometryTooSmallError`` naming ``sites``), and every seed
-    slot of every row has a seed (a ``MissingRandomnessError`` naming its field path)."""
+    """Before any coin, on built schedules: ``steps`` passes its rule, the start ``x0`` is a
+    site (else an ``InvalidPositionError``), unless ``clip`` the light cone (see ``reach``) of
+    ``steps`` steps of ``rows[0]`` from it fits (a ``GeometryTooSmallError`` naming ``sites``),
+    and every seed slot of every row has a seed (a ``MissingRandomnessError``, its field)."""
     _check("steps", steps, at_least(0))
     geometry.index_of(x0, "x0")
     furthest, half = reach(abs(x0), rows[0], steps), geometry.half_span
     if furthest > half and not clip:
-        each = " of m+n sites each (schedule.interleaved)" if rows[0].shifts > 1 else ""
+        each = " of m+n sites each (schedule.interleaved)" if len(rows[0].order(0)) > 1 else ""
         raise GeometryTooSmallError("sites", (
             f"sites={geometry.n_sites} is too small: from x0={x0} the walker can reach "
             f"|x|={furthest} in steps={steps}{each}, beyond the edge at |x|={half}"))
@@ -205,16 +203,16 @@ def _fold(coins):
 
 
 def _plan(rows, n_sites: int, t: int, stop: int):
-    """The coins that steps t to stop - 1, or to the end of t's block (draws come a block
-    at a time), apply in order, those before one shift folded: a list per parity (see
-    ``_read``), None for a parity no step has; then True if every table is float64."""
+    """The stages of steps t to stop - 1, or to the end of t's block (draws come a block
+    at a time), per parity (None for a parity no step has): for each shift, the coins (see
+    ``_read``) applied before it, in order and folded; then True if every table is float64."""
     first, specs = rows[0], list(zip(*(row.coins for row in rows)))
     end = min(stop, (t // _BLOCK + 1) * _BLOCK)  # the window: steps t to end - 1
     if not isinstance(first, ProbabilisticChoice):
         orders = {first.order(u % 2) for u in range(t, min(stop, t + 2))}
-        coins = {i: _coin(specs[i], n_sites, t, end) for i in set().union(*orders)}
-        fold = _fold if first.shifts == 1 else list
-        plans = {o: [_read(*coin) for coin in fold([coins[i] for i in o])] for o in orders}
+        coins = {i: _coin(specs[i], n_sites, t, end) for o in orders for g in o for i in g}
+        plans = {o: [[_read(*coin) for coin in _fold([coins[i] for i in stage])]
+                     for stage in o] for o in orders}
         real = all(table.dtype == np.float64 for table, _ in coins.values())
         return [plans.get(first.order(p)) for p in (0, 1)], real
     (a, ax), (b, bx) = (_coin(s, n_sites, t, end) for s in specs)
@@ -223,17 +221,19 @@ def _plan(rows, n_sites: int, t: int, stop: int):
     pick = _draws([row.seed for row in rows], TAG_CHOICE, t, end) < [[row.q] for row in rows]
     if "steps" in (ax, bx):
         a, b = _read(a, ax), _read(b, bx)
-        return [[lambda k, cols: np.where(pick[:, k, None], a(k, cols), b(k, cols))]] * 2, real
-    tables = np.broadcast_arrays(a, b)  # fixed or tanh: stacked, and the rows' picks taken
-    both, r, wide = np.concatenate(tables, 2), tables[0].shape[2], "sites" in (ax, bx)
-    index = (~pick).T * r + np.arange(len(rows)) % r  # per step, the rows' picks in ``both``
-    return [[lambda k, cols: (both[..., cols] if wide else both).take(index[k], 2)]] * 2, real
+        coin = [lambda k, cols: np.where(pick[:, k, None], a(k, cols), b(k, cols))]
+    else:  # fixed or tanh: stacked, and the rows' picks taken
+        tables = np.broadcast_arrays(a, b)
+        both, r, wide = np.concatenate(tables, 2), tables[0].shape[2], "sites" in (ax, bx)
+        index = (~pick).T * r + np.arange(len(rows)) % r  # per step, the picks in ``both``
+        coin = [lambda k, cols: (both[..., cols] if wide else both).take(index[k], 2)]
+    return [[coin]] * 2, real  # at either parity, one stage of one coin
 
 
 def _walk(up, down, rows, t0: int, steps: int, geometry: LatticeGeometry, clip=False):
     """A generator: walk i from row i of the (R, n) starts ``up`` and ``down`` (or their one
     (1, n) row) under schedule ``rows[i]``, all of one shape (else a ``ValueError``: type,
-    shifts, coin order, coin classes). Its first ``next`` sets the walk up and checks it, each
+    stages, coin classes). Its first ``next`` sets the walk up and checks it, each
     further one takes a step, and each yields ``(moments, finals)`` to read it then:
     ``moments(out, dist=None)`` writes <X> per row into a (1, R) ``out``, or <X> and <X^2>
     into a (2, R) one, and row 0's P(x) into ``dist``; ``finals()`` returns the (R, n) up and
@@ -243,12 +243,13 @@ def _walk(up, down, rows, t0: int, steps: int, geometry: LatticeGeometry, clip=F
     view is lattice column ``lo + s j``, with s = 2 when the columns occupied at the start
     share one parity (every shift flips it), else 1. Up amplitudes sit right-aligned and down
     ones left-aligned, so the coins mix in place and a shift only grows the up view left and
-    the down view right by 2 / s columns. ``_check_walk`` runs first, from the occupied site
-    furthest from the centre; with ``clip``, amplitude shifted off the lattice is checked and
-    dropped instead of the cone. A real start under real coin tables runs in float64, with
-    the bytes complex128 gives. A row's bytes are those of its ``run``."""
+    the down view right by 2 / s columns. Each stage of a step (see ``_plan``) mixes its coins
+    and then shifts. ``_check_walk`` runs first, from the occupied site furthest from the
+    centre; with ``clip``, amplitude shifted off the lattice is checked and dropped instead of
+    the cone. A real start under real coin tables runs in float64, with the bytes complex128
+    gives. A row's bytes are those of its ``run``."""
     for i, row in enumerate(rows):
-        key = (type(row), row.shifts, row.order(0), *map(type, row.coins))
+        key = (type(row), row.order(0), *map(type, row.coins))
         if key != (shape := shape if i else key):
             raise ValueError(f"row {i} ({row!r}) differs in shape from row 0 ({rows[0]!r})")
     n, half = geometry.n_sites, geometry.half_span
@@ -259,12 +260,12 @@ def _walk(up, down, rows, t0: int, steps: int, geometry: LatticeGeometry, clip=F
     # a 0-step walk reads no plan: it draws nothing and takes its dtype from the starts
     start, (plan, real) = t0, _plan(rows, n, t0, t0 + steps) if steps else (None, True)
     s = 1 if occupied[a0 + 1 : a1 : 2].any() else 2
-    grow, per_step = 2 // s, rows[0].shifts
+    grow = 2 // s
     lo, c = a0, (a1 - 1 - a0) // s + 1  # the views' first lattice column and width
     initial = up[:, a0:a1:s], down[:, a0:a1:s]
     real = real and not any(a.imag.any() for a in initial)
     dtype, line = (np.float64, 8) if real else (np.complex128, 4)  # line: 64 bytes of it
-    width = -(-(c + grow * steps * per_step) // line) * line  # whole lines: rows start on one
+    width = -(-(c + grow * steps * len(rows[0].order(0))) // line) * line  # rows start on one
     size = 2 * len(rows) * width  # the buffers'; then ``work`` (see _mix), twice as long
     memory = np.zeros(3 * size + line, dtype)
     cut = -memory.ctypes.data % 64  # both start on a 64-byte line: mixes ran faster there
@@ -305,17 +306,16 @@ def _walk(up, down, rows, t0: int, steps: int, geometry: LatticeGeometry, clip=F
         t = t0 + k
         if k and t % _BLOCK == 0 and _seed_slots(rows[0]):  # draws come a block at a time
             start, (plan, _) = t, _plan(rows, n, t, t0 + steps)
-        coins = plan[t % 2]
-        for i, coin in enumerate(coins):
-            _mix(psi, coin(t - start, slice(lo, lo + s * c, s)), work)
-            if per_step > 1 or i == len(coins) - 1:  # the shift: after each coin or the last
-                ua, lo, c = ua - grow, lo - 1, c + grow
-                left, right = lo < 0, lo + s * (c - 1) >= n  # off the lattice: clip only
-                if left or right:
-                    _check_leak(max(abs(buffers[1, :, da]).max() if left else 0.0,
-                                    abs(buffers[0, :, ua + c - 1]).max() if right else 0.0))
-                    ua, da, lo, c = ua + left, da + left, lo + s * left, c - left - right
-                psi = _pair(buffers, ua, da, c)
+        for stage in plan[t % 2]:
+            for coin in stage:
+                _mix(psi, coin(t - start, slice(lo, lo + s * c, s)), work)
+            ua, lo, c = ua - grow, lo - 1, c + grow  # the shift
+            left, right = lo < 0, lo + s * (c - 1) >= n  # off the lattice: clip only
+            if left or right:
+                _check_leak(max(abs(buffers[1, :, da]).max() if left else 0.0,
+                                abs(buffers[0, :, ua + c - 1]).max() if right else 0.0))
+                ua, da, lo, c = ua + left, da + left, lo + s * left, c - left - right
+            psi = _pair(buffers, ua, da, c)
 
 
 def _series(up, down, rows, t0: int, steps: int, geometry: LatticeGeometry,
@@ -415,9 +415,9 @@ def run(
 
 
 def reach(extent: int, schedule, steps: int) -> int:
-    """Largest |x| a walker can occupy after ``steps`` steps of ``schedule``, of
-    ``schedule.shifts`` shifts each, from within |x| <= ``extent`` (|x0| if localized)."""
-    return extent + steps * schedule.shifts
+    """Largest |x| a walker can occupy after ``steps`` steps of ``schedule``, a shift per
+    stage of ``schedule.order``, from within |x| <= ``extent`` (|x0| if localized)."""
+    return extent + steps * len(schedule.order(0))
 
 
 def is_stochastic_schedule(schedule: StrategySchedule) -> bool:

@@ -58,7 +58,7 @@ def _decimal_table():
 _EXP, _FORM = _decimal_table()
 
 # The text. A cell's text is some of the bytes of one row: sign, "0.000", an 18-byte
-# digit area, "e" and the exponent, and a comma written right after the text. The area
+# digit area, "e" and the exponent, and the comma of column 29, after all of them. The area
 # holds d0 "." d1 ... d16; d0 ... dk "." ... in %g's fixed form for k >= 1 when a fraction
 # follows, and d0 ... d16 for k < 0. One keep mask per (form, digit count n, sign) class
 # picks the bytes: form is k + 4 in the fixed form (-4 <= k <= 16), else 21 or 22 for an
@@ -70,8 +70,8 @@ _DEEP = np.array([[0, *range(2, k + 2), 1, *range(k + 2, 18)] for k in range(17)
 
 
 def _keep_table():
-    """Per class (form * 17 + n - 1) * 2 + sign: the keep mask, the number of bytes it
-    keeps, and the comma's column."""
+    """Per class (form * 17 + n - 1) * 2 + sign: the keep mask, which keeps the comma of
+    column 29 too, and the number of bytes it keeps."""
     col = np.arange(_ROW.size)
     pos = col - _AREA
     n = np.arange(1, 18)[:, None, None]
@@ -83,17 +83,14 @@ def _keep_table():
     three = np.array([0, 1])[None, :, None]
     exp = (pos == 0) | (pos == 1) & (n > 1) | (pos >= 2) & (pos <= n) | (col >= 24) & (
         col <= 27 + three)
-    comma = np.concatenate((_AREA + np.where(whole, k + 2, end + 1),
-                            np.broadcast_to(28 + three, (17, 2, 1))), axis=1)
-    keep = np.concatenate((fixed, exp), axis=1) | (col == comma)
+    keep = np.concatenate((fixed, exp), axis=1) | (col == 29)
     keep = np.repeat(keep[:, :, None], 2, axis=2)
     keep[..., 0] = [False, True]  # the sign
     keep = keep.transpose(1, 0, 2, 3).reshape(-1, _ROW.size)
-    comma = np.repeat(comma.transpose(1, 0, 2).ravel(), 2)
-    return keep.view(np.dtype((np.void, _ROW.size))).ravel(), keep.sum(1, np.int32), comma
+    return keep.view(np.dtype((np.void, _ROW.size))).ravel(), keep.sum(1, np.int32)
 
 
-_KEEP, _SIZE, _COMMA = _keep_table()
+_KEEP, _SIZE = _keep_table()
 
 
 def fallback(cells):
@@ -157,7 +154,6 @@ def _texts(k, d, neg):
     if deep.size:
         row[deep, _AREA:_AREA + 18] = row.take(deep[:, None] * _ROW.size + _DEEP[k[deep]])
     cls = (form * 17 + n - 1) * 2 + neg
-    row.ravel()[np.arange(0, row.size, _ROW.size) + _COMMA.take(cls)] = ord(",")
     return row.ravel()[_KEEP.take(cls).view(bool)], _SIZE.take(cls)
 
 

@@ -115,7 +115,7 @@ class StepStream:
 
     def __init__(self, seed: int, tag: int = 0):
         self.seed = int(_check("seed", seed, SEED))
-        self.tag = int(tag)
+        self.tag = int(_check("tag", tag, SEED))
 
     def uniform(self, t: int) -> float:
         """Uniform draw on [0, 1) for step ``t``, an integer >= 0."""

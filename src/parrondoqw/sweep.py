@@ -2,13 +2,15 @@
 
 Each grid point is one walk, of which only the final position expectation
 is computed; points are classified winning/losing/neutral by its sign. The
-schedule is a ``ScheduleTemplate`` (a coin-parameter sweep) or one fixed
-schedule (an initial-state sweep), so every point has the same schedule
-shape, and the points are the rows of one batched walk (``evolution._walk``)
-per fixed chunk of consecutive points, read once at its end; with
-``workers > 1`` a process pool evolves the chunks. A point's value is
-bit-for-bit that of its own ``run``, and all seeds are derived per point, so
-the output depends neither on chunking nor on the worker count.
+schedule is a ``ScheduleTemplate`` (a coin-parameter sweep), which only builds
+each point's schedule and is no schedule itself, or one fixed schedule (an
+initial-state sweep), so every point has the same schedule shape, and the
+points are the rows of one batched walk (``evolution._walk``) per fixed chunk
+of consecutive points, read once at its end; with ``workers > 1`` a process
+pool evolves the chunks. ``check_grid`` checks the walk of a built corner
+point before any runs. A point's value is bit-for-bit that of its own ``run``,
+and all seeds are derived per point, so the output depends neither on chunking
+nor on the worker count.
 """
 
 from __future__ import annotations
@@ -88,8 +90,6 @@ class ScheduleTemplate(Ruled):
     _KINDS = ("single_b", "composite")
     rules = {"kind": ((str,), _KINDS.__contains__, f"be one of {_KINDS}"),
              "m": at_least(0), "n": at_least(0)}
-    shifts = 1  # none of its games interleaves: a shift a step, as ``reach`` reads
-    coins = ()  # none of its coins draws: no seed slot, as ``_seed_slots`` reads
 
     def __post_init__(self):
         super().__post_init__()

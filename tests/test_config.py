@@ -513,6 +513,17 @@ NAMED_FIRST = {
     "no_axis2": (without_section(without(bloch_flat(), "initial.theta"), "grid.axis2"),
                  "grid.axis2"),
     "no_family": (without_section(sweep_coin_flat(), "sweep"), "sweep.family"),
+    # the walk of a sweep's built corner point, which check_grid checks
+    "sweep_coin_light_cone": (sweep_coin_flat(steps="21"), "sites"),
+    "sweep_initial_light_cone": (without(bloch_flat(), "initial.theta") | {"steps": "21"},
+                                 "sites"),
+    "sweep_initial_interleaved_light_cone": (without(bloch_flat(**{
+        "schedule.kind": "composite", "schedule.m": "2", "schedule.n": "1",
+        "schedule.interleaved": "true", "schedule.b.kind": "uniform",
+        "schedule.b.theta": "pi/4"}), "initial.theta"), "sites"),
+    "sweep_initial_unseeded_coin": (without(bloch_flat(**{"schedule.a.kind": "random-alpha"}),
+                                            "initial.theta", "schedule.a.theta"),
+                                    "schedule.a.seed"),
 }
 
 
@@ -520,6 +531,14 @@ NAMED_FIRST = {
 def test_a_missing_or_rejected_key_starts_its_error(flat, key):
     with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
         validate(config_from_flat(flat))
+
+
+def test_a_rejected_value_is_quoted_as_given():
+    # a message's own name= is spelled by its key; a value's text is not
+    with pytest.raises(ConfigError) as caught:
+        validate(config_from_flat(sweep_coin_flat(**{"sweep.family": "spec=1"})))
+    assert str(caught.value) == (
+        "sweep.family: kind must be one of ('single_b', 'composite'), got 'spec=1'")
 
 
 def test_echo_lists_only_the_chosen_kinds_fields():

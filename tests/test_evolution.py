@@ -402,11 +402,11 @@ DESCRIBED_A, DESCRIBED_B = UniformRotation(0.3), SiteTanhRotation(-0.2, 0.7)
 @pytest.mark.parametrize("t", [0, 1])
 def test_each_schedule_describes_the_step_the_oracle_applies(schedule, t):
     # the oracle derives its stages on its own; the kernel, reach and seed slots read
-    # coins, order and shifts
+    # coins and order's stages, each its coins then one shift
     stages, interleaved = _stages(schedule, 1, t0=t)
-    applied = [spec for specs, _ in stages for spec in ((specs,) if interleaved else specs)]
-    assert [schedule.coins[i] for i in schedule.order(t % 2)] == applied
-    assert schedule.shifts == len(stages)
+    oracle = [(specs,) if interleaved else tuple(specs) for specs, _ in stages]
+    described = [tuple(schedule.coins[i] for i in stage) for stage in schedule.order(t % 2)]
+    assert described == oracle
 
 
 def test_coin_application_preserves_norm():
@@ -749,6 +749,8 @@ RULED = [  # (id, name, a call that passes it one value)
     ("classify", "tie_tolerance", lambda v: classify(5.0, v)),
     ("variance_scaling_exponent", "t_min",
      lambda v: variance_scaling_exponent(np.ones(20), v, 10)),
+    ("variance_scaling_exponent.t_max", "t_max",
+     lambda v: variance_scaling_exponent(np.ones(20), 1, v)),
     ("run", "steps", RUN),
     ("walk", "steps", lambda v: next(evolution._walk(*np.zeros((2, 1, 7)), [CHOICE], 0, v,
                                                      LatticeGeometry(7)))),
@@ -758,6 +760,7 @@ RULED = [  # (id, name, a call that passes it one value)
     ("ensemble.master_seed", "seed", lambda v: ENSEMBLE(2, 3, master_seed=v)),
     ("apply_coin", "t", lambda v: apply_coin(down_at_origin(), UniformRotation(1.0), t=v)),
     ("StepStream", "seed", lambda v: StepStream(v, 1)),
+    ("StepStream.tag", "tag", lambda v: StepStream(7, v)),
     ("StepStream.uniform", "t", lambda v: StepStream(7, 1).uniform(v)),
     ("child_seed", "seed", lambda v: child_seed(1, v)),
 ]
