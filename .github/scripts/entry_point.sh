@@ -72,13 +72,16 @@ status=0
 "${cli[@]}" walk --bogus || status=$?
 test "$status" -eq 1
 
-# a value a field's rule rejects fails validation with exit 1 and names its key; the
-# ensemble fails before the first of its 1e7 walker-steps; a light cone wider than the
-# lattice fails the one pre-run check, which names sites; a sweep's fixed coin angle out
-# of range names its grid key
+# every validation error fails with exit 1 and starts with its key: a value its type
+# cannot parse, a key the mode does not read, a value a field's rule rejects (the
+# ensemble fails before the first of its 1e7 walker-steps), a light cone wider than the
+# lattice (the one pre-run check, which names sites) and a sweep's fixed coin angle out
+# of range (its grid key)
 sed 's/^grid\.fixed\.theta_a = .*/grid.fixed.theta_a = 7/' \
   recipes/sweep_tanh_plane_composite_2_1.cfg > "$tmp/fixed.cfg"
-for bad in "classical --steps -1:steps" \
+for bad in "classical --steps abc:steps" \
+           "walk --config recipes/walk_spin_down.cfg --iterations 5:iterations" \
+           "classical --steps -1:steps" \
            "ensemble --config recipes/probabilistic_mix_q50.cfg --workers 0:workers" \
            "walk --config recipes/walk_spin_down.cfg --steps 101:sites" \
            "sweep-coin --config $tmp/fixed.cfg:grid.fixed.theta_a"; do

@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from .errors import MissingRandomnessError
-from .rng import FINITE, INTEGER, PROBABILITY, SEED, TAG_ALPHA, TAG_BETA, Ruled, _check
+from .rng import BOUNDED, INTEGER, PROBABILITY, SEED, TAG_ALPHA, TAG_BETA, Ruled, _check
 from .rng import _draws, at_least, interval, optional
 
 _TWO_PI = 2.0 * np.pi
@@ -109,7 +109,7 @@ class SiteTanhRotation(_Stacked):
     theta_minus: float
     theta_plus: float
 
-    rules = {"theta_minus": FINITE, "theta_plus": FINITE}
+    rules = {"theta_minus": BOUNDED, "theta_plus": BOUNDED}  # site_theta's blend stays finite
     axis = "sites"
 
     def column(self, n_sites: int):  # a y-rotation at each site, so real

@@ -13,9 +13,10 @@ key picks the class from its family's table; every other key names a field
 of that class and is parsed by the field's annotation. Keys the chosen class
 does not have are rejected. Each class, ``RunConfig`` too, checks the rule of each
 field as it is built (``rng.Ruled``); the ``FieldError`` of a value a rule rejects
-names its field, and ``_rejected`` makes it a ``ConfigError`` led by its key. So it
-does the error of the walk's one pre-run check (``evolution._check_walk``: light
-cone, start and seeds) on a built schedule: a walk's, or a sweep's corner point's.
+names its field, and ``_rejected`` makes it the ``ConfigError(key, message)`` of its key,
+as every validation error is (``config`` names the file). So it does those of
+``sweep.check_grid``, which name ``GridSpec`` fields, and of the walk's one pre-run check
+(``evolution._check_walk``: light cone, start and seeds) of a walk's schedule.
 
 ``MODES`` describes each run mode once: its help line, the keys it reads and
 the function that runs it. Validation rejects every other key (``seed`` in a
@@ -91,6 +92,7 @@ _KEYS = {
     "x0": "initial.x0",
     "axis1": "grid.axis1",
     "axis2": "grid.axis2",
+    "fixed": "grid.fixed",
     "grid_fixed": "grid.fixed",
 }
 # String fields whose values name a choice; matched case-insensitively.
@@ -113,16 +115,14 @@ def parse_angle(text: str, key: str = "angle") -> float:
     except ValueError:
         m = _PI_FORM.match(text)
         if not m:
-            raise ConfigError(
-                f"{key}={text!r} is neither a number nor a pi fraction"
-            ) from None
+            raise ConfigError(key, f"{text!r} is neither a number nor a pi fraction") from None
         value = math.pi * float(m.group("coef") or 1.0)
         den = float(m.group("den") or 1.0)
         if den == 0.0:
-            raise ConfigError(f"{key}={text!r} divides by zero") from None
+            raise ConfigError(key, f"{text!r} divides by zero") from None
         value = -value / den if m.group("sign") == "-" else value / den
     if not math.isfinite(value):
-        raise ConfigError(f"{key}={text!r} is not a finite number")
+        raise ConfigError(key, f"{text!r} is not a finite number")
     return value
 
 
@@ -132,14 +132,14 @@ def _parse_bool(text: str, key: str) -> bool:
         return True
     if t in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{key}={text!r} is not a boolean")
+    raise ConfigError(key, f"{text!r} is not a boolean")
 
 
 def _parse_int(text: str, key: str) -> int:
     try:
         return int(str(text).strip())
     except ValueError:
-        raise ConfigError(f"{key}={text!r} is not an integer") from None
+        raise ConfigError(key, f"{text!r} is not an integer") from None
 
 
 _SCALARS = {
@@ -185,20 +185,21 @@ class RunConfig(Ruled):
 
 
 def read_flat_text(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines, each key once; '#' starts a comment."""
+    """Parse ``key = value`` lines, each key once; '#' starts a comment. A fault that is
+    no key's is named by ``config``, the flag that gives the file."""
     values, lines = {}, {}  # key -> value, key -> line number
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError("config", f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not key or not value:
-            raise ConfigError(f"line {lineno}: empty key or value in {raw!r}")
+            raise ConfigError("config", f"line {lineno}: empty key or value in {raw!r}")
         if key in lines:
-            raise ConfigError(f"line {lineno}: {key} repeats line {lines[key]}")
+            raise ConfigError(key, f"line {lineno} repeats line {lines[key]}")
         values[key], lines[key] = value, lineno
     return values
 
@@ -263,7 +264,7 @@ def _parse_section(cls, flat: dict[str, str], prefix: str, context: str = "", ba
         value = _parse_field(tp, flat, key, default)
         if value is None:
             if base is None and default is dataclasses.MISSING:
-                raise ConfigError(f"{key} is required{context}")
+                raise ConfigError(key, f"required{context}")
             continue
         values[name] = value.lower() if name in _CHOICE_FIELDS else value
     try:
@@ -272,8 +273,6 @@ def _parse_section(cls, flat: dict[str, str], prefix: str, context: str = "", ba
         return cls(**values)
     except FieldError as exc:
         raise _rejected(exc, prefix) from exc
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}: {exc}") from exc
 
 
 def _parse_kind(table: dict, flat: dict[str, str], key: str):
@@ -282,11 +281,11 @@ def _parse_kind(table: dict, flat: dict[str, str], key: str):
     kind_key = f"{key}.kind"
     if kind_key not in flat:
         if any(k.startswith(f"{key}.") for k in flat):
-            raise ConfigError(f"{kind_key} is required; expected one of {tuple(table)}")
+            raise ConfigError(kind_key, f"required; expected one of {tuple(table)}")
         return None
     kind = flat.pop(kind_key).strip().lower()
     if kind not in table:
-        raise ConfigError(f"{kind_key}={kind!r}; expected one of {tuple(table)}")
+        raise ConfigError(kind_key, f"must be one of {tuple(table)}, got {kind!r}")
     return _parse_section(table[kind], flat, key, f" for {kind_key}={kind}")
 
 
@@ -302,7 +301,7 @@ def config_from_flat(flat: Mapping[str, str]) -> RunConfig:
     rest = dict(flat)
     cfg = _parse_section(RunConfig, rest, "")
     if rest:
-        raise ConfigError(f"unknown config key {next(iter(rest))!r}")
+        raise ConfigError(next(iter(rest)), "unknown config key")
     cfg.given = tuple(flat)
     return cfg
 
@@ -345,36 +344,35 @@ def dumps_config(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _require(condition: bool, message: str):
+def _require(condition: bool, key: str, message: str):
     if not condition:
-        raise ConfigError(message)
+        raise ConfigError(key, message)
 
 
 def _rejected(exc: FieldError, section: str = "") -> ConfigError:
     """The ConfigError of a rejected value, led by its key: a pre-run error's (a ``WalkError``
     from ``evolution._check_walk``) is a run key, a seed slot's below ``schedule``, any other's
-    its field below ``section``. Each word ``name=`` of the message is spelled by its key."""
+    its field below ``section`` (a grid's needs none). Each ``name=`` is spelled by its key."""
     if isinstance(exc, WalkError):
         section = "schedule" if isinstance(exc, MissingRandomnessError) else ""
     text = re.sub(r"(?<!\S)(\w+)=", lambda match: f"{_key(match[1])}=", str(exc))
-    return ConfigError(f"{_key(exc.field, section)}: {text}")
+    return ConfigError(_key(exc.field, section), text)
 
 
 def build_schedule(cfg: RunConfig) -> StrategySchedule:
     """The configured schedule: with a top-level seed, every stochastic seed slot
     is derived from it, and none may be set."""
-    _require(cfg.schedule is not None, f"schedule.kind: mode={cfg.mode} requires a schedule")
+    _require(cfg.schedule is not None, "schedule.kind", f"mode={cfg.mode} requires a schedule")
     if cfg.seed is None:
         return cfg.schedule
     for slot, name, seed in _seed_slots(cfg.schedule):
-        given = _key(f"{name}.seed" if slot else name, "schedule")
-        _require(seed is None, f"{given} and the top-level seed exclude each other: "
-                               "every seed slot is derived from seed; remove one")
+        _require(seed is None, _key(f"{name}.seed" if slot else name, "schedule"), "excludes "
+                 "the top-level seed: every seed slot is derived from seed; remove one")
     return with_derived_seeds(cfg.schedule, cfg.seed, 0)
 
 
 def build_geometry(cfg: RunConfig) -> LatticeGeometry:
-    _require(cfg.sites is not None, f"sites: mode={cfg.mode} requires it")
+    _require(cfg.sites is not None, "sites", f"mode={cfg.mode} requires it")
     return LatticeGeometry(cfg.sites)
 
 
@@ -384,9 +382,10 @@ def build_initial_state(cfg: RunConfig) -> WalkerState:
 
 def build_grid_spec(cfg: RunConfig) -> GridSpec:
     for name, axis in (("axis1", cfg.axis1), ("axis2", cfg.axis2)):
-        _require(axis is not None, f"grid.{name}: mode={cfg.mode} requires two grid axes")
+        _require(axis is not None, _key(name), f"mode={cfg.mode} requires two grid axes")
     coins = "sweep" in MODES[cfg.mode].reads
-    _require(cfg.sweep is not None or not coins, f"sweep.family: mode={cfg.mode} requires it")
+    _require(cfg.sweep is not None or not coins, "sweep.family",
+             f"mode={cfg.mode} requires it")
     grid = GridSpec(
         axis1=cfg.axis1, axis2=cfg.axis2,
         schedule=cfg.sweep if coins else build_schedule(cfg),
@@ -398,35 +397,30 @@ def build_grid_spec(cfg: RunConfig) -> GridSpec:
         master_seed=cfg.seed,
         tie_tolerance=cfg.tie_tolerance,
     )
-    try:
-        sweep.check_grid(grid)  # a built corner's walk too: its light cone, start and seeds
-    except FieldError as exc:
-        raise _rejected(exc, "grid") from exc
-    except (ConfigError, ValueError) as exc:
-        raise ConfigError(f"grid.{exc}") from exc
+    sweep.check_grid(grid)  # a built corner's walk too: its light cone, start and seeds
     return grid
 
 
 def validate(cfg: RunConfig) -> RunConfig:
     """Check every invariant the mode requires, raising ConfigError on the
     first, and keep the run objects the mode's runner takes in ``cfg.built``."""
-    _require(cfg.mode in MODES, f"mode={cfg.mode!r}; expected one of {tuple(MODES)}")
-    _require(cfg.out_dir != "", "out is empty; it must name an output directory")
+    _require(cfg.mode in MODES, "mode", f"must be one of {tuple(MODES)}, got {cfg.mode!r}")
+    _require(cfg.out_dir != "", "out", "must name an output directory, got ''")
     mode = MODES[cfg.mode]
     if "iterations" in mode.reads:  # each iteration's seeds derive from the master seed
-        _require(cfg.seed is not None, f"seed: mode={cfg.mode} requires a master seed")
-    if "grid" in mode.reads:
-        cfg.built = {"grid": build_grid_spec(cfg)}
-    elif "schedule" in mode.reads:
-        schedule = build_schedule(cfg)
-        try:  # before the initial state, whose off-lattice x0 would lose its key
+        _require(cfg.seed is not None, "seed", f"mode={cfg.mode} requires a master seed")
+    try:  # a grid's field or the pre-run check's argument, named by its key
+        if "grid" in mode.reads:
+            cfg.built = {"grid": build_grid_spec(cfg)}
+        elif "schedule" in mode.reads:
+            schedule = build_schedule(cfg)
             _check_walk([schedule], build_geometry(cfg), cfg.steps, cfg.x0)
-        except FieldError as exc:
-            raise _rejected(exc) from exc
-        cfg.built = {"schedule": schedule, "initial": build_initial_state(cfg)}
+            cfg.built = {"schedule": schedule, "initial": build_initial_state(cfg)}
+    except FieldError as exc:
+        raise _rejected(exc) from exc
     unread = mode.unread(cfg.given)
     if unread:
-        raise ConfigError(f"{unread[0]} is not read in mode={cfg.mode}; remove it")
+        raise ConfigError(unread[0], f"not read in mode={cfg.mode}; remove it")
     return cfg
 
 
@@ -441,7 +435,7 @@ def parse_and_validate(
     flat: dict[str, str] = {}
     if config_path is not None:
         path = Path(config_path)
-        _require(path.is_file(), f"config file not found: {path}")
+        _require(path.is_file(), "config", f"file not found: {path}")
         flat.update(read_flat_text(path.read_text()))
     if overrides:
         flat.update({k: str(v) for k, v in overrides.items() if v is not None})

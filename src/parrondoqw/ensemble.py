@@ -156,6 +156,8 @@ def variance_scaling_exponent(
         raise ValueError(
             f"t_max={t_max} beyond the series (length {len(variance)})"
         )
+    if t_max < t_min:
+        raise FieldError("t_max", f"t_max must be >= t_min, got t_min={t_min}, t_max={t_max}")
     n_points = t_max - t_min + 1
     if n_points < 5:
         raise InsufficientDataError(

@@ -35,7 +35,13 @@ class MissingRandomnessError(FieldError, WalkError):
 
 
 class ConfigError(WalkError):
-    """A run configuration is malformed or violates a validation rule."""
+    """A config fails parsing or validation: ``ConfigError(key, message)``, in args, of the key
+    at fault (``config`` for the file itself); ``str()`` is ``key: message``."""
+
+    key = property(lambda self: self.args[0])
+
+    def __str__(self):
+        return f"{self.args[0]}: {self.args[1]}"
 
 
 class OutputError(WalkError):

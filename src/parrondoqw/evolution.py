@@ -28,10 +28,16 @@ from typing import Union
 import numpy as np
 
 from .coins import CoinSpec
-from .errors import BoundaryLeakageError, GeometryTooSmallError, MissingRandomnessError
+from .errors import BoundaryLeakageError, FieldError, GeometryTooSmallError
+from .errors import MissingRandomnessError
 from .rng import _BLOCK, PROBABILITY, RNG_ALGORITHM, SEED, TAG_CHOICE, Ruled, _check, _draws
-from .rng import at_least, child_seed, optional
+from .rng import at_least, child_seed, integer_in, optional
 from .state import LatticeGeometry, WalkerState
+
+# The most times a Composite step applies one coin. ``order`` lists a step's m + n coins
+# and each plan multiplies them (an interleaved step also shifts after each), so a count
+# costs every walk time and memory; the paper's games repeat a coin once or twice.
+MAX_REPEATS = 1000
 
 
 class _Schedule(Ruled):
@@ -68,12 +74,12 @@ class Composite(_Schedule):
     n: int
     interleaved: bool = False
 
-    rules = {"m": at_least(0), "n": at_least(0)}
+    rules = {"m": integer_in(0, MAX_REPEATS), "n": integer_in(0, MAX_REPEATS)}
 
     def __post_init__(self):
         super().__post_init__()
         if self.m + self.n < 1:  # a rule across two fields, which ScheduleTemplate shares
-            raise ValueError(f"m + n must be >= 1, got m={self.m!r}, n={self.n!r}")
+            raise FieldError("m", f"m + n must be >= 1, got m={self.m!r}, n={self.n!r}")
 
     def order(self, p: int) -> tuple[tuple[int, ...], ...]:
         coins = (0,) * self.m + (1,) * self.n

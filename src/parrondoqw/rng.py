@@ -43,6 +43,9 @@ INTEGER = _INTEGERS, lambda v: True, "be an integer"
 SEED = _INTEGERS, lambda v: v >= 0, "be a nonnegative integer"
 ODD_SITES = _INTEGERS, lambda v: v >= 3 and v % 2 == 1, "be an odd integer >= 3"
 FINITE = _REALS, math.isfinite, "be finite"
+# A real whose sum with three more of its kind stays finite (float64 ends at 1.8e308): a
+# tanh coin's blend of its two endpoints and a grid axis's span both need it.
+BOUNDED = _REALS, lambda v: abs(v) <= 1e307, "be finite and at most 1e307 in size"
 
 
 def _check(name: str, value, rule):
@@ -56,6 +59,10 @@ def _check(name: str, value, rule):
 @cache
 def at_least(least: int):
     return _INTEGERS, lambda v: v >= least, f"be an integer >= {least}"
+
+
+def integer_in(least: int, most: int):
+    return _INTEGERS, lambda v: least <= v <= most, f"be an integer in [{least}, {most}]"
 
 
 def interval(lo: float, hi: float, shown: str):

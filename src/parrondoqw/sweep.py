@@ -7,10 +7,10 @@ each point's schedule and is no schedule itself, or one fixed schedule (an
 initial-state sweep), so every point has the same schedule shape, and the
 points are the rows of one batched walk (``evolution._walk``) per fixed chunk
 of consecutive points, read once at its end; with ``workers > 1`` a process
-pool evolves the chunks. ``check_grid`` checks the walk of a built corner
-point before any runs. A point's value is bit-for-bit that of its own ``run``,
-and all seeds are derived per point, so the output depends neither on chunking
-nor on the worker count.
+pool evolves the chunks. ``check_grid`` checks each axis end and fixed value by
+its parameter's rule, and the walk of a built corner point, before any runs. A
+point's value is bit-for-bit that of its own ``run``, and all seeds are derived
+per point, so the output depends neither on chunking nor on the worker count.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .coins import SiteTanhRotation, UniformRotation
-from .errors import ConfigError
+from .errors import FieldError
 from .evolution import (
     Composite,
     Single,
@@ -33,7 +33,7 @@ from .evolution import (
     map_batches,
     with_derived_seeds,
 )
-from .rng import FINITE, RNG_ALGORITHM, SEED, TOLERANCE, Ruled, _check, at_least
+from .rng import BOUNDED, FINITE, RNG_ALGORITHM, SEED, TOLERANCE, Ruled, _check, at_least
 from .rng import optional
 from .state import SPIN_DOWN, BlochCoinState, LatticeGeometry
 
@@ -41,11 +41,12 @@ WINNING = "winning"
 LOSING = "losing"
 NEUTRAL = "neutral"
 
-# Each coin parameter and the rule of the coin field it binds, which a fixed value passes.
+# Each swept parameter and the rule of the field it binds, which each axis end and fixed
+# value passes; phi is wrapped into [0, 2*pi) first, so any finite phi binds.
 COIN_PARAMETERS = {"theta_a": UniformRotation.rules["theta"],
                    "theta_b_minus": SiteTanhRotation.rules["theta_minus"],
                    "theta_b_plus": SiteTanhRotation.rules["theta_plus"]}
-BLOCH_PARAMETERS = ("theta", "phi")
+BLOCH_PARAMETERS = {"theta": BlochCoinState.rules["theta"], "phi": FINITE}
 
 _TWO_PI = 2.0 * np.pi
 
@@ -69,7 +70,7 @@ class GridAxis(Ruled):
     upper: float
     count: int
 
-    rules = {"lower": FINITE, "upper": FINITE, "count": at_least(2)}
+    rules = {"lower": BOUNDED, "upper": BOUNDED, "count": at_least(2)}  # a finite span
 
     def values(self) -> np.ndarray:
         return np.linspace(self.lower, self.upper, self.count)
@@ -89,7 +90,7 @@ class ScheduleTemplate(Ruled):
 
     _KINDS = ("single_b", "composite")
     rules = {"kind": ((str,), _KINDS.__contains__, f"be one of {_KINDS}"),
-             "m": at_least(0), "n": at_least(0)}
+             "m": Composite.rules["m"], "n": Composite.rules["n"]}
 
     def __post_init__(self):
         super().__post_init__()
@@ -104,10 +105,9 @@ class ScheduleTemplate(Ruled):
     def __call__(self, params: Mapping[str, float]) -> StrategySchedule:
         missing = [p for p in self.required_parameters() if p not in params]
         if missing:
-            raise ConfigError(
-                f"schedule template '{self.kind}' is missing parameter(s) "
-                f"{', '.join(missing)}; bind them to a grid axis or a fixed value"
-            )
+            raise FieldError(f"fixed.{missing[0]}", f"schedule template '{self.kind}' is "
+                             f"missing parameter(s) {', '.join(missing)}; bind them to a "
+                             "grid axis or a fixed value")
         coin_b = SiteTanhRotation(params["theta_b_minus"], params["theta_b_plus"])
         if self.kind == "single_b":
             return Single(coin_b)
@@ -160,8 +160,9 @@ def _point_inputs(grid: GridSpec, v1: float, v2: float, index: int):
     if isinstance(schedule, ScheduleTemplate):
         schedule = schedule(params)
     else:
-        # 2*pi is the same physical phase as 0; wrap so closed grids are allowed.
-        phi = float(params["phi"]) % _TWO_PI
+        # 2*pi is the same physical phase as 0; wrap so closed grids are allowed. A tiny
+        # negative phi wraps to 2*pi - 1e-16, which rounds to 2*pi: the second % makes it 0.
+        phi = float(params["phi"]) % _TWO_PI % _TWO_PI
         bloch = BlochCoinState(theta=float(params["theta"]), phi=phi)
     if grid.master_seed is not None and _seed_slots(schedule):
         schedule = with_derived_seeds(schedule, grid.master_seed, index)
@@ -184,39 +185,35 @@ def _chunk(args):
 def check_grid(grid: GridSpec) -> None:
     """Reject, before any point runs, a grid that does not fit its schedule.
 
-    The schedule is a ``ScheduleTemplate`` or a fixed schedule. A template
-    sweeps two coin parameters it reads and may fix the third; a fixed
-    schedule sweeps the Bloch angles (theta, phi) and fixes nothing. The four
-    corner points are then built, so an axis range the schedule or the
-    initial state rejects fails here too: axis values lie between the corners
-    and every parameter's valid range is an interval. Raises ConfigError for
-    any other schedule, names and unbound parameters, ValueError for ranges,
-    a ``FieldError`` for a ``steps``, ``master_seed`` or ``tie_tolerance`` the grid's
-    ``rules`` reject or a fixed value its coin field's rule rejects, and last those of
-    ``evolution._check_walk``: ``InvalidPositionError`` (``x0``), ``GeometryTooSmallError``
-    (``sites``) and ``MissingRandomnessError`` (a slot's field path), ``FieldError``s too.
+    The schedule is a ``ScheduleTemplate`` or a fixed schedule. A template sweeps two
+    coin parameters it reads and may fix the third; a fixed schedule sweeps the Bloch
+    angles (theta, phi) and fixes nothing. Each axis end and fixed value passes its
+    parameter's rule, an interval, so every axis value does too; then one corner point
+    is built, which binds every parameter, and its walk checked. Raises only
+    ``FieldError``s, each naming a ``GridSpec`` field (``schedule``, ``axis1.name``,
+    ``axis2.upper``, ``fixed.theta_a``), last those of ``evolution._check_walk``:
+    ``InvalidPositionError``, ``GeometryTooSmallError`` and ``MissingRandomnessError``.
     """
     template = isinstance(grid.schedule, ScheduleTemplate)
     if callable(grid.schedule) and not template:
-        raise ConfigError(f"the schedule must be a ScheduleTemplate or a fixed schedule, "
-                          f"got {grid.schedule!r}")
+        raise FieldError("schedule", "the schedule must be a ScheduleTemplate or a fixed "
+                                     f"schedule, got {grid.schedule!r}")
     Ruled.__post_init__(grid)  # GridSpec's rules: its fields may change after construction
     names = (grid.axis1.name, grid.axis2.name)
-    allowed = COIN_PARAMETERS if template else BLOCH_PARAMETERS
-    swept = grid.schedule.required_parameters() if template else allowed
-    if names[0] == names[1] or not set(names) <= set(swept):
-        raise ConfigError(f"axis1.name and axis2.name must be two of {swept}, got {names}")
-    for name in grid.fixed:
-        if name not in set(allowed) - set(names):
-            raise ConfigError(f"fixed.{name} is not a coin parameter left free by the axes")
-        _check(f"fixed.{name}", grid.fixed[name], COIN_PARAMETERS[name])
-    for v1 in (grid.axis1.lower, grid.axis1.upper):
-        for v2 in (grid.axis2.lower, grid.axis2.upper):
-            try:
-                schedule, _ = _point_inputs(grid, v1, v2, 0)
-            except ValueError as exc:  # a range the schedule or the initial state rejects
-                corner = f"{names[0]}={v1}, {names[1]}={v2}"
-                raise ValueError(f"axis1/axis2 corner ({corner}): {exc}") from exc
+    rules = COIN_PARAMETERS if template else BLOCH_PARAMETERS
+    swept = grid.schedule.required_parameters() if template else tuple(rules)
+    for i, axis in enumerate((grid.axis1, grid.axis2), 1):  # a name off swept, or a repeat
+        if axis.name not in swept or axis.name in names[:i - 1]:
+            raise FieldError(f"axis{i}.name",
+                             f"axis1.name and axis2.name must be two of {swept}, got {names}")
+        for end in ("lower", "upper"):
+            _check(f"axis{i}.{end}", getattr(axis, end), rules[axis.name])
+    for name, value in grid.fixed.items():
+        if name not in set(rules) - set(names):
+            raise FieldError(f"fixed.{name}",
+                             f"fixed.{name} is not a coin parameter left free by the axes")
+        _check(f"fixed.{name}", value, rules[name])
+    schedule, _ = _point_inputs(grid, grid.axis1.lower, grid.axis2.lower, 0)
     _check_walk([schedule], grid.geometry, grid.steps, grid.x0)  # every point's cone and slots
 
 
@@ -252,8 +249,8 @@ def sweep_coin_params(grid: GridSpec, workers: int = 1) -> SweepResult:
     parameters. The initial state is the same at every point.
     """
     if not callable(grid.schedule):  # any other callable fails in check_grid
-        raise ConfigError("coin-parameter sweeps need a schedule template, "
-                          "not a fixed schedule")
+        raise FieldError("schedule", "coin-parameter sweeps need a schedule template, "
+                                     "not a fixed schedule")
     check_grid(grid)
     return _execute(grid, workers)
 
@@ -266,6 +263,6 @@ def sweep_initial_state(grid: GridSpec, workers: int = 1) -> SweepResult:
     so whole rows there are degenerate by construction.
     """
     if isinstance(grid.schedule, ScheduleTemplate):  # any other callable fails in check_grid
-        raise ConfigError("initial-state sweeps need a fully fixed schedule")
+        raise FieldError("schedule", "initial-state sweeps need a fully fixed schedule")
     check_grid(grid)
     return _execute(grid, workers)

@@ -257,7 +257,7 @@ def test_cli_empty_out_fails_validation(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--out", ""]) == 1
     captured = capsys.readouterr()
-    assert "configuration error: out is empty" in captured.err
+    assert captured.err == "configuration error: out: must name an output directory, got ''\n"
     assert captured.out == ""
 
 
@@ -387,10 +387,10 @@ def test_cli_sidecar_echo_reruns_identically(tmp_path):
 
 @pytest.mark.parametrize(
     "argv,message",
-    [(["walk", "--steps", "abc"], "steps='abc' is not an integer"),
+    [(["walk", "--steps", "abc"], "configuration error: steps: 'abc' is not an integer"),
      (["walk", "--bogus"], "--bogus"),
      ([], "required"),
-     (["classical", "--seed", "3"], "seed is not read in mode=classical")],
+     (["classical", "--seed", "3"], "configuration error: seed: not read in mode=classical")],
     ids=["bad_value", "unknown_flag", "no_subcommand", "flag_the_mode_does_not_read"],
 )
 def test_cli_usage_error_exits_1(argv, message, tmp_path, capsys):
@@ -414,7 +414,8 @@ def test_unread_flag_fails_as_the_same_key_in_a_file(mode, flag, key, mapping, t
     cfg.write_text(cfg.read_text() + key + "\n")
     assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "b")]) == 1
     assert from_flag == capsys.readouterr().err
-    assert f"{key.split()[0]} is not read in mode={mode}; remove it" in from_flag
+    assert from_flag == (f"configuration error: {key.split()[0]}: not read in mode={mode}; "
+                         "remove it\n")
     assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 

@@ -169,6 +169,20 @@ def test_site_tanh_rejects_non_finite(angles):
         SiteTanhRotation(*angles)
 
 
+@pytest.mark.parametrize("angles", [(0.5, -1e308), (2e307, 0.5), (-1.1e307, 1e307)])
+def test_site_tanh_rejects_an_endpoint_whose_blend_overflows(angles):
+    # theta_plus = -1e308 once blended to -inf, and the walk to NaN
+    with pytest.raises(FieldError, match=r"must be finite and at most 1e307 in size, got "):
+        SiteTanhRotation(*angles)
+
+
+def test_site_tanh_blend_of_the_largest_endpoints_is_finite():
+    # RuntimeWarning is an error here: an overflow in the blend fails the test
+    column = SiteTanhRotation(-1e307, 1e307).column(61)
+    assert np.isfinite(column).all()
+    assert np.isfinite(site_theta(1e307, 1e307, np.arange(-30, 31))).all()
+
+
 FAMILIES = {  # a batch of distinct specs per coin family
     "uniform": [UniformRotation(theta) for theta in (-2 * np.pi, -1.0, 0.0, 0.7, 3.0)],
     "tanh": [SiteTanhRotation(lo, hi)

@@ -70,12 +70,12 @@ def test_flat_text_comments_and_errors():
 
 
 def test_flat_text_rejects_a_repeated_key(tmp_path, capsys):
-    with pytest.raises(ConfigError, match="line 3: steps repeats line 1"):
+    with pytest.raises(ConfigError, match="^steps: line 3 repeats line 1$"):
         read_flat_text("steps = 10\nsites = 41\nsteps = 20\n")
     path = tmp_path / "twice.cfg"
     path.write_text("mode = classical\nsteps = 10\nsteps = 20\n")
     assert main(["classical", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-    assert "steps repeats line 2" in capsys.readouterr().err
+    assert capsys.readouterr().err == "configuration error: steps: line 3 repeats line 2\n"
     assert not (tmp_path / "o").exists()
     # a flag still overrides the file's one entry
     path.write_text("mode = classical\nsteps = 10\n")
@@ -344,38 +344,37 @@ SINGLE_SCHEDULE = {"schedule.kind": "single", "schedule.a.kind": "uniform",
                    "schedule.a.theta": "pi/2"}
 
 INVALID = {
-    # the walker would leak off the lattice mid-run
-    "x0_off_center": (walk_flat(sites="21", steps="10", **{"initial.x0": "8"}),
-                      "initial.x0"),
-    "interleaved_composite": (interleaved_flat(), "schedule.interleaved"),
+    # the walker would leak off the lattice mid-run (see LIGHT_CONES for the keys cited)
+    "x0_off_center": (walk_flat(sites="21", steps="10", **{"initial.x0": "8"}), "sites"),
+    "interleaved_composite": (interleaved_flat(), "sites"),
     # non-finite and undefined angles
     "tanh_nan": (walk_flat(**{"schedule.a.kind": "tanh", "schedule.a.theta_minus": "nan",
                               "schedule.a.theta_plus": "pi/4"}), "schedule.a.theta_minus"),
     "uniform_inf": (walk_flat(**{"schedule.a.theta": "-inf"}), "schedule.a.theta"),
     "divide_by_zero": (walk_flat(**{"schedule.a.theta": "pi/0"}), "schedule.a.theta"),
-    # axis ranges valid at the lower corner only
+    # axis ranges valid at the lower end only
     "sweep_coin_axis": (without(sweep_coin_flat(**{
         "grid.axis1.name": "theta_a", "grid.axis1.min": "0", "grid.axis1.max": "7",
-        "grid.fixed.theta_b_minus": "pi/2"}), "grid.fixed.theta_a"), "grid.axis1"),
-    "sweep_initial_axis": (bloch_flat(**{"grid.axis1.max": "4"}), "grid.axis1"),
-    "repeated_axis": (bloch_flat(**{"grid.axis2.name": "theta"}), "grid.axis1"),
+        "grid.fixed.theta_b_minus": "pi/2"}), "grid.fixed.theta_a"), "grid.axis1.max"),
+    "sweep_initial_axis": (bloch_flat(**{"grid.axis1.max": "4"}), "grid.axis1.max"),
+    "repeated_axis": (bloch_flat(**{"grid.axis2.name": "theta"}), "grid.axis2.name"),
     # fixed values that no point reads
     "fixed_bogus": (sweep_coin_flat(**{"grid.fixed.bogus": "1"}), "grid.fixed.bogus"),
     "fixed_and_swept": (sweep_coin_flat(**{"grid.fixed.theta_b_plus": "1"}),
                         "grid.fixed.theta_b_plus"),
     "fixed_in_initial_sweep": (bloch_flat(**{"grid.fixed.theta_a": "1"}),
                                "grid.fixed.theta_a"),
-    # a template's own fields and fixed values, before any corner is built
+    # a template's own fields and fixed values, before the corner point is built
     "sweep_negative_m": (sweep_coin_flat(**{"sweep.m": "-1"}), "sweep.m"),
     "sweep_composite_of_no_coins": (sweep_coin_flat(**{"sweep.m": "0", "sweep.n": "0"}),
-                                    "sweep: m + n must be >= 1"),
+                                    "sweep.m"),
     "fixed_out_of_range": (sweep_coin_flat(**{"grid.fixed.theta_a": "7"}),
                            "grid.fixed.theta_a"),
     # keys the chosen kind does not have
     "coin_bogus_key": (walk_flat(**{"schedule.a.bogus": "1"}), "schedule.a.bogus"),
     "single_with_m": (walk_flat(**{"schedule.m": "2"}), "schedule.m"),
     "single_with_b": (walk_flat(**{"schedule.b.kind": "uniform", "schedule.b.theta": "1"}),
-                      "schedule.b"),
+                      "schedule.b.kind"),
     "random_phase_with_theta": (single_random_flat(**{"schedule.a.theta": "1"}),
                                 "schedule.a.theta"),
     "sweep_interleaved": (sweep_coin_flat(**{"sweep.interleaved": "true"}),
@@ -415,7 +414,7 @@ INVALID = {
     "sweep_coin_unread_axis": (without(sweep_coin_flat(**{
         "sweep.family": "single_b", "sweep.m": "0", "sweep.n": "0",
         "grid.axis1.name": "theta_a", "grid.fixed.theta_b_minus": "pi/2"}),
-        "grid.fixed.theta_a"), "grid.axis1"),
+        "grid.fixed.theta_a"), "grid.axis1.name"),
     # a family with one coin parameter, which leaves no plane to sweep
     "sweep_family_single_a": (sweep_coin_flat(**{"sweep.family": "single_a"}),
                               "sweep.family"),
@@ -439,6 +438,19 @@ INVALID = {
         "schedule.b.kind": "uniform", "schedule.b.theta": "pi/4"}), "schedule.m"),
     "axis_count_one": (sweep_coin_flat(**{"grid.axis1.count": "1"}), "grid.axis1.count"),
     "initial_phi_above_two_pi": (walk_flat(**{"initial.phi": "7"}), "initial.phi"),
+    # values whose use would overflow: a tanh blend, a step's coin list, an axis's span
+    "tanh_endpoint_overflows": (walk_flat(**{
+        "schedule.kind": "composite", "schedule.m": "2", "schedule.n": "1",
+        "schedule.b.kind": "tanh", "schedule.b.theta_minus": "-pi/8",
+        "schedule.b.theta_plus": "-1e308"}), "schedule.b.theta_plus"),
+    "sweep_tanh_axis_overflows": (sweep_coin_flat(**{"grid.axis2.max": "1e308"}),
+                                  "grid.axis2.max"),
+    "composite_m_huge": (walk_flat(**{
+        "schedule.kind": "composite", "schedule.m": "99999999999999999999", "schedule.n": "1",
+        "schedule.b.kind": "uniform", "schedule.b.theta": "pi/4"}), "schedule.m"),
+    "sweep_n_huge": (sweep_coin_flat(**{"sweep.n": "99999999999999999999"}), "sweep.n"),
+    "phi_axis_span_overflows": (bloch_flat(**{"grid.axis2.min": "-1e308",
+                                              "grid.axis2.max": "1e308"}), "grid.axis2.min"),
 }
 
 # What each mode reads besides mode and out; a name covers the keys below it.
@@ -491,14 +503,26 @@ INVALID.update({
 
 @pytest.mark.parametrize("flat,key", INVALID.values(), ids=INVALID.keys())
 def test_invalid_input_names_key_and_exits_1(flat, key, tmp_path, capsys):
-    with pytest.raises(ConfigError, match=re.escape(key)):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: ") as caught:
         validate(config_from_flat(flat))
+    assert caught.value.key == key
     path = tmp_path / "bad.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in flat.items()))
     code = main([flat["mode"], "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 1
-    assert key in capsys.readouterr().err
+    assert capsys.readouterr().err == f"configuration error: {caught.value}\n"
     assert not (tmp_path / "o").exists()
+
+
+# A light cone wider than the lattice names sites, and cites the keys that widen it.
+LIGHT_CONES = {"x0_off_center": "initial.x0=8",
+               "interleaved_composite": "(schedule.interleaved)"}
+
+
+@pytest.mark.parametrize("case,cited", LIGHT_CONES.items(), ids=LIGHT_CONES.keys())
+def test_a_light_cone_error_cites_the_keys_that_widen_it(case, cited):
+    with pytest.raises(ConfigError, match=f"^sites: .*{re.escape(cited)}"):
+        validate(config_from_flat(INVALID[case][0]))
 
 
 # A key the mode needs but the config lacks or a rule rejects, and the key each error

@@ -4,6 +4,7 @@ import pytest
 from parrondoqw import (
     SPIN_DOWN,
     DegenerateEnsembleWarning,
+    FieldError,
     GridAxis,
     GridSpec,
     InsufficientDataError,
@@ -157,6 +158,14 @@ def test_exponent_window_too_short():
     series = np.arange(1.0, 30.0)
     with pytest.raises(InsufficientDataError):
         variance_scaling_exponent(series, 10, 13)
+
+
+def test_exponent_names_an_inverted_window():
+    # once read as a window of -4 points
+    with pytest.raises(FieldError, match=r"^t_max must be >= t_min, got t_min=10, t_max=5$"
+                       ) as caught:
+        variance_scaling_exponent(np.ones(20), 10, 5)
+    assert caught.value.field == "t_max"
 
 
 def test_exponent_rejects_nonpositive_window():

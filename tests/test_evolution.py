@@ -667,13 +667,27 @@ def test_with_derived_seeds_deterministic_and_distinct():
 
 
 def test_composite_requires_at_least_one_application():
-    with pytest.raises(ValueError):
+    with pytest.raises(FieldError, match=r"^m \+ n must be >= 1, got m=0, n=0$") as caught:
         Composite(UniformRotation(0.1), UniformRotation(0.2), 0, 0)
+    assert caught.value.field == "m"
+
+
+@pytest.mark.parametrize("m, n", [(evolution.MAX_REPEATS + 1, 1), (1, 10**20), (10**20, 0)])
+def test_a_count_past_the_bound_fails_before_any_coin_list_is_built(m, n):
+    # (0,) * 10**20 once raised OverflowError in order(); no walk runs here
+    message = r"^[mn] must be an integer in \[0, 1000\], got "
+    for build in (lambda: Composite(UniformRotation(0.1), UniformRotation(0.2), m, n),
+                  lambda: ScheduleTemplate("composite", m=m, n=n)):
+        with pytest.raises(FieldError, match=message) as caught:
+            build()
+        assert caught.value.field == ("m" if m > 1 else "n")
+    top = Composite(UniformRotation(0.1), UniformRotation(0.2), evolution.MAX_REPEATS, 1)
+    assert len(top.order(0)[0]) == evolution.MAX_REPEATS + 1
 
 
 @pytest.mark.parametrize("m, n", [(1.5, 1), (1, 2.0), (True, 1), (1, False)])
 def test_composite_rejects_non_integer_counts(m, n):
-    with pytest.raises(FieldError, match=r"^[mn] must be an integer >= 0, got "):
+    with pytest.raises(FieldError, match=r"^[mn] must be an integer in \[0, 1000\], got "):
         Composite(UniformRotation(1.0), UniformRotation(2.0), m, n)
     assert Composite(UniformRotation(1.0), UniformRotation(2.0), np.int64(2), 1).m == 2
 

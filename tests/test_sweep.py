@@ -9,7 +9,6 @@ from parrondoqw import (
     AlternatingEvenOdd,
     BlochCoinState,
     Composite,
-    ConfigError,
     FieldError,
     GeometryTooSmallError,
     GridAxis,
@@ -61,8 +60,10 @@ def test_grid_axis_rejects_a_non_integer_count():
 
 def test_schedule_template_binding_check():
     tpl = ScheduleTemplate("composite", m=2, n=1)
-    with pytest.raises(ConfigError):
+    missing = "missing parameter\\(s\\) theta_b_minus, theta_b_plus;"
+    with pytest.raises(FieldError, match=missing) as caught:
         tpl({"theta_a": 1.0})  # tanh endpoint angles unbound
+    assert caught.value.field == "fixed.theta_b_minus"
     sched = tpl({"theta_a": 1.0, "theta_b_minus": 0.1, "theta_b_plus": 0.2})
     assert sched.m == 2 and sched.n == 1
 
@@ -81,22 +82,26 @@ def coin_grid(schedule, count=5, steps=12, n=31, **kwargs):
 
 
 def test_sweep_requires_template_for_coin_axes():
-    with pytest.raises(ConfigError):
+    with pytest.raises(FieldError, match="need a schedule template") as caught:
         sweep_coin_params(coin_grid(Single(UniformRotation(1.0))))
+    assert caught.value.field == "schedule"
 
 
 def test_sweep_rejects_unknown_axis_name():
     grid = coin_grid(ScheduleTemplate("single_b"))
     grid.axis1 = GridAxis("phi", 0, 1, 3)
-    with pytest.raises(ConfigError):
+    with pytest.raises(FieldError,
+                       match="^axis1.name and axis2.name must be two of") as caught:
         sweep_coin_params(grid)
+    assert caught.value.field == "axis1.name"
 
 
-def test_sweep_unbound_parameter_is_config_error():
+def test_sweep_unbound_parameter_names_its_fixed_field():
     grid = coin_grid(ScheduleTemplate("composite", m=2, n=1))
     grid.fixed = {}  # drop theta_a
-    with pytest.raises(ConfigError):
+    with pytest.raises(FieldError, match="missing parameter\\(s\\) theta_a;") as caught:
         sweep_coin_params(grid)
+    assert caught.value.field == "fixed.theta_a"
 
 
 def test_degenerate_grid_matches_uniform_walk():
@@ -141,8 +146,9 @@ def bloch_grid(schedule, count_theta=3, count_phi=4, steps=10, n=21, **kwargs):
 
 
 def test_initial_sweep_rejects_template():
-    with pytest.raises(ConfigError):
+    with pytest.raises(FieldError, match="need a fully fixed schedule") as caught:
         sweep_initial_state(bloch_grid(ScheduleTemplate("single_b")))
+    assert caught.value.field == "schedule"
 
 
 def test_template_has_no_single_a_family():
@@ -154,8 +160,10 @@ def test_template_has_no_single_a_family():
 def test_initial_sweep_rejects_coin_axes():
     grid = bloch_grid(Single(UniformRotation(np.pi / 2)))
     grid.axis1 = GridAxis("theta_a", 0, 1, 3)
-    with pytest.raises(ConfigError):
+    with pytest.raises(FieldError,
+                       match="^axis1.name and axis2.name must be two of") as caught:
         sweep_initial_state(grid)
+    assert caught.value.field == "axis1.name"
 
 
 def test_initial_sweep_pole_rows_phi_independent():
@@ -164,6 +172,26 @@ def test_initial_sweep_pole_rows_phi_independent():
     for row in (0, res.expectation.shape[0] - 1):
         spread = np.ptp(res.expectation[row])
         assert spread < 1e-10
+
+
+def test_a_phi_just_below_zero_is_the_point_at_phi_zero():
+    # linspace puts -1.1e-16 at index 10, whose % 2*pi rounds to 2*pi, off the [0, 2*pi)
+    # range of BlochCoinState: once a FieldError mid-run
+    grid = bloch_grid(Single(UniformRotation(np.pi / 2)))
+    grid.axis2 = GridAxis("phi", -1.0, 0.7, 18)
+    phi = grid.axis2.values()[10]
+    assert -1e-15 < phi < 0 and phi % (2 * np.pi) == 2 * np.pi
+    res = sweep_initial_state(grid)
+    for i, theta in enumerate(res.axis1_values):
+        start = WalkerState.localized(grid.geometry, BlochCoinState(theta, 0.0))
+        assert res.expectation[i, 10] == run(start, grid.schedule, grid.steps).expectation[-1]
+    assert res.expectation[1, 10] != res.expectation[1, 0]  # at theta = pi/2, phi matters
+
+
+def test_an_axis_whose_span_overflows_is_rejected():
+    with pytest.raises(FieldError, match=r"^lower must be finite and at most 1e307 in size"):
+        GridAxis("phi", -1e308, 1e308, 3)
+    assert np.isfinite(GridAxis("phi", -1e307, 1e307, 3).values()).all()
 
 
 def test_initial_sweep_stochastic_points_reproducible():
@@ -226,11 +254,13 @@ def test_bad_axis_range_fails_before_any_point_runs(monkeypatch):
         raise AssertionError("a grid point ran")
 
     monkeypatch.setattr("parrondoqw.sweep._walk", no_run)
-    with pytest.raises(ValueError, match="theta_a=7.0"):
+    message = r"^axis1.upper must lie in \[-2\*pi, 2\*pi\), got 7.0$"
+    with pytest.raises(FieldError, match=message) as caught:
         sweep_coin_params(grid)
+    assert caught.value.field == "axis1.upper"
     bloch = bloch_grid(Single(UniformRotation(np.pi / 2)))
     bloch.axis1 = GridAxis("theta", 0.0, 4.0, 3)
-    with pytest.raises(ValueError, match="theta=4.0"):
+    with pytest.raises(FieldError, match=r"^axis1.upper must lie in \[0, pi\], got 4.0$"):
         sweep_initial_state(bloch)
 
 
@@ -242,8 +272,10 @@ def test_a_plain_callable_schedule_fails_before_any_point_runs(monkeypatch):
     monkeypatch.setattr("parrondoqw.sweep._walk", no_run)
     grid = coin_grid(lambda params: ScheduleTemplate("composite", m=2, n=1)(params))
     for check in (check_grid, sweep_coin_params, sweep_initial_state):
-        with pytest.raises(ConfigError, match="a ScheduleTemplate or a fixed schedule"):
+        with pytest.raises(FieldError,
+                           match="a ScheduleTemplate or a fixed schedule") as caught:
             check(grid)
+        assert caught.value.field == "schedule"
 
 
 def test_axis_the_template_never_reads_fails_before_any_point_runs(monkeypatch):
@@ -255,8 +287,10 @@ def test_axis_the_template_never_reads_fails_before_any_point_runs(monkeypatch):
     grid = coin_grid(ScheduleTemplate("single_b"))
     grid.axis1 = GridAxis("theta_a", -np.pi, np.pi, 3)
     grid.fixed = {"theta_b_minus": 0.5}
-    with pytest.raises(ConfigError, match="two of \\('theta_b_minus', 'theta_b_plus'\\)"):
+    with pytest.raises(FieldError, match="two of \\('theta_b_minus', 'theta_b_plus'\\)"
+                       ) as caught:
         sweep_coin_params(grid)
+    assert caught.value.field == "axis1.name"
 
 
 
