@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The command line end to end, through the command given as the arguments: every
-# mode's help, reruns that must repeat their bytes, a full-size %.17g round trip and
+# mode's help, reruns that must repeat their bytes, full-size %.17g round trips and
 # invalid runs that must exit 1 and name their key. As in Tier-1 (filterwarnings), a
 # numpy overflow or invalid-value warning fails it. From any directory:
 #
@@ -55,18 +55,25 @@ for csv in "$tmp"/rp1/*.csv; do
   cmp "$csv" "$tmp/rp2/$(basename "$csv")"
 done
 
-# a full-size walk whose P(x, t) has exponent-form, tiny and subnormal cells: as %.17g
-# round-trips, every number must print as the %.17g of its own value
-"${cli[@]}" walk --config recipes/winning_composite_2_1.cfg --out "$tmp/full"
-python3 - "$tmp/full/trajectory_distribution.csv" <<'EOF'
+# full-size walks whose P(x, t) has exponent-form, tiny and subnormal cells, the second
+# from complex amplitudes (the largest table the benchmark writes): as %.17g round-trips,
+# every number must print as the %.17g of its own value, under the header "t" and the
+# sites' positions, each line labelled by its step
+for full in "winning_composite_2_1 401 801" "random_phase_alternating_walk 451 1001"; do
+  read -r recipe lines sites <<< "$full"
+  "${cli[@]}" walk --config "recipes/$recipe.cfg" --out "$tmp/$recipe"
+  python3 - "$tmp/$recipe/trajectory_distribution.csv" "$lines" "$sites" <<'EOF'
 import csv, sys
+lines, half = int(sys.argv[2]), int(sys.argv[3]) // 2
 with open(sys.argv[1], newline="") as fh:
     header, *rows = csv.reader(fh)
-cells = header[1:] + [cell for row in rows for cell in row]
-assert len(rows) == 401 and {len(row) for row in rows} == {802}, len(rows)
-bad = [cell for cell in cells if "%.17g" % float(cell) != cell]
+assert header == ["t", *map(str, range(-half, half + 1))], header[:3]
+assert [row[0] for row in rows] == list(map(str, range(lines))), len(rows)
+assert {len(row) for row in rows} == {len(header)}, {len(row) for row in rows}
+bad = [cell for row in rows for cell in row[1:] if "%.17g" % float(cell) != cell]
 assert not bad, bad[:10]
 EOF
+done
 
 status=0
 "${cli[@]}" walk --bogus || status=$?
@@ -74,15 +81,16 @@ test "$status" -eq 1
 
 # every validation error fails with exit 1 and starts with its key: a value its type
 # cannot parse, a key the mode does not read, a value a field's rule rejects (the
-# ensemble fails before the first of its 1e7 walker-steps), a light cone wider than the
-# lattice (the one pre-run check, which names sites) and a sweep's fixed coin angle out
-# of range (its grid key)
+# ensemble fails before the first of its 1e7 walker-steps), a size past its bound, a
+# light cone wider than the lattice (the one pre-run check, which names sites) and a
+# sweep's fixed coin angle out of range (its grid key)
 sed 's/^grid\.fixed\.theta_a = .*/grid.fixed.theta_a = 7/' \
   recipes/sweep_tanh_plane_composite_2_1.cfg > "$tmp/fixed.cfg"
 for bad in "classical --steps abc:steps" \
            "walk --config recipes/walk_spin_down.cfg --iterations 5:iterations" \
            "classical --steps -1:steps" \
            "ensemble --config recipes/probabilistic_mix_q50.cfg --workers 0:workers" \
+           "walk --config recipes/walk_spin_down.cfg --sites 99999999999999999999:sites" \
            "walk --config recipes/walk_spin_down.cfg --steps 101:sites" \
            "sweep-coin --config $tmp/fixed.cfg:grid.fixed.theta_a"; do
   status=0

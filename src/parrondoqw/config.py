@@ -11,9 +11,11 @@ coin specs, ``initial.*`` into a ``BlochCoinState``, ``grid.axisN.*`` into a
 ``GridAxis`` and ``sweep.*`` into a ``ScheduleTemplate``. A section's ``kind``
 key picks the class from its family's table; every other key names a field
 of that class and is parsed by the field's annotation. Keys the chosen class
-does not have are rejected. Each class, ``RunConfig`` too, checks the rule of each
-field as it is built (``rng.Ruled``); the ``FieldError`` of a value a rule rejects
-names its field, and ``_rejected`` makes it the ``ConfigError(key, message)`` of its key,
+does not have are rejected, and a required section given none of its keys is
+named by the key that starts it (``schedule.a.kind``, ``grid.axis1.name``).
+Each class, ``RunConfig`` too, checks the rule of each field as it is built
+(``rng.Ruled``); the ``FieldError`` of a value a rule rejects names its field,
+and ``_rejected`` makes it the ``ConfigError(key, message)`` of its key,
 as every validation error is (``config`` names the file). So it does those of
 ``sweep.check_grid``, which name ``GridSpec`` fields, and of the walk's one pre-run check
 (``evolution._check_walk``: light cone, start and seeds) of a walk's schedule.
@@ -61,7 +63,8 @@ from .evolution import (
     run,
     with_derived_seeds,
 )
-from .rng import ODD_SITES, PROBABILITY, SEED, TOLERANCE, Ruled, at_least, optional
+from .rng import ITERATIONS, ODD_SITES, PROBABILITY, SEED, STEPS, TOLERANCE, Ruled, at_least
+from .rng import optional
 from .state import SPIN_DOWN, BlochCoinState, LatticeGeometry, WalkerState
 from .sweep import GridAxis, GridSpec, ScheduleTemplate
 
@@ -174,8 +177,8 @@ class RunConfig(Ruled):
     # The run objects validate built, by the mode runner's argument names.
     built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # Every default passes its rule, so a key the mode does not read fails as unread.
-    rules = {"sites": optional(ODD_SITES), "steps": at_least(0), "seed": optional(SEED),
-             "iterations": at_least(1), "workers": at_least(1),
+    rules = {"sites": optional(ODD_SITES), "steps": STEPS, "seed": optional(SEED),
+             "iterations": ITERATIONS, "workers": at_least(1),
              "tie_tolerance": TOLERANCE, "p_right": PROBABILITY}
 
 
@@ -232,6 +235,17 @@ def _fields(cls) -> tuple:
     return tuple(out)
 
 
+def _first_key(tp, key: str) -> str:
+    """The key that starts a section of type ``tp`` at ``key``: its kind's for a coin or
+    a schedule, else that of its first field without a default, else ``key`` itself."""
+    if tp in (CoinSpec, StrategySchedule):
+        return f"{key}.kind"
+    for _, suffix, field_tp, default in _fields(tp) if dataclasses.is_dataclass(tp) else ():
+        if default is dataclasses.MISSING:
+            return _first_key(field_tp, _join(key, suffix))
+    return key
+
+
 def _parse_field(tp, flat: dict[str, str], key: str, default):
     """Value of one field from the ``key`` entries of ``flat``, which are
     removed; None when there are none."""
@@ -264,7 +278,7 @@ def _parse_section(cls, flat: dict[str, str], prefix: str, context: str = "", ba
         value = _parse_field(tp, flat, key, default)
         if value is None:
             if base is None and default is dataclasses.MISSING:
-                raise ConfigError(key, f"required{context}")
+                raise ConfigError(_first_key(tp, key), f"required{context}")
             continue
         values[name] = value.lower() if name in _CHOICE_FIELDS else value
     try:
@@ -382,7 +396,8 @@ def build_initial_state(cfg: RunConfig) -> WalkerState:
 
 def build_grid_spec(cfg: RunConfig) -> GridSpec:
     for name, axis in (("axis1", cfg.axis1), ("axis2", cfg.axis2)):
-        _require(axis is not None, _key(name), f"mode={cfg.mode} requires two grid axes")
+        _require(axis is not None, _first_key(GridAxis, _key(name)),
+                 f"mode={cfg.mode} requires two grid axes")
     coins = "sweep" in MODES[cfg.mode].reads
     _require(cfg.sweep is not None or not coins, "sweep.family",
              f"mode={cfg.mode} requires it")

@@ -24,7 +24,8 @@ from .evolution import (
     map_batches,
     with_derived_seeds,
 )
-from .rng import PROBABILITY, RNG_ALGORITHM, SEED, _check, at_least, optional
+from .rng import ITERATIONS, PROBABILITY, RNG_ALGORITHM, SEED, STEPS, _check, at_least
+from .rng import optional
 from .state import WalkerState
 
 
@@ -63,7 +64,7 @@ def ensemble_expectation(
     schedule with no randomness is allowed but warns: all iterations are
     then identical.
     """
-    _check("iterations", iterations, at_least(1))
+    _check("iterations", iterations, ITERATIONS)
     if _check("seed", master_seed, optional(SEED)) is None and _seed_slots(schedule):
         raise FieldError("master_seed", "master_seed is required: each iteration's seeds "
                                         "derive from it")
@@ -117,7 +118,7 @@ def classical_walk(steps: int, p_right: float = 0.5) -> ClassicalWalkResult:
     unbiased walk the variance equals t at every step.
     """
     _check("p_right", p_right, PROBABILITY)
-    _check("steps", steps, at_least(0))
+    _check("steps", steps, STEPS)
 
     width = 2 * steps + 1
     positions = np.arange(-steps, steps + 1)

@@ -31,7 +31,7 @@ from .coins import CoinSpec
 from .errors import BoundaryLeakageError, FieldError, GeometryTooSmallError
 from .errors import MissingRandomnessError
 from .rng import _BLOCK, PROBABILITY, RNG_ALGORITHM, SEED, TAG_CHOICE, Ruled, _check, _draws
-from .rng import at_least, child_seed, integer_in, optional
+from .rng import STEPS, at_least, child_seed, integer_in, optional
 from .state import LatticeGeometry, WalkerState
 
 # The most times a Composite step applies one coin. ``order`` lists a step's m + n coins
@@ -165,7 +165,7 @@ def _check_walk(rows, geometry: LatticeGeometry, steps: int, x0=0, clip=False) -
     site (else an ``InvalidPositionError``), unless ``clip`` the light cone (see ``reach``) of
     ``steps`` steps of ``rows[0]`` from it fits (a ``GeometryTooSmallError`` naming ``sites``),
     and every seed slot of every row has a seed (a ``MissingRandomnessError``, its field)."""
-    _check("steps", steps, at_least(0))
+    _check("steps", steps, STEPS)
     geometry.index_of(x0, "x0")
     furthest, half = reach(abs(x0), rows[0], steps), geometry.half_span
     if furthest > half and not clip:

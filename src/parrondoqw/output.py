@@ -40,12 +40,12 @@ class OutputBundle:
 
 def _emit(kind, out_dir, basename, tables: dict, config_echo, extra: dict) -> OutputBundle:
     """Write ``{basename}{suffix}.csv`` for each ``suffix: (header, labels, matrix)``
-    (the first is the primary data file), then the JSON sidecar. Row i is
-    ``labels[i]`` then ``matrix[i]``; every number, header and labels included, prints
-    as ``"%.17g"`` would print it. The numbers of all the tables go through
-    ``render.parts`` a batch of lines at a time, each part written in one call; an int
-    table goes as float64, whose text is that of the int, and a text table's cells join
-    with "%s". Each file, the sidecar too, is written in place and cut at its end."""
+    (the first is the primary data file), then the JSON sidecar. The header's items are
+    names and numbers, an array of numbers a cell each; row i is ``labels[i]`` then
+    ``matrix[i]``. Every number prints as ``"%.17g"`` would print it: the numbers of all
+    the tables go through ``render.parts`` a batch of lines at a time, a part a write; an
+    int table goes as float64, whose text is that of the int, and a text table's cells
+    join with "%s". Each file, the sidecar too, is written in place and cut at its end."""
     if out_dir is None or str(out_dir) == "":
         raise OutputError("output directory path is empty")
     out = Path(out_dir)
@@ -88,7 +88,7 @@ def emit_trajectory(
     tables = {"": (("t", "expectation", "variance"), times,
                    np.column_stack((trajectory.expectation, trajectory.variance)))}
     if trajectory.distributions is not None:
-        tables["_distribution"] = (("t", *positions), times, trajectory.distributions)
+        tables["_distribution"] = (("t", positions), times, trajectory.distributions)
     extra = {"trajectory": trajectory.metadata, "runtime_seconds": runtime_seconds}
     return _emit("trajectory", out_dir, basename, tables, config_echo, extra)
 
@@ -117,7 +117,7 @@ def emit_classical(
     tables = {"": (("t", "expectation", "variance"), result.times,
                    np.column_stack((result.expectation, result.variance)))}
     if record_full:
-        tables["_distribution"] = (("t", *result.positions), result.times,
+        tables["_distribution"] = (("t", result.positions), result.times,
                                    result.distributions)
     extra = {"runtime_seconds": runtime_seconds}
     return _emit("classical", out_dir, basename, tables, config_echo, extra)
@@ -132,7 +132,7 @@ def emit_sweep(
 ) -> OutputBundle:
     """Write the expectation matrix (one row per axis1 value, axis value
     headers), the parallel classification matrix, and the sidecar."""
-    header = (f"{result.grid.axis1.name}\\{result.grid.axis2.name}", *result.axis2_values)
+    header = (f"{result.grid.axis1.name}\\{result.grid.axis2.name}", result.axis2_values)
     tables = {
         "_expectation": (header, result.axis1_values, result.expectation),
         "_classification": (header, result.axis1_values, result.classification),

@@ -38,10 +38,16 @@ TAG_CHOICE = 3
 _BLOCK = 256
 
 
+# The sizes of a run, each bounded well above every recipe (2101 sites, 1000 steps, 50000
+# iterations, 101 points an axis) and far inside what numpy can shape, so that a size past
+# its bound fails as its key's error, not as an array that cannot be made.
+MAX_SITES, MAX_STEPS, MAX_ITERATIONS, MAX_POINTS = 100_001, 100_000, 1_000_000, 1001
+
 _INTEGERS, _REALS = (int, np.integer), (int, float, np.integer, np.floating)
 INTEGER = _INTEGERS, lambda v: True, "be an integer"
 SEED = _INTEGERS, lambda v: v >= 0, "be a nonnegative integer"
-ODD_SITES = _INTEGERS, lambda v: v >= 3 and v % 2 == 1, "be an odd integer >= 3"
+ODD_SITES = (_INTEGERS, lambda v: 3 <= v <= MAX_SITES and v % 2 == 1,
+             f"be an odd integer in [3, {MAX_SITES}]")
 FINITE = _REALS, math.isfinite, "be finite"
 # A real whose sum with three more of its kind stays finite (float64 ends at 1.8e308): a
 # tanh coin's blend of its two endpoints and a grid axis's span both need it.
@@ -63,6 +69,10 @@ def at_least(least: int):
 
 def integer_in(least: int, most: int):
     return _INTEGERS, lambda v: least <= v <= most, f"be an integer in [{least}, {most}]"
+
+
+STEPS, ITERATIONS, POINTS = (integer_in(0, MAX_STEPS), integer_in(1, MAX_ITERATIONS),
+                             integer_in(2, MAX_POINTS))
 
 
 def interval(lo: float, hi: float, shown: str):

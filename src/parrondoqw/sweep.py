@@ -33,7 +33,7 @@ from .evolution import (
     map_batches,
     with_derived_seeds,
 )
-from .rng import BOUNDED, FINITE, RNG_ALGORITHM, SEED, TOLERANCE, Ruled, _check, at_least
+from .rng import BOUNDED, FINITE, POINTS, RNG_ALGORITHM, SEED, STEPS, TOLERANCE, Ruled, _check
 from .rng import optional
 from .state import SPIN_DOWN, BlochCoinState, LatticeGeometry
 
@@ -70,7 +70,7 @@ class GridAxis(Ruled):
     upper: float
     count: int
 
-    rules = {"lower": BOUNDED, "upper": BOUNDED, "count": at_least(2)}  # a finite span
+    rules = {"lower": BOUNDED, "upper": BOUNDED, "count": POINTS}  # a finite span
 
     def values(self) -> np.ndarray:
         return np.linspace(self.lower, self.upper, self.count)
@@ -129,7 +129,7 @@ class GridSpec:
     master_seed: int | None = None
     tie_tolerance: float = 1e-9
 
-    rules = {"steps": at_least(0), "master_seed": optional(SEED), "tie_tolerance": TOLERANCE}
+    rules = {"steps": STEPS, "master_seed": optional(SEED), "tie_tolerance": TOLERANCE}
 
 
 @dataclass

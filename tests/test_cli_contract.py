@@ -38,18 +38,19 @@ GIVEN = {k for flat in RECIPES.values() for k in flat} - {"mode", "out"}
 KEYS = sorted(GIVEN | set(UNSET))
 VALID = {**UNSET, **{k: sorted({flat[k] for flat in RECIPES.values() if k in flat})
                      for k in GIVEN}}
+HUGE = "99999999999999999999"
 KIND_NAMES = ["uniform", "tanh", "general", "random-alpha", "single", "composite",
               "alternating", "probabilistic", "single_b", "theta", "phi", "theta_a",
               "theta_b_plus"]
-EDGES = ["0", "-1", "1e308", "-1e308", "nan", "pi/0", "true", "3.5",
-         "99999999999999999999", *KIND_NAMES]
-# A size takes only small or invalid values (and workers never starts a pool).
-SIZES = {"sites": ["0", "-1", "3.5", "true", "60", "41"],
-         "steps": ["0", "-1", "3.5", "true", "1"],
-         "iterations": ["0", "-1", "3.5", "true", "1"],
+EDGES = ["0", "-1", "1e308", "-1e308", "nan", "pi/0", "true", "3.5", HUGE, *KIND_NAMES]
+# A size takes only small or invalid values, a size past its bound among them (and
+# workers never starts a pool).
+SIZES = {"sites": ["0", "-1", "3.5", "true", "60", "41", HUGE],
+         "steps": ["0", "-1", "3.5", "true", "1", HUGE],
+         "iterations": ["0", "-1", "3.5", "true", "1", HUGE],
          "workers": ["0", "-1", "3.5", "true", "1"],
-         "grid.axis1.count": ["0", "-1", "3.5", "true", "1", "3"],
-         "grid.axis2.count": ["0", "-1", "3.5", "true", "1", "3"]}
+         "grid.axis1.count": ["0", "-1", "3.5", "true", "1", "3", HUGE],
+         "grid.axis2.count": ["0", "-1", "3.5", "true", "1", "3", HUGE]}
 # The first part of every config key.
 TOP_KEYS = {"mode", "out", "sites", "steps", "seed", "iterations", "workers", "record_full",
             "tie_tolerance", "p_right", "initial", "schedule", "sweep", "grid"}
@@ -103,6 +104,9 @@ def finite_cells(path):
 @example(changed("sweep_tanh_plane_composite_2_1", **{"grid.axis2.max": "1e308"}))
 # a count too large for a step's coin list: once an OverflowError in validation
 @example(changed("winning_composite_2_1", **{"schedule.m": "99999999999999999999"}))
+# sizes with no upper bound: once a ValueError from numpy, in validation or mid-run
+@example(changed("walk_symmetric", sites=HUGE))
+@example(changed("sweep_initial_single_uniform", **{"grid.axis1.count": HUGE}))
 # linspace puts -1.1e-16 on a phi axis, which once wrapped to 2*pi mid-run
 @example(changed("sweep_initial_single_uniform", **{
     "grid.axis2.min": "-1.0", "grid.axis2.max": "0.7", "grid.axis2.count": "18"}))

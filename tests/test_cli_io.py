@@ -231,7 +231,7 @@ def test_cli_validation_error_exit_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "walk.cfg", dict(WALK_CFG, sites="40"))
     code = main(["walk", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 1
-    assert "sites must be an odd integer >= 3, got 40" in capsys.readouterr().err
+    assert "sites must be an odd integer in [3, 100001], got 40" in capsys.readouterr().err
 
 
 def test_cli_runtime_error_exit_2(tmp_path, capsys):

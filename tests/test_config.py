@@ -104,7 +104,7 @@ def test_valid_walk_config():
 
 
 def test_even_sites_rejected():
-    with pytest.raises(ConfigError, match="^sites: sites must be an odd integer >= 3"):
+    with pytest.raises(ConfigError, match=r"^sites: sites must be an odd integer in \[3, "):
         validate(config_from_flat(walk_flat(sites="200")))
 
 
@@ -381,6 +381,10 @@ INVALID = {
                           "sweep.interleaved"),
     # sections without their kind or required fields
     "coin_without_kind": (without(walk_flat(), "schedule.a.kind"), "schedule.a.kind"),
+    # a coin section with none of its keys: the key to add, not the section
+    "single_without_a": (without_section(walk_flat(), "schedule.a"), "schedule.a.kind"),
+    "composite_without_b": (walk_flat(**{"schedule.kind": "composite", "schedule.m": "2",
+                                         "schedule.n": "1"}), "schedule.b.kind"),
     "axis_without_max": (without(sweep_coin_flat(), "grid.axis2.max"), "grid.axis2.max"),
     # sections and keys the mode never reads
     "classical_with_schedule": (CLASSICAL | SINGLE_SCHEDULE, "schedule.kind"),
@@ -449,6 +453,19 @@ INVALID = {
         "schedule.kind": "composite", "schedule.m": "99999999999999999999", "schedule.n": "1",
         "schedule.b.kind": "uniform", "schedule.b.theta": "pi/4"}), "schedule.m"),
     "sweep_n_huge": (sweep_coin_flat(**{"sweep.n": "99999999999999999999"}), "sweep.n"),
+    # sizes past their bounds, which would once have reached an array too large to make
+    "sites_huge": (walk_flat(sites="99999999999999999999"), "sites"),
+    "sites_past_bound": (walk_flat(sites="100003"), "sites"),
+    "steps_huge": (walk_flat(steps="99999999999999999999"), "steps"),
+    "steps_past_bound": (walk_flat(steps="100001"), "steps"),
+    "iterations_huge": (walk_flat(mode="ensemble", seed="1",
+                                  iterations="99999999999999999999"), "iterations"),
+    "iterations_past_bound": (walk_flat(mode="ensemble", seed="1", iterations="1000001"),
+                              "iterations"),
+    "axis_count_huge": (sweep_coin_flat(**{"grid.axis1.count": "99999999999999999999"}),
+                        "grid.axis1.count"),
+    "axis_count_past_bound": (bloch_flat(**{"grid.axis2.count": "1002"}), "grid.axis2.count"),
+    "classical_steps_huge": (CLASSICAL | {"steps": "99999999999999999999"}, "steps"),
     "phi_axis_span_overflows": (bloch_flat(**{"grid.axis2.min": "-1e308",
                                               "grid.axis2.max": "1e308"}), "grid.axis2.min"),
 }
@@ -533,9 +550,9 @@ NAMED_FIRST = {
     "no_sites": (without(walk_flat(), "sites"), "sites"),
     "no_sites_sweep": (without(sweep_coin_flat(), "sites"), "sites"),
     "no_schedule": (without_section(walk_flat(), "schedule"), "schedule.kind"),
-    "no_axis1": (without_section(sweep_coin_flat(), "grid.axis1"), "grid.axis1"),
+    "no_axis1": (without_section(sweep_coin_flat(), "grid.axis1"), "grid.axis1.name"),
     "no_axis2": (without_section(without(bloch_flat(), "initial.theta"), "grid.axis2"),
-                 "grid.axis2"),
+                 "grid.axis2.name"),
     "no_family": (without_section(sweep_coin_flat(), "sweep"), "sweep.family"),
     # the walk of a sweep's built corner point, which check_grid checks
     "sweep_coin_light_cone": (sweep_coin_flat(steps="21"), "sites"),

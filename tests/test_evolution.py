@@ -782,7 +782,8 @@ MISUSED = {"bool": True, "np_bool": np.True_, "str": "1", "complex": 1j, "nan": 
 
 
 @pytest.mark.parametrize("name, call, must", [
-    pytest.param(*p.values, "be an integer >= [01], got ", id=p.id) for p in COUNTS
+    pytest.param(*p.values, r"be an integer (>= [01]|in \[[01], \d+\]), got ", id=p.id)
+    for p in COUNTS
 ] + [
     pytest.param(name, functools.partial(call, value), f".+, got {re.escape(repr(value))}$",
                  id=f"{at}-{kind}")

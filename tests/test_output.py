@@ -4,6 +4,8 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parrondoqw import (
     SPIN_DOWN,
@@ -86,12 +88,89 @@ def test_rounded_values_drop_their_trailing_zeros(scale):
     assert_renders_as_percent(np.round(values * scale, 3))
 
 
+# Cells that take the per-cell path or sit at a boundary of the numpy one: -0.0, NaN,
+# +-inf, subnormals, exact ties and values whose digits carry into a new power of ten.
+SPECIALS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072009e-308, 1e-310, 1e16,
+            99999999999999999.0, 12.5, 0.0001, 1e-5, -7.0,
+            *exact_ties(np.random.default_rng(7), 8).tolist()]
+# A line is runs of cells: long +0.0 runs, nonzero cells with a zero between each two (a
+# light cone's parity), special cells and any float64.
+RUNS = st.one_of(
+    st.integers(1, 40).map(lambda k: [0.0] * k),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False).filter(bool), min_size=1,
+             max_size=8).map(lambda cells: [c for cell in cells for c in (cell, 0.0)]),
+    st.lists(st.sampled_from(SPECIALS), min_size=1, max_size=4),
+    st.lists(st.floats(width=64), min_size=1, max_size=6))
+NAMES = st.text("abtxyz_\\", min_size=1, max_size=6)
+CLASSES = ["winning", "losing", "neutral"]
+
+
+@st.composite
+def tables(draw):
+    """A (header, labels, matrix) table: numbers, or (text=True) a sweep's classes."""
+    text = draw(st.booleans())
+    width = draw(st.integers(1, 12))  # a line's cells, its label included
+    rows = draw(st.integers(0, 5))
+
+    def line(size):
+        cells = [cell for run in draw(st.lists(RUNS, min_size=1, max_size=4)) for cell in run]
+        cells = (cells + [0.0] * size)[:size]  # a zero at the line's end
+        if cells and draw(st.booleans()):
+            cells[-1] = draw(st.sampled_from(SPECIALS))  # a fallback cell there
+        return cells
+
+    header = [draw(st.one_of(NAMES, st.sampled_from(SPECIALS), st.floats(width=64)))
+              for _ in range(width)]
+    if draw(st.booleans()):  # runs of numbers as arrays, as the emitters pass them
+        runs = [[]]
+        for h in header:
+            if isinstance(h, str):
+                runs += [h, []]
+            else:
+                runs[-1].append(h)
+        header = [r if isinstance(r, str) else np.array(r) for r in runs if len(r)]
+    labels = line(rows) if rows else []
+    if text:
+        matrix = np.array([draw(st.sampled_from(CLASSES)) for _ in range(rows * (width - 1))],
+                          dtype=object).reshape(rows, width - 1)
+    else:
+        matrix = np.array([line(width - 1) for _ in range(rows)]).reshape(rows, width - 1)
+    return tuple(header), labels, matrix
+
+
+def written(header, labels, matrix):
+    """The table as Python writes it: each number as "%.17g", each name and class as is."""
+    head = [h if isinstance(h, str) else "%.17g" % v for h in header
+            for v in ([h] if isinstance(h, str) else np.ravel(h).tolist())]
+    cells = [["%.17g" % label, *(map(str, row) if matrix.dtype == object else
+                                 ("%.17g" % v for v in row))]
+             for label, row in zip(labels, matrix.tolist())]
+    return "".join(",".join(line) + "\n" for line in [head, *cells]).encode()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(tables(), min_size=1, max_size=4), st.sampled_from([8, 40, 1 << 14]))
+def test_tables_sharing_a_batch_render_as_a_python_writer(drawn, block):
+    # at the default block every table shares one render call; at 8 or 40 cells a
+    # batch holds one block or a few, so the split and the splice run at each boundary
+    paths = [f"t{i}.csv" for i in range(len(drawn))]
+    got = dict.fromkeys(paths, b"")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(render, "_BLOCK", block)
+        for path, part in render.parts(paths, drawn):
+            got[path] += bytes(part)
+    assert got == {path: written(*table) for path, table in zip(paths, drawn)}
+
+
 def test_eight_digit_words_are_percent_08d():
+    # x // 10**4 by multiply and shift, then the two four-digit words of the table
     scaled = np.arange(1, 10)[:, None] * 10 ** np.arange(8)  # every 10**j and d * 10**j
-    x = np.concatenate(([0, 10**8 - 1], scaled.ravel(), scaled.ravel() - 1,
+    ends = np.arange(10**4) * 10**4  # the quotient's worst cases: a remainder of 0 or 9999
+    x = np.concatenate(([0, 10**8 - 1], scaled.ravel(), scaled.ravel() - 1, ends, ends + 9999,
                         np.random.default_rng(2).integers(0, 10**8, 10**5)))
-    words = render._ascii8(x.astype(np.int64)).astype("<u8")
-    assert words.view("S8").tolist() == [b"%08d" % v for v in x.tolist()]
+    head = (x * render._QUOT) >> render._QSHIFT
+    words = np.stack((render._QUAD[head], render._QUAD[x - head * 10**4]), 1)
+    assert words.view("S8").ravel().tolist() == [b"%08d" % v for v in x.tolist()]
 
 
 def test_int64_matrix_prints_as_percent_on_python_ints(tmp_path):

@@ -77,9 +77,9 @@ def significant_bits(x):
 
 def test_the_exponent_table_is_exact():
     # per p: hi = 10**p * 2**-s correctly rounded, lo the rest, and hi's Dekker halves
-    assert render._POW.shape == (4, 633) and not np.isnan(render._POW).any()
+    assert render._POW.shape == (633, 4) and not np.isnan(render._POW).any()
     for p, s, (hh, hl, hi, lo) in zip(render._P.tolist(), render._SHIFT.tolist(),
-                                      render._POW.T.tolist()):
+                                      render._POW.tolist()):
         exact = Fraction(10) ** p * Fraction(2) ** -s
         assert hi == float(exact)
         assert lo == float(exact - Fraction(hi))

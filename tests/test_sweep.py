@@ -53,7 +53,8 @@ def test_grid_axis_closed_endpoints():
 
 
 def test_grid_axis_rejects_a_non_integer_count():
-    with pytest.raises(FieldError, match=r"^count must be an integer >= 2, got 3.0$"):
+    with pytest.raises(FieldError,
+                       match=r"^count must be an integer in \[2, 1001\], got 3.0$"):
         GridAxis("theta_b_minus", -1, 1, 3.0)
     assert GridAxis("theta_b_minus", -1, 1, np.int64(3)).values().tolist() == [-1, 0, 1]
 
