@@ -23,9 +23,10 @@ import tempfile
 from pathlib import Path
 
 # The one reduced size: walks and classical runs at <= 300 steps, the other modes at
-# <= 40 steps, 70 iterations and 4x4 grids. A key's value is capped by its mode's limit.
+# <= 40 steps, 70 iterations and 5x5 grids, so that a -pi ... pi axis holds 0 and a sweep
+# table has a +0.0 row label inside a block. A key's value is capped by its mode's limit.
 LIMITS = {"walk": {"steps": 300}, "classical": {"steps": 300}}
-SMALL = {"steps": 40, "iterations": 70, "grid.axis1.count": 4, "grid.axis2.count": 4}
+SMALL = {"steps": 40, "iterations": 70, "grid.axis1.count": 5, "grid.axis2.count": 5}
 
 # Run in each tree's work directory: every config through cli.main, and the exit code,
 # stdout and stderr of each into results.json.

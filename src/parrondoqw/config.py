@@ -64,7 +64,7 @@ from .evolution import (
     with_derived_seeds,
 )
 from .rng import ITERATIONS, ODD_SITES, PROBABILITY, SEED, STEPS, TOLERANCE, Ruled, at_least
-from .rng import optional
+from .rng import MAX_CELLS, optional
 from .state import SPIN_DOWN, BlochCoinState, LatticeGeometry, WalkerState
 from .sweep import GridAxis, GridSpec, ScheduleTemplate
 
@@ -433,6 +433,9 @@ def validate(cfg: RunConfig) -> RunConfig:
             cfg.built = {"schedule": schedule, "initial": build_initial_state(cfg)}
     except FieldError as exc:
         raise _rejected(exc) from exc
+    kept, rows, cols = mode.keeps(cfg)
+    _require(rows * cols <= MAX_CELLS, "steps", f"the run would keep {kept} = {rows} x {cols} "
+             f"= {rows * cols} float64 cells, more than {MAX_CELLS}")
     unread = mode.unread(cfg.given)
     if unread:
         raise ConfigError(unread[0], f"not read in mode={cfg.mode}; remove it")
@@ -498,11 +501,13 @@ class Mode:
     function ``run(cfg, **cfg.built)`` that runs a validated config on the
     objects ``validate`` built, returning the result, its emitter and a
     one-line summary. Sweeps and emitters are looked up by module name at call
-    time, so rebinding a name (as ``bench/tracing.py`` does) reaches every call."""
+    time, so rebinding a name (as ``bench/tracing.py`` does) reaches every call.
+    ``keeps(cfg)`` is the largest table the run keeps, as (what, rows, columns)."""
 
     help: str
     reads: tuple[str, ...]
     run: typing.Callable
+    keeps: typing.Callable = lambda cfg: ("nothing", 0, 0)  # a sweep's are its points
 
     def unread(self, keys) -> list[str]:
         """The keys in ``keys`` this mode does not read."""
@@ -512,10 +517,13 @@ class Mode:
 
 MODES = {
     "walk": Mode("one trajectory: expectation and variance per step",
-                 ("sites", "steps", "seed", "record_full", "schedule", "initial"), _run_walk),
+                 ("sites", "steps", "seed", "record_full", "schedule", "initial"), _run_walk,
+                 lambda cfg: ("(steps + 1) x sites of record_full", cfg.steps + 1,
+                              cfg.sites if cfg.record_full else 0)),
     "ensemble": Mode("mean expectation over independently seeded iterations",
                      ("sites", "steps", "seed", "iterations", "workers", "schedule",
-                      "initial"), _run_ensemble),
+                      "initial"), _run_ensemble,
+                     lambda cfg: ("iterations x (steps + 1)", cfg.iterations, cfg.steps + 1)),
     "sweep-coin": Mode("final expectation over a coin-parameter grid",
                        ("sites", "steps", "workers", "tie_tolerance", "sweep", "grid",
                         "initial"), _run_sweep),
@@ -523,5 +531,7 @@ MODES = {
                           ("sites", "steps", "seed", "workers", "tie_tolerance", "schedule",
                            "grid", "initial.x0"), _run_sweep),
     "classical": Mode("exact classical random-walk baseline",
-                      ("steps", "record_full", "p_right"), _run_classical),
+                      ("steps", "record_full", "p_right"), _run_classical,
+                      lambda cfg: ("(steps + 1) x (2 steps + 1)", cfg.steps + 1,
+                                   2 * cfg.steps + 1)),
 }

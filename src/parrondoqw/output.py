@@ -43,9 +43,11 @@ def _emit(kind, out_dir, basename, tables: dict, config_echo, extra: dict) -> Ou
     (the first is the primary data file), then the JSON sidecar. The header's items are
     names and numbers, an array of numbers a cell each; row i is ``labels[i]`` then
     ``matrix[i]``. Every number prints as ``"%.17g"`` would print it: the numbers of all
-    the tables go through ``render.parts`` a batch of lines at a time, a part a write; an
-    int table goes as float64, whose text is that of the int, and a text table's cells
-    join with "%s". Each file, the sidecar too, is written in place and cut at its end."""
+    the tables go through ``render.parts`` a batch of lines at a time (a batch's text is one
+    join of its rendered cells' texts with its runs of +0.0 and its fallback texts), and
+    each part, a slice of that text, is one write; an int table goes as float64, whose text
+    is that of the int, and a text table's cells join with "%s". Each file, the sidecar
+    too, is written in place and cut at its end."""
     if out_dir is None or str(out_dir) == "":
         raise OutputError("output directory path is empty")
     out = Path(out_dir)

@@ -40,8 +40,11 @@ _BLOCK = 256
 
 # The sizes of a run, each bounded well above every recipe (2101 sites, 1000 steps, 50000
 # iterations, 101 points an axis) and far inside what numpy can shape, so that a size past
-# its bound fails as its key's error, not as an array that cannot be made.
+# its bound fails as its key's error, not as an array that cannot be made. MAX_CELLS bounds
+# a product of them, the float64 cells of the largest table a run keeps (0.8 GB; the
+# recipes' largest is 50000 x 201).
 MAX_SITES, MAX_STEPS, MAX_ITERATIONS, MAX_POINTS = 100_001, 100_000, 1_000_000, 1001
+MAX_CELLS = 10**8
 
 _INTEGERS, _REALS = (int, np.integer), (int, float, np.integer, np.floating)
 INTEGER = _INTEGERS, lambda v: True, "be an integer"

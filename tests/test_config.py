@@ -33,6 +33,7 @@ from parrondoqw.config import (
     read_flat_text,
     validate,
 )
+from parrondoqw.rng import MAX_CELLS
 
 
 @pytest.mark.parametrize(
@@ -529,6 +530,40 @@ def test_invalid_input_names_key_and_exits_1(flat, key, tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == f"configuration error: {caught.value}\n"
     assert not (tmp_path / "o").exists()
+
+
+# A product of sizes past rng.MAX_CELLS, each size within its own bound: the table the run
+# would keep, and the product it is. These are checked by validation alone: a run of one
+# would try to allocate it.
+PRODUCTS = {
+    "classical_steps": (CLASSICAL | {"steps": "100000"},
+                        "(steps + 1) x (2 steps + 1) = 100001 x 200001 = 20000300001"),
+    "classical_steps_past_product": (CLASSICAL | {"steps": "7071"},
+                                     "(steps + 1) x (2 steps + 1) = 7072 x 14143 = 100019296"),
+    "record_full_walk": (walk_flat(sites="100001", steps="2000", record_full="true"),
+                         "(steps + 1) x sites of record_full = 2001 x 100001 = 200102001"),
+    "ensemble_stack": (walk_flat(mode="ensemble", seed="1", iterations="1000000"),
+                       "iterations x (steps + 1) = 1000000 x 101 = 101000000"),
+}
+
+
+@pytest.mark.parametrize("flat,product", PRODUCTS.values(), ids=PRODUCTS.keys())
+def test_a_product_of_sizes_past_the_cell_bound_fails_validation(flat, product):
+    message = (f"steps: the run would keep {product} float64 cells, more than "
+               f"{MAX_CELLS}")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as caught:
+        parse_and_validate(None, flat)
+    assert caught.value.key == "steps"
+
+
+@pytest.mark.parametrize("flat", [
+    CLASSICAL | {"steps": "7070"},
+    walk_flat(sites="100001", steps="998", record_full="true"),
+    walk_flat(sites="100001", steps="2000"),  # no record_full: the walk keeps its series
+    walk_flat(mode="ensemble", seed="1", iterations="1000000", steps="99"),
+])
+def test_a_product_at_the_cell_bound_validates(flat):
+    assert parse_and_validate(None, flat).mode == flat["mode"]
 
 
 # A light cone wider than the lattice names sites, and cites the keys that widen it.

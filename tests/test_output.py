@@ -1,10 +1,12 @@
 """The CSV renderer: the bytes of every cell are those of Python's "%.17g"."""
 
+import tracemalloc
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parrondoqw import (
@@ -19,6 +21,7 @@ from parrondoqw import (
     UniformRotation,
     WalkerState,
     emit_trajectory,
+    parse_and_validate,
     run,
 )
 from parrondoqw import render
@@ -150,6 +153,15 @@ def written(header, labels, matrix):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.lists(tables(), min_size=1, max_size=4), st.sampled_from([8, 40, 1 << 14]))
+# a +0.0 row label inside a block, after a line that ends in a nonzero cell: a line's
+# first cell is never absorbed by the cell before it
+@example([(("t", "x", "y"), [1.0, 0.0, 2.0],
+           np.array([[0.0, 0.5], [0.25, 0.0], [-3.0, 7.0]]))], 1 << 14)
+# a table whose first header number is +0.0 after a table that ends in a nonzero cell
+@example([(("a", "b"), [1.0], np.array([[3.5]])),
+          ((0.0, "y", 0.0), [2.0], np.array([[0.0, 1.0]]))], 1 << 14)
+@example([((1.5, -2.5), [3.0, 4.0], np.array([[-4.25], [1e300]]))], 1 << 14)  # no +0.0 cell
+@example([((1.0,), [], np.empty((0, 0)))], 1 << 14)  # an empty table
 def test_tables_sharing_a_batch_render_as_a_python_writer(drawn, block):
     # at the default block every table shares one render call; at 8 or 40 cells a
     # batch holds one block or a few, so the split and the splice run at each boundary
@@ -212,3 +224,27 @@ def test_at_most_one_cell_in_a_hundred_falls_back(fallbacks, tmp_path, schedule,
     # every fallback cell of both files, against the distribution's nonzero cells alone
     emit_trajectory(walk, tmp_path)
     assert fallbacks and sum(fallbacks) <= np.count_nonzero(table) // 100
+
+
+def test_render_holds_at_most_100_bytes_a_block_cell(monkeypatch, tmp_path):
+    # the tracemalloc peak of render.parts over the tables emit_trajectory passes it for
+    # random_phase_alternating_walk: 451 x 3 and 451 x 1002 cells, 77% of them +0.0
+    recipe = Path(__file__).resolve().parents[1] / "recipes/random_phase_alternating_walk.cfg"
+    cfg = parse_and_validate(recipe, {"out": str(tmp_path)})
+    walk = run(cfg.built["initial"], cfg.built["schedule"], cfg.steps, record_full=True)
+    parts, given = render.parts, []
+    monkeypatch.setattr(render, "parts", lambda *args: given.append(args) or iter(()))
+    emit_trajectory(walk, tmp_path)
+    (paths, tables), = given
+    assert [labels.size * (1 + matrix.shape[1]) for _, labels, matrix in tables] == [
+        451 * 3, 451 * 1002]
+    for _ in parts(paths, tables):  # the first call's lazy set-up is not held
+        pass
+    tracemalloc.start()
+    try:
+        for _ in parts(paths, tables):  # one part held at a time, as a writer holds it
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * render._BLOCK
