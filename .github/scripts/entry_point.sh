@@ -75,6 +75,32 @@ assert not bad, bad[:10]
 EOF
 done
 
+# a full-size initial-state plane as its recipe gives it (2101 sites, 1000 steps, 101 x 101
+# points): a shared-schedule grid, evaluated from two walks, so it takes well under a
+# second. Every cell is finite, the theta = 0 and theta = pi rows do not depend on phi,
+# and each class is its cell's sign outside the tie tolerance
+"${cli[@]}" sweep-initial --config recipes/sweep_initial_composite_2_2.cfg --out "$tmp/plane"
+python3 - "$tmp/plane" <<'EOF'
+import csv, json, math, sys
+def table(name):
+    with open(f"{sys.argv[1]}/sweep_{name}.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 102 and len(rows) == 101, (len(header), len(rows))
+    assert {len(row) for row in rows} == {102}, {len(row) for row in rows}
+    return [row[1:] for row in rows]
+values = [[float(cell) for cell in row] for row in table("expectation")]
+classes = table("classification")
+assert all(math.isfinite(v) for row in values for v in row)
+for pole in (values[0], values[-1]):
+    assert max(pole) - min(pole) <= 1e-10, max(pole) - min(pole)
+tie = json.load(open(f"{sys.argv[1]}/sweep.json"))["tie_tolerance"]
+assert tie == 1e-9, tie
+for row, names in zip(values, classes):
+    for v, name in zip(row, names):
+        want = "winning" if v > tie else "losing" if v < -tie else "neutral"
+        assert name == want, (v, name)
+EOF
+
 status=0
 "${cli[@]}" walk --bogus || status=$?
 test "$status" -eq 1

@@ -64,7 +64,7 @@ from .evolution import (
     with_derived_seeds,
 )
 from .rng import ITERATIONS, ODD_SITES, PROBABILITY, SEED, STEPS, TOLERANCE, Ruled, at_least
-from .rng import MAX_CELLS, optional
+from .rng import check_cells, optional
 from .state import SPIN_DOWN, BlochCoinState, LatticeGeometry, WalkerState
 from .sweep import GridAxis, GridSpec, ScheduleTemplate
 
@@ -431,11 +431,9 @@ def validate(cfg: RunConfig) -> RunConfig:
             schedule = build_schedule(cfg)
             _check_walk([schedule], build_geometry(cfg), cfg.steps, cfg.x0)
             cfg.built = {"schedule": schedule, "initial": build_initial_state(cfg)}
+        check_cells(*mode.keeps(cfg))
     except FieldError as exc:
         raise _rejected(exc) from exc
-    kept, rows, cols = mode.keeps(cfg)
-    _require(rows * cols <= MAX_CELLS, "steps", f"the run would keep {kept} = {rows} x {cols} "
-             f"= {rows * cols} float64 cells, more than {MAX_CELLS}")
     unread = mode.unread(cfg.given)
     if unread:
         raise ConfigError(unread[0], f"not read in mode={cfg.mode}; remove it")

@@ -25,7 +25,7 @@ from .evolution import (
     with_derived_seeds,
 )
 from .rng import ITERATIONS, PROBABILITY, RNG_ALGORITHM, SEED, STEPS, _check, at_least
-from .rng import optional
+from .rng import check_cells, optional
 from .state import WalkerState
 
 
@@ -65,6 +65,7 @@ def ensemble_expectation(
     then identical.
     """
     _check("iterations", iterations, ITERATIONS)
+    check_cells("iterations x (steps + 1)", iterations, _check("steps", steps, STEPS) + 1)
     if _check("seed", master_seed, optional(SEED)) is None and _seed_slots(schedule):
         raise FieldError("master_seed", "master_seed is required: each iteration's seeds "
                                         "derive from it")
@@ -118,9 +119,9 @@ def classical_walk(steps: int, p_right: float = 0.5) -> ClassicalWalkResult:
     unbiased walk the variance equals t at every step.
     """
     _check("p_right", p_right, PROBABILITY)
-    _check("steps", steps, STEPS)
+    width = 2 * _check("steps", steps, STEPS) + 1
+    check_cells("(steps + 1) x (2 steps + 1)", steps + 1, width)
 
-    width = 2 * steps + 1
     positions = np.arange(-steps, steps + 1)
     dists = np.zeros((steps + 1, width))
     dists[0, steps] = 1.0

@@ -31,7 +31,7 @@ from .coins import CoinSpec
 from .errors import BoundaryLeakageError, FieldError, GeometryTooSmallError
 from .errors import MissingRandomnessError
 from .rng import _BLOCK, PROBABILITY, RNG_ALGORITHM, SEED, TAG_CHOICE, Ruled, _check, _draws
-from .rng import STEPS, at_least, child_seed, integer_in, optional
+from .rng import STEPS, at_least, check_cells, child_seed, integer_in, optional
 from .state import LatticeGeometry, WalkerState
 
 # The most times a Composite step applies one coin. ``order`` lists a step's m + n coins
@@ -405,6 +405,8 @@ def run(
     must lie on the lattice, so amplitude never touches the boundary, and every seed slot
     needs a seed (see ``with_derived_seeds``); ``_check_walk`` checks both first."""
     g, t0 = initial.geometry, initial.time_step
+    check_cells("(steps + 1) x sites of record_full", _check("steps", steps, STEPS) + 1,
+                g.n_sites if record_full else 0)
     mean, squares, dists, finals = _series(initial.amp_up[None], initial.amp_down[None],
                                            [schedule], t0, steps, g, True, record_full)
     up, down = finals()

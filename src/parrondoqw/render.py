@@ -95,7 +95,7 @@ def _text_tables():
 
 _EXP, _CLASS, _KEEP, _SIZE, _DEEP = _text_tables()
 _TWIN = np.array(_KEEP.shape[0] // 2)  # class c's twin
-_TRAIL = sum(np.arange(10**4) % 10**k == 0 for k in (1, 2, 3)) * 2  # 2 a zero d14 ... d16 end in
+_TRAIL = sum(np.arange(10**4) % 10**k == 0 for k in (1, 2, 3)) * 2  # 2 x end zeros of d14-d16
 
 
 def fallback(cells):

@@ -65,6 +65,13 @@ def _check(name: str, value, rule):
     return value
 
 
+def check_cells(kept: str, rows: int, cols: int) -> None:
+    """Reject, naming ``steps``, a run to keep ``kept``, rows x cols cells, past MAX_CELLS."""
+    if rows * cols > MAX_CELLS:
+        raise FieldError("steps", f"the run would keep {kept} = {rows} x {cols} = "
+                                  f"{rows * cols} float64 cells, more than {MAX_CELLS}")
+
+
 @cache
 def at_least(least: int):
     return _INTEGERS, lambda v: v >= least, f"be an integer >= {least}"

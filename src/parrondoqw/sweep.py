@@ -1,16 +1,18 @@
 """2D parameter sweeps over coin parameters or initial spin states.
 
-Each grid point is one walk, of which only the final position expectation
-is computed; points are classified winning/losing/neutral by its sign. The
-schedule is a ``ScheduleTemplate`` (a coin-parameter sweep), which only builds
-each point's schedule and is no schedule itself, or one fixed schedule (an
-initial-state sweep), so every point has the same schedule shape, and the
-points are the rows of one batched walk (``evolution._walk``) per fixed chunk
-of consecutive points, read once at its end; with ``workers > 1`` a process
-pool evolves the chunks. ``check_grid`` checks each axis end and fixed value by
-its parameter's rule, and the walk of a built corner point, before any runs. A
-point's value is bit-for-bit that of its own ``run``, and all seeds are derived
-per point, so the output depends neither on chunking nor on the worker count.
+Each grid point is one walk, of which only the final position expectation is computed;
+points are classified winning/losing/neutral by its sign. The schedule is a
+``ScheduleTemplate`` (a coin-parameter sweep), which builds each point's schedule, or one
+fixed schedule (an initial-state sweep). ``check_grid`` checks each axis end and fixed
+value by its parameter's rule, and the walk of a built corner point, before any runs. On a
+shared-schedule grid, whose every point runs the fixed schedule itself (no ``master_seed``
+derives its seeds), the walk is linear in its start, so a point's final <X> is
+|a|^2 E_uu + |b|^2 E_dd + 2 Re(a* b C) in its spinor (a, b), from one two-row walk
+(``evolution._walk``) from |up> and |down> at x0: the rows' <X> and C = sum_x x
+<psi_up(x), psi_down(x)>. On any other grid the points are the rows of one batched walk per
+chunk of consecutive points, read at its end (with ``workers > 1``, on a process pool), and
+each is bit-for-bit its own ``run``; a shared-schedule point agrees with it to rounding.
+Seeds are derived per point, so no output depends on chunking or the worker count.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .evolution import (
     with_derived_seeds,
 )
 from .rng import BOUNDED, FINITE, POINTS, RNG_ALGORITHM, SEED, STEPS, TOLERANCE, Ruled, _check
-from .rng import optional
+from .rng import at_least, optional
 from .state import SPIN_DOWN, BlochCoinState, LatticeGeometry
 
 WINNING = "winning"
@@ -169,17 +171,33 @@ def _point_inputs(grid: GridSpec, v1: float, v2: float, index: int):
     return schedule, bloch
 
 
+def _points(grid: GridSpec, start: int, stop: int):
+    """``_point_inputs`` at flat point indices [start, stop), in order."""
+    v1, v2, count = grid.axis1.values(), grid.axis2.values(), grid.axis2.count
+    return [_point_inputs(grid, float(v1[i // count]), float(v2[i % count]), i)
+            for i in range(start, stop)]
+
+
 def _chunk(args):
     """Final <X> at flat point indices [start, stop), in order."""
     grid, start, stop = args
-    v1, v2, count = grid.axis1.values(), grid.axis2.values(), grid.axis2.count
-    points = [_point_inputs(grid, float(v1[i // count]), float(v2[i % count]), i)
-              for i in range(start, stop)]
+    points = _points(grid, start, stop)
     psi = np.zeros((2, len(points), grid.geometry.n_sites), dtype=np.complex128)
     psi[:, :, grid.geometry.index_of(grid.x0)] = np.array([b.spinor() for _, b in points]).T
     rows = [schedule for schedule, _ in points]
     *_, (moments, _) = _walk(*psi, rows, 0, grid.steps, grid.geometry)  # to its end
     return moments(np.zeros((1, len(rows))))[0]
+
+
+def _shared(grid: GridSpec, count: int):
+    """Final <X> at the ``count`` points of a shared-schedule grid, from two walks."""
+    x = grid.geometry.positions
+    psi = np.eye(2)[..., None] * (x == grid.x0)  # rows |up> and |down> at x0
+    *_, (moments, finals) = _walk(*psi, [grid.schedule] * 2, 0, grid.steps, grid.geometry)
+    (e_uu, e_dd), (up, down) = moments(np.zeros((1, 2)))[0], finals()
+    c = np.vecdot(up[0] * x, up[1]) + np.vecdot(down[0] * x, down[1])  # conjugates the first
+    a, b = np.array([bloch.spinor() for _, bloch in _points(grid, 0, count)]).T
+    return abs(a) ** 2 * e_uu + abs(b) ** 2 * e_dd + 2 * (a.conj() * b * c).real
 
 
 def check_grid(grid: GridSpec) -> None:
@@ -218,10 +236,14 @@ def check_grid(grid: GridSpec) -> None:
 
 
 def _execute(grid: GridSpec, workers: int) -> SweepResult:
+    _check("workers", workers, at_least(1))
     v1, v2 = grid.axis1.values(), grid.axis2.values()
     shape = (grid.axis1.count, grid.axis2.count)
     started = time.perf_counter()
-    expectation = map_batches(_chunk, (grid,), shape[0] * shape[1], workers).reshape(shape)
+    count = shape[0] * shape[1]  # shared: a fixed schedule every point runs itself
+    shared = not callable(grid.schedule) and _points(grid, 0, 1)[0][0] is grid.schedule
+    flat = _shared(grid, count) if shared else map_batches(_chunk, (grid,), count, workers)
+    expectation = flat.reshape(shape)
     classes = np.vectorize(lambda v: classify(v, grid.tie_tolerance), otypes=[object])
     metadata = {
         "runtime_seconds": time.perf_counter() - started,
@@ -258,9 +280,9 @@ def sweep_coin_params(grid: GridSpec, workers: int = 1) -> SweepResult:
 def sweep_initial_state(grid: GridSpec, workers: int = 1) -> SweepResult:
     """Final <X> over the initial-spin Bloch plane (theta, phi).
 
-    The schedule is fixed across the grid; only the localized initial state
-    varies. At theta = 0 or pi the phi angle is an unobservable global phase,
-    so whole rows there are degenerate by construction.
+    The schedule is fixed across the grid; only the localized initial state varies. At
+    theta = 0 or pi phi is an unobservable global phase, so those rows are degenerate. Unless
+    a ``master_seed`` derives each point's seeds, two walks give the whole plane (see above).
     """
     if isinstance(grid.schedule, ScheduleTemplate):  # any other callable fails in check_grid
         raise FieldError("schedule", "initial-state sweeps need a fully fixed schedule")

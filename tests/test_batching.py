@@ -359,21 +359,23 @@ def test_sublattice_kernel_matches_path_sum_and_batches(name):
 
 def test_real_and_complex_starts_share_a_sweep_byte_for_byte():
     # the phi = 0 column starts real but shares its batches with complex starts;
-    # a real walk alone evolves in float64, so each point checks both arithmetics
-    tanh = SiteTanhRotation(-np.pi / 8, np.pi / 4)
-    schedule = Composite(UniformRotation(np.pi / 2), tanh, 2, 1)
+    # a real walk alone evolves in float64, so each point checks both arithmetics. A
+    # master seed derives each point's choice seed: every point is a row of its own
+    schedule = ProbabilisticChoice(COIN_A, COIN_B, 0.5)
     grid = GridSpec(
         axis1=GridAxis("theta", 0.0, np.pi, 5),
         axis2=GridAxis("phi", 0.0, 1.5 * np.pi, 4),
         schedule=schedule,
         steps=60,
         geometry=LatticeGeometry(201),
+        master_seed=13,
     )
     result = sweep_initial_state(grid)
     for i, theta in enumerate(result.axis1_values):
         for j, phi in enumerate(result.axis2_values):
             initial = WalkerState.localized(grid.geometry, BlochCoinState(theta, phi))
-            final = run(initial, schedule, grid.steps).expectation[-1]
+            own = with_derived_seeds(schedule, 13, i * grid.axis2.count + j)
+            final = run(initial, own, grid.steps).expectation[-1]
             assert result.expectation[i, j].tobytes() == final.tobytes()
 
 
@@ -434,7 +436,7 @@ def test_a_walk_read_after_every_step_is_its_run_and_its_chained_steps(name):
     assert down[0].tobytes() == own.final_state.amp_down.tobytes()
 
 
-def test_ensembles_and_sweeps_never_read_final_amplitudes(monkeypatch):
+def test_ensembles_and_per_point_sweeps_never_read_final_amplitudes(monkeypatch):
     def no_finals():
         raise AssertionError("final amplitudes were read")
 

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from parrondoqw import config, sweep
+from parrondoqw import config, ensemble, evolution, sweep
 from parrondoqw import (
     Composite,
     ConfigError,
@@ -17,11 +17,13 @@ from parrondoqw import (
     Single,
     UniformRotation,
     WalkerState,
+    classical_walk,
     config_to_flat,
     dumps_config,
     ensemble_expectation,
     parse_and_validate,
     parse_angle,
+    run,
 )
 from parrondoqw.cli import build_parser, main
 from parrondoqw.config import (
@@ -554,6 +556,39 @@ def test_a_product_of_sizes_past_the_cell_bound_fails_validation(flat, product):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as caught:
         parse_and_validate(None, flat)
     assert caught.value.key == "steps"
+
+
+class _Unreachable:
+    """A module stand-in whose every attribute, and every call, fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"{name} was reached: the run started")
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("the run started")
+
+
+def test_a_library_call_past_the_cell_bound_fails_before_it_allocates(monkeypatch):
+    # the smallest product past the bound of each table a library call keeps; the walk, the
+    # batches and the classical run's numpy fail if reached, so no run of that size starts
+    for name in ("_walk", "_series"):
+        monkeypatch.setattr(evolution, name, _Unreachable())
+    monkeypatch.setattr(ensemble, "map_batches", _Unreachable())
+    monkeypatch.setattr(ensemble, "np", _Unreachable())
+    down = WalkerState.localized(LatticeGeometry(100001))
+    single = Single(UniformRotation(np.pi / 2))
+    calls = {
+        "(steps + 1) x (2 steps + 1) = 7072 x 14143 = 100019296": lambda: classical_walk(7071),
+        "(steps + 1) x sites of record_full = 1000 x 100001 = 100001000":
+            lambda: run(down, single, 999, record_full=True),
+        "iterations x (steps + 1) = 1000000 x 101 = 101000000":
+            lambda: ensemble_expectation(down, single, 100, 1000000, master_seed=1),
+    }
+    for product, call in calls.items():
+        message = f"the run would keep {product} float64 cells, more than {MAX_CELLS}"
+        with pytest.raises(FieldError, match=f"^{re.escape(message)}$") as caught:
+            call()
+        assert caught.value.field == "steps"
 
 
 @pytest.mark.parametrize("flat", [

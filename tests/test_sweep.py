@@ -10,6 +10,7 @@ from parrondoqw import (
     BlochCoinState,
     Composite,
     FieldError,
+    GeneralCoin,
     GeometryTooSmallError,
     GridAxis,
     GridSpec,
@@ -21,6 +22,7 @@ from parrondoqw import (
     RandomPhaseBeta,
     ScheduleTemplate,
     Single,
+    SiteTanhRotation,
     UniformRotation,
     WalkerState,
     classify,
@@ -29,6 +31,8 @@ from parrondoqw import (
     sweep_initial_state,
     with_derived_seeds,
 )
+from parrondoqw import evolution
+from parrondoqw import sweep as sweep_module
 from parrondoqw.sweep import check_grid
 
 
@@ -175,18 +179,94 @@ def test_initial_sweep_pole_rows_phi_independent():
         assert spread < 1e-10
 
 
-def test_a_phi_just_below_zero_is_the_point_at_phi_zero():
+def phi_just_below_zero(schedule, **kwargs):
     # linspace puts -1.1e-16 at index 10, whose % 2*pi rounds to 2*pi, off the [0, 2*pi)
     # range of BlochCoinState: once a FieldError mid-run
-    grid = bloch_grid(Single(UniformRotation(np.pi / 2)))
+    grid = bloch_grid(schedule, **kwargs)
     grid.axis2 = GridAxis("phi", -1.0, 0.7, 18)
     phi = grid.axis2.values()[10]
     assert -1e-15 < phi < 0 and phi % (2 * np.pi) == 2 * np.pi
+    return grid
+
+
+def test_a_phi_just_below_zero_is_the_point_at_phi_zero():
+    grid = phi_just_below_zero(Single(UniformRotation(np.pi / 2)))
+    res = sweep_initial_state(grid)
+    grid.axis2 = GridAxis("phi", 0.0, 0.7, 2)  # the same sweep's phi = 0 column
+    at_zero = sweep_initial_state(grid).expectation[:, 0]
+    assert res.expectation[:, 10].tobytes() == at_zero.tobytes()
+    assert res.expectation[1, 10] != res.expectation[1, 0]  # at theta = pi/2, phi matters
+
+
+def test_a_phi_just_below_zero_is_the_point_at_phi_zero_on_a_seeded_grid():
+    schedule = ProbabilisticChoice(UniformRotation(np.pi / 2), RandomPhaseAlpha(), 0.5)
+    grid = phi_just_below_zero(schedule, master_seed=4)
     res = sweep_initial_state(grid)
     for i, theta in enumerate(res.axis1_values):
         start = WalkerState.localized(grid.geometry, BlochCoinState(theta, 0.0))
-        assert res.expectation[i, 10] == run(start, grid.schedule, grid.steps).expectation[-1]
-    assert res.expectation[1, 10] != res.expectation[1, 0]  # at theta = pi/2, phi matters
+        own = with_derived_seeds(schedule, 4, i * grid.axis2.count + 10)
+        assert res.expectation[i, 10] == run(start, own, grid.steps).expectation[-1]
+    assert res.expectation[1, 10] != res.expectation[1, 0]
+
+
+TANH = SiteTanhRotation(-np.pi / 8, np.pi / 4)
+COMPLEX = GeneralCoin(0.3, 1.0, 2.0)
+# a schedule of each kind, with real coins and with complex ones; the choice and the
+# random-phase coins carry seeds of their own, so every point of a grid runs the same walk
+SHARED = {
+    "single_real": Single(UniformRotation(np.pi / 2)),
+    "single_complex": Single(COMPLEX),
+    "composite_real": Composite(UniformRotation(np.pi / 2), TANH, 2, 2),
+    "composite_complex": Composite(COMPLEX, TANH, 2, 1),
+    "interleaved_real": Composite(UniformRotation(1.0), TANH, 2, 1, True),
+    "interleaved_complex": Composite(COMPLEX, UniformRotation(0.5), 1, 2, True),
+    "alternating_real": AlternatingEvenOdd(UniformRotation(1.0), TANH),
+    "alternating_complex": AlternatingEvenOdd(COMPLEX, TANH),
+    "choice_real": ProbabilisticChoice(UniformRotation(np.pi / 2), TANH, 0.5, seed=5),
+    "choice_complex": ProbabilisticChoice(COMPLEX, TANH, 0.3, seed=6),
+    "random_phase": AlternatingEvenOdd(RandomPhaseAlpha(seed=3), RandomPhaseBeta(seed=4)),
+    "random_phase_choice": ProbabilisticChoice(RandomPhaseAlpha(seed=7), TANH, 0.5, seed=8),
+}
+
+
+@pytest.mark.parametrize("x0", [0, 3])
+@pytest.mark.parametrize("schedule", SHARED.values(), ids=SHARED.keys())
+def test_a_shared_schedule_point_is_its_own_run_to_rounding(schedule, x0, monkeypatch):
+    paths = []
+    for name in ("_shared", "map_batches"):
+        original = getattr(sweep_module, name)
+        monkeypatch.setattr(sweep_module, name,
+                            lambda *a, f=original, n=name: paths.append(n) or f(*a))
+    # phi runs past 2*pi and below 0: each point's spinor is that of its wrapped phi
+    grid = bloch_grid(schedule, count_theta=4, count_phi=5, steps=12, n=81, x0=x0)
+    grid.axis2 = GridAxis("phi", -1.0, 7.0, 5)
+    res = sweep_initial_state(grid)
+    assert paths == ["_shared"]
+    for i, theta in enumerate(res.axis1_values):
+        for j, phi in enumerate(res.axis2_values):
+            start = WalkerState.localized(grid.geometry,
+                                          BlochCoinState(theta, phi % (2 * np.pi)), x0)
+            own = run(start, schedule, grid.steps).expectation[-1]
+            assert abs(res.expectation[i, j] - own) <= 1e-12 * max(1.0, abs(own))
+    again = sweep_initial_state(grid, workers=2)
+    assert again.expectation.tobytes() == res.expectation.tobytes()
+    # a master seed derives each point's seeds where the schedule has seed slots
+    seeded = bloch_grid(schedule, steps=12, n=81, x0=x0, master_seed=2)
+    paths.clear()
+    sweep_initial_state(seeded)
+    assert paths == (["map_batches"] if evolution._seed_slots(schedule) else ["_shared"])
+
+
+def test_every_sweep_path_checks_workers():
+    # a coin sweep, a shared-schedule plane and a plane of per-point seeds
+    cases = [(sweep_coin_params, coin_grid(ScheduleTemplate("single_b"))),
+             (sweep_initial_state, bloch_grid(SHARED["composite_real"])),
+             (sweep_initial_state, bloch_grid(SHARED["random_phase"], master_seed=1))]
+    for sweep, grid in cases:
+        for workers in (0, -1, True):
+            with pytest.raises(FieldError, match="^workers must be an integer >= 1") as caught:
+                sweep(grid, workers=workers)
+            assert caught.value.field == "workers"
 
 
 def test_an_axis_whose_span_overflows_is_rejected():
