@@ -108,17 +108,20 @@ test "$status" -eq 1
 # every validation error fails with exit 1 and starts with its key: a value its type
 # cannot parse, a key the mode does not read, a value a field's rule rejects (the
 # ensemble fails before the first of its 1e7 walker-steps), a size past its bound, a
-# light cone wider than the lattice (the one pre-run check, which names sites) and a
-# sweep's fixed coin angle out of range (its grid key)
+# light cone wider than the lattice (the one pre-run check, which names sites), a
+# sweep's fixed coin angle out of range (its grid key) and a repeat count single_b has
+# no use for
 sed 's/^grid\.fixed\.theta_a = .*/grid.fixed.theta_a = 7/' \
   recipes/sweep_tanh_plane_composite_2_1.cfg > "$tmp/fixed.cfg"
+sed 's/^sweep\.m = .*/sweep.m = 3/' recipes/sweep_tanh_plane_single_b.cfg > "$tmp/single_b.cfg"
 for bad in "classical --steps abc:steps" \
            "walk --config recipes/walk_spin_down.cfg --iterations 5:iterations" \
            "classical --steps -1:steps" \
            "ensemble --config recipes/probabilistic_mix_q50.cfg --workers 0:workers" \
            "walk --config recipes/walk_spin_down.cfg --sites 99999999999999999999:sites" \
            "walk --config recipes/walk_spin_down.cfg --steps 101:sites" \
-           "sweep-coin --config $tmp/fixed.cfg:grid.fixed.theta_a"; do
+           "sweep-coin --config $tmp/fixed.cfg:grid.fixed.theta_a" \
+           "sweep-coin --config $tmp/single_b.cfg:sweep.m"; do
   status=0
   # shellcheck disable=SC2086  # the case's words are the command's arguments
   "${cli[@]}" ${bad%:*} --out "$tmp/bad" 2> "$tmp/bad.err" || status=$?

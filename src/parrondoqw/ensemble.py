@@ -155,9 +155,7 @@ def variance_scaling_exponent(
     _check("t_min", t_min, at_least(1))  # log t is undefined at 0
     _check("t_max", t_max, at_least(1))
     if t_max >= len(variance):
-        raise ValueError(
-            f"t_max={t_max} beyond the series (length {len(variance)})"
-        )
+        raise FieldError("t_max", f"t_max={t_max} beyond the series (length {len(variance)})")
     if t_max < t_min:
         raise FieldError("t_max", f"t_max must be >= t_min, got t_min={t_min}, t_max={t_max}")
     n_points = t_max - t_min + 1
@@ -167,7 +165,7 @@ def variance_scaling_exponent(
         )
     window = variance[t_min : t_max + 1]
     if np.any(window <= 0.0):
-        raise ValueError("variance must be strictly positive on the fit window")
+        raise FieldError("variance", "variance must be strictly positive on the fit window")
     t = np.arange(t_min, t_max + 1, dtype=float)
     slope, _ = np.polyfit(np.log(t), np.log(window), 1)
     return float(slope)

@@ -49,6 +49,12 @@ class LatticeGeometry:
         return int(x) + self.half_span
 
 
+def bloch_spinor(theta, phi) -> np.ndarray:
+    """(up, down) amplitudes of ``BlochCoinState``s, stacked: (2, *shape) for angle arrays."""
+    half = 0.5 * np.asarray(theta)
+    return np.array([np.cos(half) + 0j, np.exp(1j * np.asarray(phi)) * np.sin(half)])
+
+
 @dataclass(frozen=True)
 class BlochCoinState(Ruled):
     """Initial spin state cos(theta/2)|up> + e^{i phi} sin(theta/2)|down>."""
@@ -61,8 +67,7 @@ class BlochCoinState(Ruled):
 
     def spinor(self) -> tuple[complex, complex]:
         """Unit spinor (amplitude_up, amplitude_down)."""
-        half = 0.5 * self.theta
-        return complex(np.cos(half)), complex(np.exp(1j * self.phi) * np.sin(half))
+        return tuple(map(complex, bloch_spinor(self.theta, self.phi)))
 
 
 SPIN_UP = BlochCoinState(theta=0.0)

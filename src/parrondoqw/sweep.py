@@ -2,17 +2,17 @@
 
 Each grid point is one walk, of which only the final position expectation is computed;
 points are classified winning/losing/neutral by its sign. The schedule is a
-``ScheduleTemplate`` (a coin-parameter sweep), which builds each point's schedule, or one
-fixed schedule (an initial-state sweep). ``check_grid`` checks each axis end and fixed
-value by its parameter's rule, and the walk of a built corner point, before any runs. On a
-shared-schedule grid, whose every point runs the fixed schedule itself (no ``master_seed``
-derives its seeds), the walk is linear in its start, so a point's final <X> is
-|a|^2 E_uu + |b|^2 E_dd + 2 Re(a* b C) in its spinor (a, b), from one two-row walk
-(``evolution._walk``) from |up> and |down> at x0: the rows' <X> and C = sum_x x
-<psi_up(x), psi_down(x)>. On any other grid the points are the rows of one batched walk per
-chunk of consecutive points, read at its end (with ``workers > 1``, on a process pool), and
-each is bit-for-bit its own ``run``; a shared-schedule point agrees with it to rounding.
-Seeds are derived per point, so no output depends on chunking or the worker count.
+``ScheduleTemplate`` (a coin-parameter sweep) or one fixed schedule (an initial-state
+sweep). ``check_grid`` checks each axis end and fixed value by its parameter's rule, and
+the walk of a built corner point, before any runs. Points are built from the axis arrays:
+a template's schedules, one per point, or all spinors at once from the Bloch angles, phi
+wrapped into [0, 2*pi). On a shared-schedule grid, whose every point runs the fixed
+schedule itself, the walk is linear in its start: a point's final <X> is |a|^2 E_uu +
+|b|^2 E_dd + 2 Re(a* b C) in its spinor (a, b), from one two-row walk from |up> and |down>
+at x0, with C = sum_x x <psi_up(x), psi_down(x)>. On any other grid the points are the rows
+of one batched walk per chunk (with ``workers > 1``, on a process pool), each bit-for-bit
+its own ``run``; a shared-schedule point agrees with it to rounding. Seeds are derived per
+point, so no output depends on chunking or the worker count.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .evolution import (
 )
 from .rng import BOUNDED, FINITE, POINTS, RNG_ALGORITHM, SEED, STEPS, TOLERANCE, Ruled, _check
 from .rng import at_least, optional
-from .state import SPIN_DOWN, BlochCoinState, LatticeGeometry
+from .state import SPIN_DOWN, BlochCoinState, LatticeGeometry, bloch_spinor
 
 WINNING = "winning"
 LOSING = "losing"
@@ -51,16 +51,14 @@ COIN_PARAMETERS = {"theta_a": UniformRotation.rules["theta"],
 BLOCH_PARAMETERS = {"theta": BlochCoinState.rules["theta"], "phi": FINITE}
 
 _TWO_PI = 2.0 * np.pi
+_CLASSES = np.array([NEUTRAL, WINNING, LOSING], dtype=object)
 
 
-def classify(expectation: float, tie_tolerance: float = 1e-9) -> str:
-    """Sign of the final position expectation, with a dead zone for ties."""
+def classify(expectation, tie_tolerance: float = 1e-9) -> str | np.ndarray:
+    """The class of each final position expectation by its sign, with a dead zone for ties."""
     _check("tie_tolerance", tie_tolerance, TOLERANCE)
-    if expectation > tie_tolerance:
-        return WINNING
-    if expectation < -tie_tolerance:
-        return LOSING
-    return NEUTRAL
+    value = np.asarray(expectation)
+    return _CLASSES[(value > tie_tolerance) + 2 * (value < -tie_tolerance)]
 
 
 @dataclass(frozen=True)
@@ -98,6 +96,9 @@ class ScheduleTemplate(Ruled):
         super().__post_init__()
         if self.kind == "composite":  # Composite's rule across m and n, where it is stated
             Composite(UniformRotation(0.0), UniformRotation(0.0), self.m, self.n)
+        elif self.m or self.n:  # one coin, so nothing for m or n to repeat
+            raise FieldError("m" if self.m else "n", "single_b takes no m or n: both must "
+                             f"be 0, got m={self.m!r}, n={self.n!r}")
 
     def required_parameters(self) -> tuple[str, ...]:
         if self.kind == "single_b":
@@ -149,42 +150,39 @@ class SweepResult:
     metadata: dict
 
 
-def _point_inputs(grid: GridSpec, v1: float, v2: float, index: int):
-    """Schedule and initial spin at one grid point.
-
-    A template schedule makes this a coin-parameter point; a fixed schedule
-    makes it an initial-state point.
-    """
-    params = dict(grid.fixed)
-    params[grid.axis1.name] = v1
-    params[grid.axis2.name] = v2
-    schedule, bloch = grid.schedule, grid.initial
-    if isinstance(schedule, ScheduleTemplate):
-        schedule = schedule(params)
-    else:
-        # 2*pi is the same physical phase as 0; wrap so closed grids are allowed. A tiny
-        # negative phi wraps to 2*pi - 1e-16, which rounds to 2*pi: the second % makes it 0.
-        phi = float(params["phi"]) % _TWO_PI % _TWO_PI
-        bloch = BlochCoinState(theta=float(params["theta"]), phi=phi)
-    if grid.master_seed is not None and _seed_slots(schedule):
-        schedule = with_derived_seeds(schedule, grid.master_seed, index)
-    return schedule, bloch
+def _shares_schedule(grid: GridSpec) -> bool:
+    """Whether every point runs the fixed schedule itself: no master_seed seeds a slot."""
+    return not callable(grid.schedule) and (grid.master_seed is None
+                                            or not _seed_slots(grid.schedule))
 
 
-def _points(grid: GridSpec, start: int, stop: int):
-    """``_point_inputs`` at flat point indices [start, stop), in order."""
-    v1, v2, count = grid.axis1.values(), grid.axis2.values(), grid.axis2.count
-    return [_point_inputs(grid, float(v1[i // count]), float(v2[i % count]), i)
-            for i in range(start, stop)]
+def _points(grid: GridSpec, index: np.ndarray) -> tuple[list, np.ndarray]:
+    """Schedules and (2, R or 1) start spinors at the R flat point indices ``index``: a
+    template's points start in ``grid.initial``, a fixed schedule's at their Bloch angles."""
+    rows, cols = np.divmod(index, grid.axis2.count)
+    values = {grid.axis1.name: grid.axis1.values()[rows],
+              grid.axis2.name: grid.axis2.values()[cols]}
+    if isinstance(grid.schedule, ScheduleTemplate):  # its coins have no seed slots
+        params, schedules = dict(grid.fixed), []  # one map, each point's values in turn
+        for point in zip(*(v.tolist() for v in values.values())):
+            params.update(zip(values, point))
+            schedules.append(grid.schedule(params))
+        return schedules, bloch_spinor(grid.initial.theta, grid.initial.phi)[:, None]
+    # 2*pi is the same physical phase as 0; wrap so closed grids are allowed. A tiny
+    # negative phi wraps to 2*pi - 1e-16, which rounds to 2*pi: the second % makes it 0.
+    spinors = bloch_spinor(values["theta"], values["phi"] % _TWO_PI % _TWO_PI)
+    if _shares_schedule(grid):
+        return [grid.schedule] * len(index), spinors
+    return ([with_derived_seeds(grid.schedule, grid.master_seed, i) for i in index.tolist()],
+            spinors)
 
 
 def _chunk(args):
     """Final <X> at flat point indices [start, stop), in order."""
     grid, start, stop = args
-    points = _points(grid, start, stop)
-    psi = np.zeros((2, len(points), grid.geometry.n_sites), dtype=np.complex128)
-    psi[:, :, grid.geometry.index_of(grid.x0)] = np.array([b.spinor() for _, b in points]).T
-    rows = [schedule for schedule, _ in points]
+    rows, spinors = _points(grid, np.arange(start, stop))
+    psi = np.zeros((2, len(rows), grid.geometry.n_sites), dtype=np.complex128)
+    psi[:, :, grid.geometry.index_of(grid.x0)] = spinors
     *_, (moments, _) = _walk(*psi, rows, 0, grid.steps, grid.geometry)  # to its end
     return moments(np.zeros((1, len(rows))))[0]
 
@@ -196,7 +194,7 @@ def _shared(grid: GridSpec, count: int):
     *_, (moments, finals) = _walk(*psi, [grid.schedule] * 2, 0, grid.steps, grid.geometry)
     (e_uu, e_dd), (up, down) = moments(np.zeros((1, 2)))[0], finals()
     c = np.vecdot(up[0] * x, up[1]) + np.vecdot(down[0] * x, down[1])  # conjugates the first
-    a, b = np.array([bloch.spinor() for _, bloch in _points(grid, 0, count)]).T
+    a, b = _points(grid, np.arange(count))[1]
     return abs(a) ** 2 * e_uu + abs(b) ** 2 * e_dd + 2 * (a.conj() * b * c).real
 
 
@@ -231,20 +229,20 @@ def check_grid(grid: GridSpec) -> None:
             raise FieldError(f"fixed.{name}",
                              f"fixed.{name} is not a coin parameter left free by the axes")
         _check(f"fixed.{name}", value, rules[name])
-    schedule, _ = _point_inputs(grid, grid.axis1.lower, grid.axis2.lower, 0)
-    _check_walk([schedule], grid.geometry, grid.steps, grid.x0)  # every point's cone and slots
+    schedules, _ = _points(grid, np.arange(1))
+    _check_walk(schedules, grid.geometry, grid.steps, grid.x0)  # every point's cone and slots
 
 
 def _execute(grid: GridSpec, workers: int) -> SweepResult:
+    check_grid(grid)
     _check("workers", workers, at_least(1))
     v1, v2 = grid.axis1.values(), grid.axis2.values()
     shape = (grid.axis1.count, grid.axis2.count)
     started = time.perf_counter()
-    count = shape[0] * shape[1]  # shared: a fixed schedule every point runs itself
-    shared = not callable(grid.schedule) and _points(grid, 0, 1)[0][0] is grid.schedule
-    flat = _shared(grid, count) if shared else map_batches(_chunk, (grid,), count, workers)
+    count = shape[0] * shape[1]
+    flat = (_shared(grid, count) if _shares_schedule(grid)
+            else map_batches(_chunk, (grid,), count, workers))
     expectation = flat.reshape(shape)
-    classes = np.vectorize(lambda v: classify(v, grid.tie_tolerance), otypes=[object])
     metadata = {
         "runtime_seconds": time.perf_counter() - started,
         "workers": workers,
@@ -257,7 +255,7 @@ def _execute(grid: GridSpec, workers: int) -> SweepResult:
         axis1_values=v1,
         axis2_values=v2,
         expectation=expectation,
-        classification=classes(expectation),
+        classification=classify(expectation, grid.tie_tolerance),
         grid=grid,
         metadata=metadata,
     )
@@ -273,7 +271,6 @@ def sweep_coin_params(grid: GridSpec, workers: int = 1) -> SweepResult:
     if not callable(grid.schedule):  # any other callable fails in check_grid
         raise FieldError("schedule", "coin-parameter sweeps need a schedule template, "
                                      "not a fixed schedule")
-    check_grid(grid)
     return _execute(grid, workers)
 
 
@@ -286,5 +283,4 @@ def sweep_initial_state(grid: GridSpec, workers: int = 1) -> SweepResult:
     """
     if isinstance(grid.schedule, ScheduleTemplate):  # any other callable fails in check_grid
         raise FieldError("schedule", "initial-state sweeps need a fully fixed schedule")
-    check_grid(grid)
     return _execute(grid, workers)

@@ -371,6 +371,11 @@ INVALID = {
     "sweep_negative_m": (sweep_coin_flat(**{"sweep.m": "-1"}), "sweep.m"),
     "sweep_composite_of_no_coins": (sweep_coin_flat(**{"sweep.m": "0", "sweep.n": "0"}),
                                     "sweep.m"),
+    # single_b has one coin: an m or n it would ignore, once echoed and run as single_b
+    "sweep_single_b_with_m_and_n": (sweep_coin_flat(**{
+        "sweep.family": "single_b", "sweep.m": "3", "sweep.n": "7"}), "sweep.m"),
+    "sweep_single_b_with_n": (sweep_coin_flat(**{
+        "sweep.family": "single_b", "sweep.m": "0", "sweep.n": "7"}), "sweep.n"),
     "fixed_out_of_range": (sweep_coin_flat(**{"grid.fixed.theta_a": "7"}),
                            "grid.fixed.theta_a"),
     # keys the chosen kind does not have

@@ -174,6 +174,22 @@ def test_exponent_rejects_nonpositive_window():
         variance_scaling_exponent(series, 5, 20)
 
 
+def test_exponent_names_a_nonpositive_window_by_its_variance():
+    series = np.ones(30)
+    series[12] = -1.0
+    with pytest.raises(FieldError, match="^variance must be strictly positive on the fit "
+                                         "window$") as caught:
+        variance_scaling_exponent(series, 5, 20)
+    assert caught.value.field == "variance"
+
+
+def test_exponent_names_a_window_past_the_series_by_t_max():
+    with pytest.raises(FieldError, match=r"^t_max=20 beyond the series \(length 20\)$"
+                       ) as caught:
+        variance_scaling_exponent(np.ones(20), 1, 20)
+    assert caught.value.field == "t_max"
+
+
 def test_worker_count_does_not_change_results():
     # several pool chunks per run: 64 iterations and 16 points per chunk
     schedule = ProbabilisticChoice(COIN_A, RandomPhaseAlpha(), 0.5)

@@ -48,6 +48,19 @@ def test_classify_signs():
             classify(5.0, tolerance)
 
 
+def test_classify_of_an_array_is_classify_of_each_cell():
+    tie = 1e-9
+    cells = np.array([[tie, -tie, np.nextafter(tie, 1), np.nextafter(-tie, -1)],
+                      [np.nan, 0.0, -0.0, np.inf], [-np.inf, 3.7, -3.7, 5e-10]])
+    classes = classify(cells, tie)
+    assert classes.shape == cells.shape and classes.dtype == object
+    for cell, name in zip(cells.flat, classes.flat):
+        own = classify(float(cell), tie)
+        assert type(own) is str and name == own
+    assert classify(np.float64(np.nan), tie) == NEUTRAL
+    assert classes.tolist()[0] == [NEUTRAL, NEUTRAL, WINNING, LOSING]
+
+
 def test_grid_axis_closed_endpoints():
     ax = GridAxis("theta_a", -np.pi, np.pi, 5)
     v = ax.values()
@@ -255,6 +268,34 @@ def test_a_shared_schedule_point_is_its_own_run_to_rounding(schedule, x0, monkey
     paths.clear()
     sweep_initial_state(seeded)
     assert paths == (["map_batches"] if evolution._seed_slots(schedule) else ["_shared"])
+
+
+def test_the_spinors_of_a_plane_are_each_points_own_byte_for_byte():
+    grid = bloch_grid(SHARED["single_real"], count_theta=101, count_phi=101)
+    grid.axis2 = GridAxis("phi", -1.0, 7.0, 101)
+    schedules, spinors = sweep_module._points(grid, np.arange(101 * 101))
+    assert schedules == [grid.schedule] * 101 * 101 and spinors.shape == (2, 101 * 101)
+    thetas, phis = np.meshgrid(grid.axis1.values(), grid.axis2.values(), indexing="ij")
+    own = [BlochCoinState(theta, phi % (2 * np.pi)).spinor()
+           for theta, phi in zip(thetas.flat, phis.flat)]
+    assert spinors.tobytes() == np.array(own).T.tobytes()
+
+
+@pytest.mark.parametrize("schedule, master_seed, path", [
+    (AlternatingEvenOdd(RandomPhaseAlpha(), RandomPhaseBeta()), 9, "map_batches"),
+    (SHARED["random_phase"], None, "_shared"),
+], ids=["seeded", "shared"])
+def test_an_initial_state_sweep_builds_no_bloch_state_per_point(schedule, master_seed, path,
+                                                                monkeypatch):
+    grid = bloch_grid(schedule, count_theta=5, count_phi=5, master_seed=master_seed)
+    built, paths = [], []
+    monkeypatch.setattr(BlochCoinState, "__post_init__", built.append)
+    for name in ("_shared", "map_batches"):
+        original = getattr(sweep_module, name)
+        monkeypatch.setattr(sweep_module, name,
+                            lambda *a, f=original, n=name: paths.append(n) or f(*a))
+    assert sweep_initial_state(grid).expectation.shape == (5, 5)
+    assert paths == [path] and built == []
 
 
 def test_every_sweep_path_checks_workers():
