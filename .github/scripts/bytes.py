@@ -8,13 +8,16 @@ with ``PYTHONPATH=<tree>/src``. Both trees run the same configs from directories
 the same layout, so output paths in stdout and the sidecars read alike. Per recipe,
 the exit code, stdout and stderr must be equal, every CSV byte for byte, and every JSON
 sidecar as JSON apart from its top-level and ``sweep`` ``runtime_seconds``. A CSV that
-differs is reported with the max |diff| of its numeric cells and the number of
-changed text cells (a sweep's classes). The exit status is 1 on any difference.
+differs is reported with the max |diff| of the numeric cells of each column that differs,
+by its header name, and the number of changed text cells (a sweep's classes); a stdout or
+stderr that differs, with its first differing line from each tree. The exit status is 1
+on any difference.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -79,25 +82,39 @@ def sidecar(path: Path) -> dict:
 
 
 def csv_diff(a: Path, b: Path) -> str:
-    """How two CSVs differ: their max |diff| over numeric cells, the changed text cells."""
+    """How two CSVs differ: the max |diff| over the numeric cells of each column that
+    differs, by its name in ``a``'s header, then the changed text cells."""
     with open(a, newline="") as fa, open(b, newline="") as fb:
         rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
     if [len(row) for row in rows_a] != [len(row) for row in rows_b]:
         return "tables of different shapes"
-    worst, changed = 0.0, 0
+    worst, changed = {}, 0  # worst: column index -> its max |diff|
     for row_a, row_b in zip(rows_a, rows_b):
-        for x, y in zip(row_a, row_b):
+        for i, (x, y) in enumerate(zip(row_a, row_b)):
+            if x == y:
+                continue
             try:
-                worst = max(worst, abs(float(x) - float(y)))
+                diff = abs(float(x) - float(y))
             except ValueError:  # a text cell: a column name or a class
-                changed += x != y
-    return f"max |diff| {worst:.3g}, {changed} text cells changed"
+                changed += 1
+            else:
+                worst[i] = max(worst.get(i, 0.0), diff)
+    columns = ", ".join(f"{rows_a[0][i]} {worst[i]:.3g}" for i in sorted(worst)) or "0"
+    return f"max |diff| {columns}; {changed} text cells changed"
+
+
+def text_diff(what: str, old: str, new: str) -> str:
+    """``what`` (stdout or stderr) differs: its first differing line, from each tree."""
+    pairs = itertools.zip_longest(old.splitlines(True), new.splitlines(True))
+    line, (x, y) = next((i, p) for i, p in enumerate(pairs, 1) if p[0] != p[1])
+    return f"{what} differs at line {line}: parent {x!r}, tree {y!r}"
 
 
 def compare(old: list, new: list, dir_a: Path, dir_b: Path) -> list[str]:
     """The differences between one recipe's two runs, one line each."""
-    found = [f"{what} differs" for what, x, y in zip(("exit code", "stdout", "stderr"),
-                                                      old, new) if x != y]
+    found = ["exit code differs"] if old[0] != new[0] else []
+    found += [text_diff(what, x, y)
+              for what, x, y in zip(("stdout", "stderr"), old[1:], new[1:]) if x != y]
     names = {p.name for d in (dir_a, dir_b) if d.is_dir() for p in d.iterdir()}
     for file in sorted(names):
         a, b = dir_a / file, dir_b / file

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DegenerateEnsembleWarning, FieldError, InsufficientDataError
 from .evolution import (
+    SCHEDULE,
     StrategySchedule,
     _seed_slots,
     _series,
@@ -64,6 +65,7 @@ def ensemble_expectation(
     schedule with no randomness is allowed but warns: all iterations are
     then identical.
     """
+    _check("schedule", schedule, SCHEDULE)
     _check("iterations", iterations, ITERATIONS)
     check_cells("iterations x (steps + 1)", iterations, _check("steps", steps, STEPS) + 1)
     if _check("seed", master_seed, optional(SEED)) is None and _seed_slots(schedule):
@@ -164,6 +166,8 @@ def variance_scaling_exponent(
             f"fit window [{t_min}, {t_max}] has {n_points} points; need at least 5"
         )
     window = variance[t_min : t_max + 1]
+    if not np.isfinite(window).all():
+        raise FieldError("variance", "variance must be finite on the fit window")
     if np.any(window <= 0.0):
         raise FieldError("variance", "variance must be strictly positive on the fit window")
     t = np.arange(t_min, t_max + 1, dtype=float)

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Union
+from functools import reduce
+from typing import Union, get_args
 
 import numpy as np
 
@@ -38,6 +39,8 @@ from .state import LatticeGeometry, WalkerState
 # and each plan multiplies them (an interleaved step also shifts after each), so a count
 # costs every walk time and memory; the paper's games repeat a coin once or twice.
 MAX_REPEATS = 1000
+# A schedule's coin field: a spec instance, not its class or name, so that a walk can read it.
+COIN = get_args(CoinSpec), lambda v: True, "be a coin spec instance, e.g. UniformRotation(1)"
 
 
 class _Schedule(Ruled):
@@ -48,6 +51,7 @@ class _Schedule(Ruled):
 
     order = staticmethod(lambda p: ((0,),))  # one coin a step: a Single's, a choice's pick
     coins = property(lambda self: (self.a, self.b))
+    rules = {"a": COIN, "b": COIN}
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,7 @@ class Single(_Schedule):
     spec: CoinSpec
 
     coins = property(lambda self: (self.spec,))
+    rules = {"spec": COIN}
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,8 @@ class Composite(_Schedule):
     n: int
     interleaved: bool = False
 
-    rules = {"m": integer_in(0, MAX_REPEATS), "n": integer_in(0, MAX_REPEATS)}
+    rules = {**_Schedule.rules, "m": integer_in(0, MAX_REPEATS),
+             "n": integer_in(0, MAX_REPEATS)}
 
     def __post_init__(self):
         super().__post_init__()
@@ -105,10 +111,12 @@ class ProbabilisticChoice(_Schedule):
     q: float
     seed: int | None = None
 
-    rules = {"q": PROBABILITY, "seed": optional(SEED)}
+    rules = {**_Schedule.rules, "q": PROBABILITY, "seed": optional(SEED)}
 
 
 StrategySchedule = Union[Single, Composite, AlternatingEvenOdd, ProbabilisticChoice]
+SCHEDULE = ((_Schedule,), lambda v: True,
+            "be a Single, Composite, AlternatingEvenOdd or ProbabilisticChoice")
 
 
 @dataclass
@@ -164,7 +172,10 @@ def _check_walk(rows, geometry: LatticeGeometry, steps: int, x0=0, clip=False) -
     """Before any coin, on built schedules: ``steps`` passes its rule, the start ``x0`` is a
     site (else an ``InvalidPositionError``), unless ``clip`` the light cone (see ``reach``) of
     ``steps`` steps of ``rows[0]`` from it fits (a ``GeometryTooSmallError`` naming ``sites``),
-    and every seed slot of every row has a seed (a ``MissingRandomnessError``, its field)."""
+    and every seed slot of every row has a seed (a ``MissingRandomnessError``, its field);
+    first, that every row is a schedule (a ``FieldError`` naming ``schedule``)."""
+    for row in rows:
+        _check("schedule", row, SCHEDULE)
     _check("steps", steps, STEPS)
     geometry.index_of(x0, "x0")
     furthest, half = reach(abs(x0), rows[0], steps), geometry.half_span
@@ -211,18 +222,20 @@ def _fold(coins):
 def _plan(rows, n_sites: int, t: int, stop: int):
     """The stages of steps t to stop - 1, or to the end of t's block (draws come a block
     at a time), per parity (None for a parity no step has): for each shift, the coins (see
-    ``_read``) applied before it, in order and folded; then True if every table is float64."""
+    ``_read``) applied before it, in order and folded; then per row, if its tables are real."""
     first, specs = rows[0], list(zip(*(row.coins for row in rows)))
     end = min(stop, (t // _BLOCK + 1) * _BLOCK)  # the window: steps t to end - 1
-    if not isinstance(first, ProbabilisticChoice):
-        orders = {first.order(u % 2) for u in range(t, min(stop, t + 2))}
-        coins = {i: _coin(specs[i], n_sites, t, end) for o in orders for g in o for i in g}
+    orders = {first.order(u % 2) for u in range(t, min(stop, t + 2))}
+    choice = isinstance(first, ProbabilisticChoice)  # its one coin is a pick of both
+    used = (0, 1) if choice else {i for o in orders for g in o for i in g}
+    coins = {i: _coin(specs[i], n_sites, t, end) for i in used}
+    real = reduce(np.logical_and, (tab.dtype == np.float64 or on != "steps" and  # as alone
+                                   ~tab.imag.any((0, 1, 3)) for tab, on in coins.values()))
+    if not choice:
         plans = {o: [[_read(*coin) for coin in _fold([coins[i] for i in stage])]
                      for stage in o] for o in orders}
-        real = all(table.dtype == np.float64 for table, _ in coins.values())
         return [plans.get(first.order(p)) for p in (0, 1)], real
-    (a, ax), (b, bx) = (_coin(s, n_sites, t, end) for s in specs)
-    real = np.result_type(a, b) == np.float64
+    (a, ax), (b, bx) = coins.values()
     # the one coin: a where the draw is below q, else b; with a random-phase coin, a blend
     pick = _draws([row.seed for row in rows], TAG_CHOICE, t, end) < [[row.q] for row in rows]
     if "steps" in (ax, bx):
@@ -252,24 +265,25 @@ def _walk(up, down, rows, t0: int, steps: int, geometry: LatticeGeometry, clip=F
     the down view right by 2 / s columns. Each stage of a step (see ``_plan``) mixes its coins
     and then shifts. ``_check_walk`` runs first, from the occupied site furthest from the
     centre; with ``clip``, amplitude shifted off the lattice is checked and dropped instead of
-    the cone. A real start under real coin tables runs in float64, with the bytes complex128
-    gives. A row's bytes are those of its ``run``."""
-    for i, row in enumerate(rows):
-        key = (type(row), row.order(0), *map(type, row.coins))
-        if key != (shape := shape if i else key):
-            raise ValueError(f"row {i} ({row!r}) differs in shape from row 0 ({rows[0]!r})")
+    the cone. A real start under real coin tables runs in float64, and a complex batch reads
+    such a row as one (see ``moments``): a row's bytes are those of its ``run``."""
     n, half = geometry.n_sites, geometry.half_span
     occupied = up.any(axis=0) | down.any(axis=0)
     occupied[half] |= not occupied.any()  # an all-zero state evolves the centre column
     a0, a1 = int(occupied.argmax()), n - int(occupied[::-1].argmax())
     _check_walk(rows, geometry, steps, max(a0 - half, a1 - 1 - half, key=abs), clip)
+    for i, row in enumerate(rows):
+        key = (type(row), row.order(0), *map(type, row.coins))
+        if key != (shape := shape if i else key):
+            raise ValueError(f"row {i} ({row!r}) differs in shape from row 0 ({rows[0]!r})")
     # a 0-step walk reads no plan: it draws nothing and takes its dtype from the starts
-    start, (plan, real) = t0, _plan(rows, n, t0, t0 + steps) if steps else (None, True)
+    start, (plan, reals) = t0, _plan(rows, n, t0, t0 + steps) if steps else (None, True)
     s = 1 if occupied[a0 + 1 : a1 : 2].any() else 2
     grow = 2 // s
     lo, c = a0, (a1 - 1 - a0) // s + 1  # the views' first lattice column and width
-    initial = up[:, a0:a1:s], down[:, a0:a1:s]
-    real = real and not any(a.imag.any() for a in initial)
+    initial = np.array((up[:, a0:a1:s], down[:, a0:a1:s]))  # (2, R or 1, c)
+    real = not initial.imag.any() and np.all(reals)  # mixed: the rows that walk real alone
+    mixed = [] if real or len(rows) == 1 else np.flatnonzero(reals & ~initial.imag.any((0, 2)))
     dtype, line = (np.float64, 8) if real else (np.complex128, 4)  # line: 64 bytes of it
     width = -(-(c + grow * steps * len(rows[0].order(0))) // line) * line  # rows start on one
     size = 2 * len(rows) * width  # the buffers'; then ``work`` (see _mix), twice as long
@@ -280,21 +294,27 @@ def _walk(up, down, rows, t0: int, steps: int, geometry: LatticeGeometry, clip=F
     ua, da = width - c, 0  # where the up and the down view start
     buffers[0, :, ua:], buffers[1, :, :c] = (a.real if real else a for a in initial)
     psi, floats = _pair(buffers, ua, da, c), work.view(np.float64)  # floats: see moments
-    lines = []  # x and x^2, built on the first read
+    lines = []  # per parity of lattice columns: x and x^2, and each x once per float
 
     def moments(out, dist=None):
-        if not lines:  # a contiguous line per parity of lattice columns
+        if not lines:  # contiguous, built on the first read
             xs = np.array([geometry.positions, geometry.positions_squared], np.float64)
-            lines.extend(xs[:, p::s].copy() for p in range(s))
-        flat, (j, p) = psi.view(np.float64), divmod(lo, s)
-        sq = np.square(flat, out=floats[: flat.size].reshape(flat.shape))
-        if not real:  # |a|^2 = re^2 + im^2: a real amplitude's im^2 would add +0.0
-            sq = np.add(sq[..., ::2], sq[..., 1::2],
-                        out=floats[flat.size : flat.size + psi.size].reshape(psi.shape))
-        prob = np.add(sq[0], sq[1], out=sq[0])  # P(x) = |up|^2 + |down|^2, per row
-        if dist is not None:
-            dist[lo : lo + s * c : s] = prob[0]
-        return np.vecdot(prob, lines[p][: len(out), None, j : j + c], out=out)
+            lines.extend((x, x.repeat(2, 1)) for x in (xs[:, p::s].copy() for p in range(s)))
+        flat, (j, p), k = psi.view(np.float64), divmod(lo, s), len(out)
+        sq, (one, two) = np.square(flat, out=floats[: flat.size].reshape(flat.shape)), lines[p]
+        if real:  # P(x) = |up|^2 + |down|^2 per row, then one sum against x
+            prob = np.add(sq[0], sq[1], out=sq[0])
+            if dist is not None:
+                dist[lo : lo + s * c : s] = prob[0]
+            return np.vecdot(prob, one[:k, None, j : j + c], out=out)
+        sums = np.vecdot(sq, two[:k, None, None, 2 * j : 2 * (j + c)])  # per spin, x per float
+        np.add(sums[:, 0], sums[:, 1], out=out)
+        if len(mixed):  # a row real alone sums its P(x) from its re^2, as it would alone
+            out[:, mixed] = np.vecdot(np.add(*sq[:, mixed, ::2]), one[:k, None, j : j + c])
+        if dist is not None:  # row 0's P(x), |a|^2 = re^2 + im^2
+            pair = np.add(sq[:, 0, ::2], sq[:, 0, 1::2])
+            np.add(pair[0], pair[1], out=dist[lo : lo + s * c : s])
+        return out
 
     def finals():
         pair = np.zeros((len(rows), n), complex), np.zeros((len(rows), n), complex)

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidPositionError
+from .errors import FieldError, InvalidPositionError
 from .rng import ODD_SITES, Ruled, _check, at_least, interval
 
 
@@ -92,14 +92,15 @@ class WalkerState:
     time_step: int = 0
 
     def __post_init__(self):
-        self.amp_up = np.asarray(self.amp_up, dtype=np.complex128)
-        self.amp_down = np.asarray(self.amp_down, dtype=np.complex128)
         n = self.geometry.n_sites
-        if self.amp_up.shape != (n,) or self.amp_down.shape != (n,):
-            raise ValueError(
-                f"amplitude arrays must have shape ({n},), got "
-                f"{self.amp_up.shape} and {self.amp_down.shape}"
-            )
+        for name in ("amp_up", "amp_down"):
+            amp = np.asarray(getattr(self, name), dtype=np.complex128)
+            if amp.shape != (n,):
+                raise FieldError(name, f"{name} must have shape ({n},), got {amp.shape}")
+            if not np.isfinite(amp).all():
+                i = int(np.isfinite(amp).argmin())
+                raise FieldError(name, f"{name} must be finite, got {amp[i]} at index {i}")
+            setattr(self, name, amp)
         _check("time_step", self.time_step, at_least(0))
 
     @classmethod

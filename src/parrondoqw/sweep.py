@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping, Union, get_args
 
 import numpy as np
 
@@ -211,7 +211,7 @@ def check_grid(grid: GridSpec) -> None:
     ``InvalidPositionError``, ``GeometryTooSmallError`` and ``MissingRandomnessError``.
     """
     template = isinstance(grid.schedule, ScheduleTemplate)
-    if callable(grid.schedule) and not template:
+    if not (template or isinstance(grid.schedule, get_args(StrategySchedule))):
         raise FieldError("schedule", "the schedule must be a ScheduleTemplate or a fixed "
                                      f"schedule, got {grid.schedule!r}")
     Ruled.__post_init__(grid)  # GridSpec's rules: its fields may change after construction

@@ -10,6 +10,8 @@ import concurrent.futures
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parrondoqw import (
     SPIN_DOWN,
@@ -464,3 +466,86 @@ def test_ensembles_and_per_point_sweeps_never_read_final_amplitudes(monkeypatch)
             assert result.std_error.tobytes() == before.std_error.tobytes()
         else:
             assert result.expectation.tobytes() == before.expectation.tobytes()
+
+
+# Coins by class, each from its draw and whether the row's coins are to be real: the rows of
+# a batch share each coin's class, not its values. Only a GeneralCoin can be either: real
+# with zero phases, complex with others. Random phases are always complex.
+ANGLES = st.sampled_from([-2.0, -0.4, 0.3, 1.1, np.pi / 2, 2.9])
+PHASES = st.sampled_from([(1.0, 0.3), (0.0, 2.0), (np.pi, 0.0)])
+COINS = {
+    "general": lambda draw, real: GeneralCoin(draw(st.sampled_from([0.3, 0.5])),
+                                              *((0.0, 0.0) if real else draw(PHASES))),
+    "uniform": lambda draw, real: UniformRotation(draw(ANGLES)),
+    "tanh": lambda draw, real: SiteTanhRotation(draw(ANGLES), draw(ANGLES)),
+    "alpha": lambda draw, real: RandomPhaseAlpha(draw(st.integers(0, 9))),
+    "beta": lambda draw, real: RandomPhaseBeta(draw(st.integers(0, 9))),
+}
+SHAPES = ("single", "composite", "interleaved", "alternating", "choice")
+
+
+@st.composite
+def mixed_batches(draw):
+    """(rows, up, down, t0, steps): 1-5 rows of one shape, each with its own coins and a
+    real or complex start on the batch's one or two occupied sites. Most walks are long:
+    BLAS sums a short row in one order whatever its layout, a long one by blocks."""
+    shape = draw(st.sampled_from(SHAPES))
+    kinds = [draw(st.sampled_from(list(COINS))) for _ in "ab"]
+    m, n = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1)]))
+    x0, gap = draw(st.integers(-2, 2)), draw(st.sampled_from([0, 1, 2]))  # gap 0: one site
+    steps, half = draw(st.sampled_from([0, 1, 2, 17, 31, 40])), 124  # 4 + 40 steps x 3 shifts
+    sites = [x0 + half] + ([x0 + half + gap] if gap else [])
+    count = draw(st.integers(1, 5))
+    rows, (up, down) = [], np.zeros((2, count, 2 * half + 1), complex)
+    for i in range(count):
+        real_coins, real_start = draw(st.booleans()), draw(st.booleans())
+        a, b = (COINS[kind](draw, real_coins) for kind in kinds)
+        rows.append({
+            "single": lambda: Single(a),
+            "composite": lambda: Composite(a, b, m, n),
+            "interleaved": lambda: Composite(a, b, m, n, interleaved=True),
+            "alternating": lambda: AlternatingEvenOdd(a, b),
+            "choice": lambda: ProbabilisticChoice(a, b, draw(st.sampled_from([0.4, 0.0, 1.0])),
+                                                  draw(st.integers(0, 9))),
+        }[shape]())
+        for site in sites:
+            phi = 0.0 if real_start else draw(st.sampled_from([0.7, np.pi / 2, np.pi]))
+            spin = BlochCoinState(draw(st.sampled_from([0.8, 0.0, np.pi / 2, 2.5])), phi)
+            up[i, site], down[i, site] = np.array(spin.spinor()) / np.sqrt(len(sites))
+    return rows, up, down, draw(st.sampled_from([0, 251])), steps
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(mixed_batches())
+def test_every_row_of_a_mixed_batch_reads_as_its_own_run(batch):
+    # a row that would walk real alone keeps its real run's bytes in a complex batch, read
+    # after every step for <X> alone and for <X> with <X^2>, and row 0's P(x) too
+    rows, up, down, t0, steps = batch
+    n = up.shape[1]
+    geometry = LatticeGeometry(n)
+    own = [run(WalkerState(geometry, up[i], down[i], t0), row, steps, record_full=i == 0)
+           for i, row in enumerate(rows)]
+    for t, (moments, _) in enumerate(evolution._walk(up, down, rows, t0, steps, geometry)):
+        alone, both, dist = np.zeros((1, len(rows))), np.zeros((2, len(rows))), np.zeros(n)
+        moments(alone)
+        moments(both, dist)
+        assert alone[0].tobytes() == both[0].tobytes()
+        var = np.maximum(both[1] - both[0] * both[0], 0.0)
+        for i, trajectory in enumerate(own):
+            assert both[0, i].tobytes() == trajectory.expectation[t].tobytes()
+            assert var[i].tobytes() == trajectory.variance[t].tobytes()
+        assert dist.tobytes() == own[0].distributions[t].tobytes()
+
+
+def test_a_random_phase_row_is_complex_even_when_its_phases_are_zero(monkeypatch):
+    # every phase drawn as 0 gives a coin with no imaginary part; its table and so its own
+    # run are complex all the same, and its batch must read it as such
+    monkeypatch.setattr("parrondoqw.coins._draws",
+                        lambda seeds, tag, t, stop: np.zeros((len(seeds), stop - t)))
+    real, complex_ = start(201, BlochCoinState(1.0, 0.0)), start(201, SYMMETRIC)
+    rows = [Single(RandomPhaseAlpha(seed=1)), Single(RandomPhaseAlpha(seed=2))]
+    up, down = (np.stack([a, b]) for a, b in ((real.amp_up, complex_.amp_up),
+                                             (real.amp_down, complex_.amp_down)))
+    mean = evolve(up, down, rows, 0, 40, real.geometry)[0]
+    for i, initial in enumerate((real, complex_)):
+        assert mean[i].tobytes() == run(initial, rows[i], 40).expectation.tobytes()

@@ -183,6 +183,24 @@ def test_exponent_names_a_nonpositive_window_by_its_variance():
     assert caught.value.field == "variance"
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["everywhere", "inside"])
+def test_exponent_names_a_nonfinite_window_by_its_variance(value, where):
+    # once a slope of nan, with no error
+    series = np.full(30, value) if where == "everywhere" else np.ones(30)
+    series[12] = value
+    with pytest.raises(FieldError, match="^variance must be finite on the fit window$"
+                       ) as caught:
+        variance_scaling_exponent(series, 5, 20)
+    assert caught.value.field == "variance"
+
+
+def test_exponent_reads_only_its_window():
+    series = np.arange(30.0) ** 2
+    series[:5], series[21:] = np.nan, np.inf
+    assert variance_scaling_exponent(series, 5, 20) == pytest.approx(2.0, abs=1e-10)
+
+
 def test_exponent_names_a_window_past_the_series_by_t_max():
     with pytest.raises(FieldError, match=r"^t_max=20 beyond the series \(length 20\)$"
                        ) as caught:

@@ -736,7 +736,9 @@ VALID = {
     GeneralCoin: dict(q=0.5, alpha=1.0, beta=2.0),
     RandomPhaseAlpha: {},
     RandomPhaseBeta: {},
+    Single: dict(spec=A),
     Composite: dict(a=A, b=B, m=1, n=1),
+    AlternatingEvenOdd: dict(a=A, b=B),
     ProbabilisticChoice: dict(a=A, b=B, q=0.5),
     BlochCoinState: dict(theta=1.0),
     GridAxis: dict(name="theta_a", lower=0.0, upper=1.0, count=3),
@@ -794,6 +796,37 @@ def test_a_non_integer_count_raises_a_value_error_naming_it(name, call, must):
     with pytest.raises(FieldError, match=f"^{name} must {must}") as caught:
         call()
     assert caught.value.field == name
+
+
+FIXED_GRID = GridSpec(GridAxis("theta", 0.0, 1.0, 2), GridAxis("phi", 0.0, 1.0, 2),
+                      Single(A), 2, LatticeGeometry(7))
+
+
+@pytest.mark.parametrize("field, call", [
+    pytest.param("spec", lambda: Single("x"), id="single_name"),
+    pytest.param("spec", lambda: Single(UniformRotation), id="single_class"),
+    pytest.param("a", lambda: Composite(UniformRotation, B, 1, 1), id="composite_class"),
+    pytest.param("b", lambda: AlternatingEvenOdd(A, "uniform"), id="alternating_name"),
+    pytest.param("b", lambda: ProbabilisticChoice(A, RandomPhaseAlpha, 0.5),
+                 id="choice_class"),
+    pytest.param("schedule", lambda: run(down_at_origin(), "single", 3), id="run"),
+    pytest.param("schedule", lambda: run(down_at_origin(), Single, 3), id="run_class"),
+    pytest.param("schedule", lambda: step(down_at_origin(), "single"), id="step"),
+    pytest.param("schedule", lambda: ensemble_expectation(down_at_origin(), "single", 3, 2, 1),
+                 id="ensemble"),
+    pytest.param("schedule", lambda: sweep_initial_state(replace(FIXED_GRID, schedule="x")),
+                 id="sweep"),
+])
+def test_a_coin_or_schedule_of_another_type_is_named_before_any_walk(field, call,
+                                                                     monkeypatch):
+    # once an AttributeError or TypeError from inside the walk, naming no field
+    def no_plan(*args):
+        raise AssertionError("a walk built its coins")
+
+    monkeypatch.setattr(evolution, "_plan", no_plan)
+    with pytest.raises(FieldError, match=f"^(the )?{field} must be ") as caught:
+        call()
+    assert caught.value.field == field
 
 
 def test_real_coins_have_float64_tables():

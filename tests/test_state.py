@@ -6,6 +6,7 @@ from parrondoqw import (
     SPIN_UP,
     SYMMETRIC,
     BlochCoinState,
+    FieldError,
     InvalidPositionError,
     LatticeGeometry,
     Single,
@@ -130,3 +131,25 @@ def test_wrong_array_lengths_rejected():
     g = LatticeGeometry(5)
     with pytest.raises(ValueError):
         WalkerState(g, np.zeros(4), np.zeros(5))
+
+
+@pytest.mark.parametrize("field", ["amp_up", "amp_down"])
+def test_a_wrong_length_amplitude_is_named(field):
+    amps = {"amp_up": np.zeros(5), "amp_down": np.zeros(5), field: np.zeros(4)}
+    with pytest.raises(FieldError, match=rf"^{field} must have shape \(5,\), got \(4,\)$"
+                       ) as caught:
+        WalkerState(LatticeGeometry(5), **amps)
+    assert caught.value.field == field
+
+
+@pytest.mark.parametrize("field", ["amp_up", "amp_down"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                   complex(1.0, -np.inf)])
+def test_a_nonfinite_amplitude_is_named(field, value):
+    # once a run from such a state: a series of NaN, with no error and no warning
+    amps = {"amp_up": np.zeros(5, complex), "amp_down": np.zeros(5, complex)}
+    amps[field][2] = value
+    with pytest.raises(FieldError, match=rf"^{field} must be finite, got .+ at index 2$"
+                       ) as caught:
+        WalkerState(LatticeGeometry(5), **amps)
+    assert caught.value.field == field
